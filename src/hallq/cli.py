@@ -83,10 +83,15 @@ def cached_table_cache(Q: Quiver, p: int, budget: int, use_cache: bool) -> Table
         return TableCache(Q, p, budget)
 
     def loader(dim: DimVector) -> ClassificationTable | None:
+        """A missing or unreadable cache file is a miss; the table is then
+        classified afresh and the saver overwrites the file."""
         path = _cache_path(Q, dim, p)
-        if path.exists():
+        if not path.exists():
+            return None
+        try:
             return ClassificationTable.from_json(json.loads(path.read_text()))
-        return None
+        except (ValueError, KeyError, json.JSONDecodeError):
+            return None
 
     def saver(table: ClassificationTable) -> None:
         path = _cache_path(Q, table.dim, p)

@@ -10,6 +10,7 @@ with a generating set of G_V. All counts are exact integers.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterator
@@ -374,7 +375,26 @@ class ClassificationTable:
                 )
             rep = Rep(Q, p, dim, tuple(mats))
             classes.append(ClassInfo(cid, rep, c["orbit_size"], c["aut_count"]))
-        return ClassificationTable(Q, dim, p, classes, list(data["class_of_point"]))
+        class_of_point = list(data["class_of_point"])
+        _check_class_of_point(class_of_point, classes, PointCodec(Q, dim, p).size)
+        return ClassificationTable(Q, dim, p, classes, class_of_point)
+
+
+def _check_class_of_point(class_of_point: list, classes: list[ClassInfo], size: int) -> None:
+    """Reject a point -> class list that cannot belong to these classes: wrong
+    length, an index out of range, or per-class counts differing from the
+    orbit sizes. Such a list would give wrong iso_class_of answers."""
+    if len(class_of_point) != size:
+        raise ValueError(f"class_of_point has {len(class_of_point)} entries, expected {size}")
+    counts = Counter(class_of_point)
+    bad = [k for k in counts if type(k) is not int or not 0 <= k < len(classes)]
+    if bad:
+        raise ValueError(f"class_of_point holds invalid class indices {bad[:5]!r}")
+    for k, c in enumerate(classes):
+        if counts.get(k, 0) != c.orbit_size:
+            raise ValueError(
+                f"class {k} covers {counts.get(k, 0)} points but its orbit size is {c.orbit_size}"
+            )
 
 
 def quiver_hash(Q: Quiver) -> str:

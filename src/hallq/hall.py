@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import ffrep
 from .ffrep import ClassificationTable, IsoClassId, TableCache
-from .laurent import LaurentPoly, gaussian_binomial_q, quantum_binomial
+from .laurent import LaurentPoly, Scalar, add_scaled, gaussian_binomial_q, quantum_binomial
 from .quiver import DimVector, Quiver, euler_form, induction_twist
 
 
@@ -150,6 +150,8 @@ class HallModel:
         self._ext: dict[tuple, dict] = {}
         self._dsub: dict[tuple, dict] = {}
         self._dquot: dict[tuple, dict] = {}
+        # (alpha, beta, twist form) -> (alpha + beta, twist exponent)
+        self._gradings: dict[tuple, tuple[DimVector, int]] = {}
 
     def table(self, dim: DimVector) -> ClassificationTable:
         return self.tables.table(dim)
@@ -241,17 +243,29 @@ def _induction(model: HallModel, f: HallElement, g: HallElement, exponent) -> Ha
         return HallElement.zero(model.quiver, model.p)
     alpha, beta = f.dim, g.dim
     table = model.filtration_table(alpha, beta)
-    tw = LaurentPoly.v(exponent(model.quiver, alpha, beta))
-    out: dict[IsoClassId, LaurentPoly] = {}
+    key = (alpha.entries, beta.entries, exponent)
+    grading = model._gradings.get(key)
+    if grading is None:
+        grading = model._gradings[key] = (alpha + beta, exponent(model.quiver, alpha, beta))
+    nu, tw = grading
+    if len(f.terms) == len(g.terms) == 1:
+        (N, cf), (L, cg) = f.terms[0], g.terms[0]
+        if cf.is_one() and cg.is_one():
+            # u_N * u_L: one monomial per class, straight from the histogram
+            hist = table.get((N, L), {})
+            return HallElement.make(model.quiver, model.p, nu,
+                                    {M: LaurentPoly.v(tw, count) for M, count in hist.items()})
+    acc: dict[IsoClassId, dict[int, Scalar]] = {}
     for N, cf in f.terms:
         for L, cg in g.terms:
             hist = table.get((N, L))
             if not hist:
                 continue
-            base = tw * cf * cg
+            c = cf * cg
             for M, count in hist.items():
-                out[M] = out.get(M, LaurentPoly.zero()) + base * count
-    return HallElement.make(model.quiver, model.p, alpha + beta, out)
+                add_scaled(acc.setdefault(M, {}), c, count, tw)
+    out = {M: LaurentPoly(d) for M, d in acc.items()}
+    return HallElement.make(model.quiver, model.p, nu, out)
 
 
 def geometric_induction(model: HallModel, f: HallElement, g: HallElement) -> HallElement:
@@ -274,17 +288,29 @@ def geometric_restriction(
         return TensorElement.zero(model.quiver, model.p)
     if alpha + beta != f.dim:
         raise ValueError("split does not sum to the element grading")
-    tw = LaurentPoly.v(-euler_form(model.quiver, alpha, beta))
+    tw = -euler_form(model.quiver, alpha, beta)
     table = model.extension_table(alpha, beta)
-    out: dict[tuple[IsoClassId, IsoClassId], LaurentPoly] = {}
+    acc: dict[tuple[IsoClassId, IsoClassId], dict[int, Scalar]] = {}
     for M, cf in f.terms:
-        base = tw * cf
-        for (N, L), hist in table.items():
+        for NL, hist in table.items():
             c = hist.get(M)
             if c:
-                k = (N, L)
-                out[k] = out.get(k, LaurentPoly.zero()) + base * c
+                add_scaled(acc.setdefault(NL, {}), cf, c, tw)
+    out = {NL: LaurentPoly(d) for NL, d in acc.items()}
     return TensorElement.make(model.quiver, model.p, (alpha, beta), out)
+
+
+def _apply_derivation(model: HallModel, f: HallElement, table: dict, tw: int,
+                      dim: DimVector) -> HallElement:
+    """f -> v^tw sum table[(M, N)] * f_M u_N, for a derivation count table."""
+    coeffs = f.coeffs()
+    acc: dict[IsoClassId, dict[int, Scalar]] = {}
+    for (M, N), c in table.items():
+        cf = coeffs.get(M)
+        if cf is not None:
+            add_scaled(acc.setdefault(N, {}), cf, c, tw)
+    out = {N: LaurentPoly(d) for N, d in acc.items()}
+    return HallElement.make(model.quiver, model.p, dim, out)
 
 
 def derive_sub(model: HallModel, f: HallElement, i: int, m: int) -> HallElement:
@@ -300,15 +326,8 @@ def derive_sub(model: HallModel, f: HallElement, i: int, m: int) -> HallElement:
     mi = model.quiver.unit(i).scale(m)
     if not mi <= alpha:
         return HallElement.zero(model.quiver, model.p)
-    tw = LaurentPoly.v(-euler_form(model.quiver, mi, alpha - mi))
-    table = model.derive_sub_table(alpha, i, m)
-    out: dict[IsoClassId, LaurentPoly] = {}
-    for M, cf in f.terms:
-        base = tw * cf
-        for (MM, N), c in table.items():
-            if MM == M:
-                out[N] = out.get(N, LaurentPoly.zero()) + base * c
-    return HallElement.make(model.quiver, model.p, alpha - mi, out)
+    tw = -euler_form(model.quiver, mi, alpha - mi)
+    return _apply_derivation(model, f, model.derive_sub_table(alpha, i, m), tw, alpha - mi)
 
 
 def derive_quot(model: HallModel, f: HallElement, i: int, m: int) -> HallElement:
@@ -323,15 +342,8 @@ def derive_quot(model: HallModel, f: HallElement, i: int, m: int) -> HallElement
     mi = model.quiver.unit(i).scale(m)
     if not mi <= alpha:
         return HallElement.zero(model.quiver, model.p)
-    tw = LaurentPoly.v(-euler_form(model.quiver, alpha - mi, mi))
-    table = model.derive_quot_table(alpha, i, m)
-    out: dict[IsoClassId, LaurentPoly] = {}
-    for M, cf in f.terms:
-        base = tw * cf
-        for (MM, N), c in table.items():
-            if MM == M:
-                out[N] = out.get(N, LaurentPoly.zero()) + base * c
-    return HallElement.make(model.quiver, model.p, alpha - mi, out)
+    tw = -euler_form(model.quiver, alpha - mi, mi)
+    return _apply_derivation(model, f, model.derive_quot_table(alpha, i, m), tw, alpha - mi)
 
 
 def _stratified(model: HallModel, A: IsoClassId, B: IsoClassId, i: int, m: int, side: str) -> dict[int, HallElement]:
@@ -346,12 +358,11 @@ def _stratified(model: HallModel, A: IsoClassId, B: IsoClassId, i: int, m: int, 
         exp = induction_twist(Q, alpha, beta) - euler_form(Q, mi, rest)
     else:
         exp = induction_twist(Q, alpha, beta) - euler_form(Q, rest, mi)
-    tw = LaurentPoly.v(exp)
     counts = ffrep.stratified_pair_counts(model.tables, alpha, beta, A, B, i, m, side)
     out = {}
     for t, per_class in counts.items():
         out[t] = HallElement.make(
-            Q, model.p, rest, {N: tw * c for N, c in per_class.items()}
+            Q, model.p, rest, {N: LaurentPoly.v(exp, c) for N, c in per_class.items()}
         )
     return out
 
@@ -374,12 +385,12 @@ def pairing(model: HallModel, f: HallElement, g: HallElement) -> LaurentPoly:
         raise ValueError("pairing requires matching gradings")
     t = model.table(f.dim)
     gc = g.coeffs()
-    out = LaurentPoly.zero()
+    acc: dict[int, Fraction] = {}
     for M, cf in f.terms:
         cg = gc.get(M)
         if cg:
-            out = out + cf * cg * Fraction(1, t.info(M).aut_count)
-    return out
+            add_scaled(acc, cf * cg, Fraction(1, t.info(M).aut_count))
+    return LaurentPoly(acc)
 
 
 def divided_power_class_relation(model: HallModel, i: int, t: int, s: int) -> dict:

@@ -12,6 +12,7 @@ exponent direction; both signs are recorded.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,7 +22,15 @@ from typing import Callable
 from . import hall, uminus
 from .ffrep import IsoClassId
 from .hall import HallElement, HallModel, TensorElement
-from .laurent import LaurentPoly, SqrtQScalar, evaluate_at_sqrt_q, quantum_binomial, quantum_factorial
+from .laurent import (
+    LaurentPoly,
+    Scalar,
+    SqrtQScalar,
+    add_scaled,
+    evaluate_at_sqrt_q,
+    quantum_binomial,
+    quantum_factorial,
+)
 from .quiver import DimVector, Quiver, builtin_quiver, stratum_data, symmetric_form
 
 
@@ -211,31 +220,34 @@ def green_both_sides(
     fa, fb = hall.unit_class(model, A), hall.unit_class(model, B)
     lhs = hall.geometric_restriction(model, hall.geometric_induction(model, fa, fb), (alpha_p, beta_p))
 
-    rhs = TensorElement.zero(Q, model.p, (alpha_p, beta_p))
+    products: dict[tuple[IsoClassId, IsoClassId], HallElement] = {}
+
+    def unit_product(N: IsoClassId, L: IsoClassId) -> HallElement:
+        got = products.get((N, L))
+        if got is None:
+            got = products[N, L] = hall.geometric_induction(
+                model, hall.unit_class(model, N), hall.unit_class(model, L)
+            )
+        return got
+
+    acc: dict[tuple[IsoClassId, IsoClassId], dict[int, Scalar]] = {}
     for a1, a2, b1, b2 in _green_strata(alpha, beta, alpha_p, beta_p):
         exp = -symmetric_form(Q, a2, b1)
         if corrupt:
             exp += 1
-        scalar = LaurentPoly.v(exp)
         res_a = hall.geometric_restriction(model, fa, (a1, a2))
         res_b = hall.geometric_restriction(model, fb, (b1, b2))
-        if res_a.is_zero() or res_b.is_zero():
-            continue
-        acc: dict = {}
         for (n1, n2), ca in res_a.terms:
             for (l1, l2), cb in res_b.terms:
-                left = hall.geometric_induction(
-                    model, hall.unit_class(model, n1), hall.unit_class(model, l1)
-                )
-                right = hall.geometric_induction(
-                    model, hall.unit_class(model, n2), hall.unit_class(model, l2)
-                )
-                base = scalar * ca * cb
+                left = unit_product(n1, l1)
+                right = unit_product(n2, l2)
+                base = ca * cb
                 for N, cn in left.terms:
+                    left_base = base * cn
                     for L, cl in right.terms:
-                        k = (N, L)
-                        acc[k] = acc.get(k, LaurentPoly.zero()) + base * cn * cl
-        rhs = rhs + TensorElement.make(Q, model.p, (alpha_p, beta_p), acc)
+                        add_scaled(acc.setdefault((N, L), {}), left_base * cl, 1, exp)
+    rhs = TensorElement.make(Q, model.p, (alpha_p, beta_p),
+                             {k: LaurentPoly(d) for k, d in acc.items()})
     return lhs, rhs
 
 
@@ -879,8 +891,13 @@ class SweepConfig:
     only: tuple[str, ...] | None = None
     corrupt: bool = False
     skip_slow: bool = False
-    jobs: int = 1
+    jobs: int = 1  # capped at os.cpu_count(); below 1 is refused
     quiver_texts: tuple[tuple[str, str], ...] | None = None  # (name, text) overrides
+
+    def __post_init__(self):
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        self.jobs = min(self.jobs, os.cpu_count() or 1)
 
 
 IDENTITY_FAMILIES = (
@@ -1129,13 +1146,14 @@ def _spec_worker(args):
 def run_suite(config: SweepConfig) -> list[Report]:
     """Execute the configured sweep; the first report carries the convention
     table, experiments are appended as info reports."""
+    t0 = time.perf_counter()
     pins = pin_convention_table(config.primes)
     reports = [Report(
         "convention_table", {"primes": list(config.primes)},
         "pass" if all(v.get("consistent", True) for v in pins.values()) else "fail",
         None if all(v.get("consistent", True) for v in pins.values())
         else {"inconsistent": [k for k, v in pins.items() if not v.get("consistent", True)]},
-        None, pins, 0.0,
+        None, pins, time.perf_counter() - t0,
     )]
     specs = _suite_specs(config)
     if config.jobs > 1:

@@ -23,10 +23,22 @@ def _frac(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _canon(x) -> Scalar:
+    """The canonical coefficient: an `int` when integral, else a `Fraction`."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 class LaurentPoly:
     """Finitely supported map exponent -> rational, in canonical form.
 
-    Canonical form never stores a zero coefficient, so equality is structural.
+    Canonical form never stores a zero coefficient, and stores a coefficient
+    as `int` when it is integral and as `Fraction` only where a denominator
+    arises (pairings, interpolation, inexact divisions). Since an `int` and
+    the equal `Fraction` compare and hash alike, equality is structural.
     Instances are immutable; all operations return new values.
     """
 
@@ -36,9 +48,10 @@ class LaurentPoly:
         c = {}
         if coeffs:
             for e, x in coeffs.items():
-                f = _frac(x)
-                if f:
-                    c[int(e)] = f
+                if type(x) is not int:
+                    x = _canon(x)
+                if x:
+                    c[int(e)] = x
         self._c = c
 
     # -- constructors ------------------------------------------------------
@@ -62,10 +75,10 @@ class LaurentPoly:
 
     # -- mapping access ----------------------------------------------------
 
-    def coeff(self, exp: int) -> Fraction:
-        return self._c.get(exp, Fraction(0))
+    def coeff(self, exp: int) -> Scalar:
+        return self._c.get(exp, 0)
 
-    def items(self) -> Iterator[tuple[int, Fraction]]:
+    def items(self) -> Iterator[tuple[int, Scalar]]:
         return iter(sorted(self._c.items()))
 
     def support(self) -> tuple[int, ...]:
@@ -75,7 +88,7 @@ class LaurentPoly:
         return bool(self._c)
 
     def is_one(self) -> bool:
-        return self._c == {0: Fraction(1)}
+        return self._c == {0: 1}
 
     @property
     def degree(self) -> int:
@@ -104,8 +117,7 @@ class LaurentPoly:
         if o is None:
             return NotImplemented
         c = dict(self._c)
-        for e, x in o._c.items():
-            c[e] = c.get(e, Fraction(0)) + x
+        add_scaled(c, o)
         return LaurentPoly(c)
 
     __radd__ = __add__
@@ -129,11 +141,9 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        c: dict[int, Fraction] = {}
+        c: dict[int, Scalar] = {}
         for e1, x1 in self._c.items():
-            for e2, x2 in o._c.items():
-                e = e1 + e2
-                c[e] = c.get(e, Fraction(0)) + x1 * x2
+            add_scaled(c, o, x1, e1)
         return LaurentPoly(c)
 
     __rmul__ = __mul__
@@ -174,17 +184,21 @@ class LaurentPoly:
         den = {e - other.valuation: x for e, x in other._c.items()}
         dn = max(den)
         lead = den[dn]
-        quot: dict[int, Fraction] = {}
+        quot: dict[int, Scalar] = {}
         while num:
             top = max(num)
             if top < dn:
                 raise ExactDivisionError("inexact polynomial division")
             k = top - dn
-            c = num[top] / lead
+            x = num[top]
+            if type(x) is int and type(lead) is int and not x % lead:
+                c = x // lead
+            else:
+                c = _canon(Fraction(x) / lead)
             quot[k] = c
             for e, x in den.items():
                 ne = e + k
-                r = num.get(ne, Fraction(0)) - c * x
+                r = num.get(ne, 0) - c * x
                 if r:
                     num[ne] = r
                 else:
@@ -197,7 +211,7 @@ class LaurentPoly:
         """Exponent negation v -> v^{-1}."""
         return LaurentPoly({-e: x for e, x in self._c.items()})
 
-    def monomial(self) -> tuple[Fraction, int]:
+    def monomial(self) -> tuple[Scalar, int]:
         """Return (coeff, exp) when the value is a single monomial, else raise."""
         if len(self._c) != 1:
             raise ValueError("not a monomial: %s" % self)
@@ -230,14 +244,14 @@ class LaurentPoly:
         term = re.compile(
             r"^\s*(-?\d+(?:/\d+)?)\*" + re.escape(var) + r"\^(-?\d+)\s*$"
         )
-        c: dict[int, Fraction] = {}
+        c: dict[int, Scalar] = {}
         for piece in text.split(" + "):
             m = term.match(piece)
             if not m:
                 raise ValueError(f"cannot parse term {piece!r}")
             coeff = Fraction(m.group(1))
             e = int(m.group(2))
-            c[e] = c.get(e, Fraction(0)) + coeff
+            c[e] = c.get(e, 0) + coeff
         return LaurentPoly(c)
 
     def __repr__(self) -> str:
@@ -246,6 +260,17 @@ class LaurentPoly:
 
 ZERO = LaurentPoly.zero()
 ONE = LaurentPoly.one()
+
+
+def add_scaled(acc: dict[int, Scalar], f: LaurentPoly, scale: Scalar = 1, shift: int = 0) -> None:
+    """acc += scale * v^shift * f, on a plain exponent -> coefficient dict.
+
+    Hot loops collect their results this way and build one LaurentPoly per
+    output at the end; `LaurentPoly(acc)` drops the zeros.
+    """
+    for e, x in f._c.items():
+        e += shift
+        acc[e] = acc.get(e, 0) + scale * x
 
 
 # -- quantum combinatorics ---------------------------------------------------
@@ -278,6 +303,8 @@ def quantum_binomial(m: int, t: int) -> LaurentPoly:
         raise ValueError("quantum_binomial needs m >= 0")
     if t < 0 or t > m:
         return LaurentPoly.zero()
+    if t == 0 or t == m:
+        return LaurentPoly.one()
     num = quantum_factorial(m)
     return num.exact_div(quantum_factorial(t)).exact_div(quantum_factorial(m - t))
 
@@ -387,17 +414,23 @@ class SqrtQScalar:
 
 
 def evaluate_at_sqrt_q(f: LaurentPoly, q: int, sign: int) -> SqrtQScalar:
-    """Substitute v = sign * sqrt(q); exponent parities land in the two components."""
+    """Substitute v = sign * sqrt(q); exponent parities land in the two components.
+
+    v^e = sign^e * q^(e // 2) * sqrt(q)^(e % 2). Each component is summed
+    over the common denominator q^k0, so integer coefficients stay integers
+    until the one division at the end.
+    """
     _check_prime(q)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    even = Fraction(0)
-    odd = Fraction(0)
-    qf = Fraction(q)
-    for e, x in f.items():
-        s = 1 if (sign == 1 or e % 2 == 0) else -1
-        if e % 2 == 0:
-            even += s * x * qf ** (e // 2)
+    c = f._c
+    k0 = max(0, -(min(c, default=0) // 2))
+    even = odd = 0
+    for e, x in c.items():
+        term = x * q ** (e // 2 + k0)
+        if e & 1:
+            odd += term if sign == 1 else -term
         else:
-            odd += s * x * qf ** ((e - 1) // 2)
-    return SqrtQScalar(even, odd, q)
+            even += term
+    den = q**k0
+    return SqrtQScalar(Fraction(even, den), Fraction(odd, den), q)

@@ -179,3 +179,62 @@ def test_verify_user_quiver_file(cache, capsys, tmp_path):
     lines = [json.loads(l) for l in out.splitlines() if l.startswith("{")]
     assert sum(1 for l in lines if l["identity"] == "green") > 0
     assert all(l["status"] != "fail" for l in lines)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda data: {**data, "class_of_point": data["class_of_point"][:-3]},
+    lambda data: {**data, "class_of_point": [0] * len(data["class_of_point"])},
+    None,  # not JSON at all
+], ids=["truncated", "all_zero", "invalid_json"])
+def test_bad_cache_file_is_a_miss_and_is_overwritten(cache, capsys, corrupt):
+    args = ("classify", "--quiver", "a2", "--dim", "2,1", "-p", "3")
+    code, fresh, _ = run_cli(capsys, *args)
+    assert code == 0
+    [path] = cache.glob("*.json")
+    good = path.read_text()
+    if corrupt is None:
+        path.write_text(good[: len(good) // 2])
+    else:
+        path.write_text(json.dumps(corrupt(json.loads(good)), sort_keys=True))
+    code, again, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert again == fresh
+    assert path.read_text() == good
+
+
+def test_verify_jobs_capped_at_cpu_count(cache, capsys, monkeypatch):
+    import concurrent.futures
+
+    seen = []
+
+    class RecordingExecutor:
+        """Records max_workers and runs the jobs in this process, so no pool
+        or worker process is started."""
+
+        def __init__(self, max_workers=None):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    code, _, _ = run_cli(capsys, "verify", "--only", "serre_generators", "--quiver", "a2",
+                         "-p", "2", "--jobs", "1000000")
+    assert code == 0
+    assert seen == [2]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_jobs_below_one_exits_two(cache, capsys, jobs):
+    code, out, err = run_cli(capsys, "verify", "--only", "serre_generators", "--quiver", "a2",
+                             "-p", "2", "--jobs", jobs)
+    assert code == 2
+    assert "jobs" in err
+    assert out == ""

@@ -249,6 +249,19 @@ def test_classification_table_json_round_trip():
     assert [c.id for c in t2.classes] == [c.id for c in t.classes]
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda cop: cop[:-1],               # truncated
+    lambda cop: [0] * len(cop),         # all zero: per-class counts break
+    lambda cop: cop[:-1] + [len(cop)],  # index out of range
+    lambda cop: cop + [0],              # too long
+], ids=["truncated", "all_zero", "out_of_range", "too_long"])
+def test_classification_table_from_json_rejects_bad_class_of_point(corrupt):
+    data = classify(A2, dv(1, 1), 3).to_json()
+    data["class_of_point"] = corrupt(data["class_of_point"])
+    with pytest.raises(ValueError):
+        ClassificationTable.from_json(data)
+
+
 def test_classify_budget_refusal():
     with pytest.raises(BudgetExceededError) as e:
         classify(KRON, dv(2, 2), 3, budget=1000)

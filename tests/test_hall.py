@@ -316,3 +316,47 @@ def test_grading_enforced():
     s1, s2, _, _ = a2_classes(m)
     with pytest.raises(ValueError):
         unit_class(m, s1) + unit_class(m, s2)
+
+
+def test_induction_of_sums_is_bilinear_in_unit_products():
+    # multi-term operands take the general path; unit pairs take the
+    # one-monomial-per-class path, and the two must agree
+    for name, p in (("a2", 2), ("a2", 3), ("kronecker", 2)):
+        m = model(name, p)
+        Q = m.quiver
+        for alpha, beta in ((dv(1, 1), Q.unit(0)), (Q.unit(1), dv(1, 1)), (dv(1, 1), dv(1, 1))):
+            A = m.table(alpha).ids()
+            B = m.table(beta).ids()
+            f = unit_class(m, A[0]).scale(LaurentPoly.const(Fraction(1, 3)))
+            f = f + unit_class(m, A[-1]).scale(V(2) + V(-1, 5))
+            g = unit_class(m, B[0]).scale(-3) + unit_class(m, B[-1]).scale(V(-1))
+            for op in (geometric_induction, ringel_product):
+                expected = HallElement.zero(Q, p)
+                for N, cf in f.terms:
+                    for L, cg in g.terms:
+                        expected = expected + op(m, unit_class(m, N), unit_class(m, L)).scale(cf * cg)
+                assert op(m, f, g) == expected
+
+
+def test_unit_products_are_one_monomial_per_class():
+    m = model("kronecker", 2)
+    tw = induction_twist(m.quiver, dv(1, 1), dv(1, 0))
+    for N in m.table(dv(1, 1)).ids():
+        for L in m.table(dv(1, 0)).ids():
+            table = m.filtration_table(dv(1, 1), dv(1, 0)).get((N, L), {})
+            prod = geometric_induction(m, unit_class(m, N), unit_class(m, L))
+            assert prod.coeffs() == {M: V(tw, c) for M, c in table.items()}
+            assert all(type(c.coeff(tw)) is int for _, c in prod.terms)
+
+
+def test_pairing_returns_exact_inverse_aut_counts():
+    for name, p in (("a2", 2), ("a2", 3), ("single", 3)):
+        m = model(name, p)
+        for d in (m.quiver.unit(0), m.quiver.unit(0).scale(2)):
+            t = m.table(d)
+            for c in t.classes:
+                got = pairing(m, unit_class(m, c.id), unit_class(m, c.id).scale(V(1)))
+                assert got == V(1, Fraction(1, c.aut_count))
+                x = got.coeff(1)
+                assert x == Fraction(1, c.aut_count)
+                assert type(x) is (int if c.aut_count == 1 else Fraction)

@@ -184,6 +184,8 @@ def test_suite_small_run_and_determinism():
     r1 = run_suite(cfg)
     r2 = run_suite(cfg)
     assert all(r.status == "pass" for r in r1)
+    # the convention table is timed like every other report
+    assert r1[0].identity == "convention_table" and r1[0].elapsed > 0
 
     def strip(reports):
         out = []

@@ -179,3 +179,79 @@ def test_monomial_extraction():
     assert (c, e) == (Fraction(5, 2), 3)
     with pytest.raises(ValueError):
         (V(1) + 1).monomial()
+
+
+def _reference_evaluate(f, q, sign):
+    """The Fraction loop evaluate_at_sqrt_q used before integer accumulation."""
+    even = Fraction(0)
+    odd = Fraction(0)
+    qf = Fraction(q)
+    for e, x in f.items():
+        s = 1 if (sign == 1 or e % 2 == 0) else -1
+        if e % 2 == 0:
+            even += s * x * qf ** (e // 2)
+        else:
+            odd += s * x * qf ** ((e - 1) // 2)
+    return SqrtQScalar(even, odd, q)
+
+
+mixed_scalars = st.one_of(
+    st.integers(min_value=-50, max_value=50),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    # integral Fractions must be stored as ints
+    st.integers(min_value=-9, max_value=9).map(lambda n: Fraction(3 * n, 3)),
+)
+mixed_coeffs = st.dictionaries(st.integers(min_value=-7, max_value=7), mixed_scalars, max_size=6)
+
+
+def _assert_canonical(f):
+    for _, x in f.items():
+        assert x != 0
+        if x.denominator == 1:
+            assert type(x) is int
+        else:
+            assert type(x) is Fraction
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_coeffs, mixed_coeffs)
+def test_coefficients_are_int_exactly_when_integral(a, b):
+    f, g = LaurentPoly(a), LaurentPoly(b)
+    for h in (f, g, f + g, f - g, f * g, -f, f.bar()):
+        _assert_canonical(h)
+    as_fractions = LaurentPoly({e: Fraction(x) for e, x in a.items()})
+    assert f == as_fractions
+    assert hash(f) == hash(as_fractions)
+    assert f.render() == as_fractions.render()
+    assert LaurentPoly.parse(f.render()) == f
+    _assert_canonical(LaurentPoly.parse(f.render()))
+
+
+def test_integral_quotients_are_ints():
+    _assert_canonical(quantum_binomial(6, 3))
+    q = (V(2) - 1).exact_div(V(1) - 1)
+    assert q == V(1) + 1
+    _assert_canonical(q)
+    half = LaurentPoly.const(1).exact_div(LaurentPoly.const(2))
+    assert half.coeff(0) == Fraction(1, 2) and type(half.coeff(0)) is Fraction
+    assert type(LaurentPoly.const(Fraction(4, 2)).coeff(0)) is int
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_coeffs)
+def test_evaluate_at_sqrt_q_matches_fraction_loop(coeffs):
+    f = LaurentPoly(coeffs)
+    for q in (2, 3, 5):
+        # the four conventions v = sign * q^(power/2); power -1 evaluates the bar
+        for sign in (1, -1):
+            for g in (f, f.bar()):
+                got = evaluate_at_sqrt_q(g, q, sign)
+                assert got == _reference_evaluate(g, q, sign)
+                assert str(got) == str(_reference_evaluate(g, q, sign))
+
+
+def test_evaluate_at_sqrt_q_negative_odd_exponents():
+    f = L({-5: 3, -3: Fraction(1, 2), -2: -7, 1: 4, 4: 1})
+    for q in (2, 3, 5, 7, 11):
+        for sign in (1, -1):
+            assert evaluate_at_sqrt_q(f, q, sign) == _reference_evaluate(f, q, sign)
