@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import hall
 from .ffrep import (
+    DEFAULT_POINT_BUDGET,
     SUPPORTED_PRIMES,
     BudgetExceededError,
     ClassificationTable,
@@ -312,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--quiver", help="quiver file path or builtin name")
         sp.add_argument("-p", "--primes", default="2", help="prime or comma list")
         sp.add_argument("--sign", choices=["+", "-", "auto"], default="auto")
-        sp.add_argument("--budget", type=int, default=10**6)
+        sp.add_argument("--budget", type=int, default=DEFAULT_POINT_BUDGET)
         sp.add_argument("--format", dest="fmt", choices=["json", "csv", "pretty"],
                         default="json")
         sp.add_argument("--no-cache", action="store_true")

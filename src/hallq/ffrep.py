@@ -2,9 +2,12 @@
 plus the raw counting primitives (orbits, homs, submodules, extensions) that
 the algebra layer is built on.
 
-A representation is a point of E_V(F_p), one matrix per arrow. Isomorphism
-classes are G_V-orbits, computed exactly by a union-find sweep over all points
-with a generating set of G_V. All counts are exact integers.
+A representation is a point of E_V(F_p), one matrix per arrow, and each
+point has an index in 0..p^D-1 (`PointCodec`). Isomorphism classes are
+G_V-orbits, computed exactly by a breadth-first sweep over all point indices:
+each generator of G_V acts on an index through digit tables over one or two
+rows of an arrow block, so no point is decoded into matrices except the class
+representatives. All counts are exact integers.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ SUPPORTED_PRIMES = (2, 3, 5, 7, 11)
 # smallest primitive root mod p, used to generate GL_1 and the determinant part
 _PRIMITIVE_ROOT = {2: 1, 3: 2, 5: 2, 7: 3, 11: 2}
 
-DEFAULT_POINT_BUDGET = 10**8
+DEFAULT_POINT_BUDGET = 10**6
 
 
 class BudgetExceededError(RuntimeError):
@@ -359,42 +362,74 @@ class ClassificationTable:
 
     @staticmethod
     def from_json(data: dict) -> "ClassificationTable":
+        """Rebuild a table written by `to_json`. Anything that a fresh
+        classification could not have produced raises ValueError: wrong types
+        of p or dim, a representative of the wrong shape, with entries
+        outside F_p or not the minimal point of its class, and a point ->
+        class list that disagrees with the classes."""
         Q = Quiver.from_text(data["quiver"])
         p = data["p"]
-        dim = DimVector(tuple(data["dim"]))
+        if type(p) is not int:
+            raise ValueError(f"p must be an int, got {p!r}")
+        PrimeField(p)
+        dim = DimVector(tuple(_json_ints(data["dim"], Q.n, None, "dim")))
+        codec = PointCodec(Q, dim, p)
         classes = []
         for c in data["classes"]:
             cid = IsoClassId(
                 tuple(c["id"]["dim"]), tuple(c["id"]["fingerprint"]), c["id"]["tiebreak"]
             )
+            flats = c["representative"]
+            if not isinstance(flats, list) or len(flats) != len(Q.arrows):
+                raise ValueError(f"representative needs one block per arrow, got {flats!r}")
             mats = []
-            for (s, t), flat in zip(Q.arrows, c["representative"]):
-                rows, cols = dim[t], dim[s]
-                mats.append(
-                    tuple(tuple(flat[i * cols + j] for j in range(cols)) for i in range(rows))
-                )
+            for (rows, cols), flat in zip(codec.shapes, flats):
+                flat = _json_ints(flat, rows * cols, p, "representative block")
+                mats.append(tuple(tuple(flat[i * cols:(i + 1) * cols]) for i in range(rows)))
             rep = Rep(Q, p, dim, tuple(mats))
             classes.append(ClassInfo(cid, rep, c["orbit_size"], c["aut_count"]))
         class_of_point = list(data["class_of_point"])
-        _check_class_of_point(class_of_point, classes, PointCodec(Q, dim, p).size)
-        return ClassificationTable(Q, dim, p, classes, class_of_point)
+        _check_class_of_point(class_of_point, classes, codec)
+        try:
+            return ClassificationTable(Q, dim, p, classes, class_of_point)
+        except AssertionError as e:
+            raise ValueError(str(e)) from None
 
 
-def _check_class_of_point(class_of_point: list, classes: list[ClassInfo], size: int) -> None:
+def _json_ints(value, length: int, below: int | None, what: str) -> list[int]:
+    """`value` as a list of `length` ints in range(below) (or >= 0 when
+    below is None); ValueError otherwise."""
+    if (
+        not isinstance(value, list)
+        or len(value) != length
+        or any(type(x) is not int or x < 0 or (below is not None and x >= below) for x in value)
+    ):
+        bound = f"range({below})" if below is not None else "nonnegative"
+        raise ValueError(f"{what} must be {length} ints, {bound}; got {value!r}")
+    return value
+
+
+def _check_class_of_point(class_of_point: list, classes: list[ClassInfo], codec: PointCodec) -> None:
     """Reject a point -> class list that cannot belong to these classes: wrong
-    length, an index out of range, or per-class counts differing from the
-    orbit sizes. Such a list would give wrong iso_class_of answers."""
+    length, an index out of range, per-class counts differing from the orbit
+    sizes, or a class whose first point is not its representative. Such a
+    list would give wrong iso_class_of answers."""
+    size = codec.size
     if len(class_of_point) != size:
         raise ValueError(f"class_of_point has {len(class_of_point)} entries, expected {size}")
     counts = Counter(class_of_point)
     bad = [k for k in counts if type(k) is not int or not 0 <= k < len(classes)]
     if bad:
         raise ValueError(f"class_of_point holds invalid class indices {bad[:5]!r}")
+    # later keys overwrite earlier ones, so a reversed walk keeps each minimum
+    first = dict(zip(reversed(class_of_point), range(size - 1, -1, -1)))
     for k, c in enumerate(classes):
         if counts.get(k, 0) != c.orbit_size:
             raise ValueError(
                 f"class {k} covers {counts.get(k, 0)} points but its orbit size is {c.orbit_size}"
             )
+        if first.get(k) != codec.encode(c.representative.matrices):
+            raise ValueError(f"representative of class {k} is not its minimal point {first.get(k)}")
 
 
 def quiver_hash(Q: Quiver) -> str:
@@ -424,15 +459,72 @@ def _gl_generators(n: int, p: int) -> list[tuple[Matrix, Matrix]]:
     return gens
 
 
+def _window_table(block: Matrix, rows: int, cols: int, p: int, left: bool) -> list[int]:
+    """Digit-delta table of one row move: entry k is encode(image) - k, where
+    k is a run of `rows` rows of `cols` digits (row-major, little-endian) and
+    the image is block * rows (left) or rows * block (right)."""
+    width = rows * cols
+    table = []
+    for k in range(p**width):
+        digits = [k // p**i % p for i in range(width)]
+        m = tuple(tuple(digits[r * cols:(r + 1) * cols]) for r in range(rows))
+        img = fpmat.mat_mul(block, m, p) if left else fpmat.mat_mul(m, block, p)
+        table.append(sum(x * p**i for i, x in enumerate(x for row in img for x in row)) - k)
+    return table
+
+
+def _mixed_rows(g: Matrix) -> tuple[int, int]:
+    """Smallest window lo..hi-1 outside which g is the identity."""
+    off = [k for i, row in enumerate(g) for j, x in enumerate(row) if x != (i == j) for k in (i, j)]
+    return min(off), max(off) + 1
+
+
+def _generator_moves(codec: PointCodec) -> list[list[tuple[int, int, list[int]]]]:
+    """Each generator of G_V as a list of row moves (mult, mod, shifted).
+
+    A move reads the run x // mult % mod of the point index x, one or two rows
+    of one arrow block, and adds shifted[run], the run's digit delta times
+    mult. The generator sends x to x plus the sum of its moves, all read from
+    x. Left actions g.x_h read only the rows g mixes and right actions
+    x_h g^-1 one row at a time, so no table spans a whole arrow block.
+    """
+    Q, dim, p = codec.quiver, codec.dim, codec.p
+    deltas: dict[tuple, list[int]] = {}
+
+    def move(block: Matrix, rows: int, cols: int, left: bool, mult: int) -> tuple:
+        key = (block, rows, cols, left)
+        if key not in deltas:
+            deltas[key] = _window_table(block, rows, cols, p, left)
+        return mult, p ** (rows * cols), [d * mult for d in deltas[key]]
+
+    out = []
+    for v in range(Q.n):
+        for g, ginv in _gl_generators(dim[v], p):
+            lo, hi = _mixed_rows(g)
+            block = tuple(row[lo:hi] for row in g[lo:hi])
+            moves = []
+            base = 1  # p^(digit offset of the arrow block)
+            for (s, t), (rows, cols) in zip(Q.arrows, codec.shapes):
+                if cols and t == v:
+                    moves.append(move(block, hi - lo, cols, True, base * p ** (lo * cols)))
+                elif cols and s == v:
+                    moves.extend(move(ginv, 1, cols, False, base * p ** (r * cols)) for r in range(rows))
+                base *= p ** (rows * cols)
+            if moves:
+                out.append(moves)
+    return out
+
+
 def classify(
     Q: Quiver, dim: DimVector, p: int, budget: int = DEFAULT_POINT_BUDGET
 ) -> ClassificationTable:
     """Partition E_V(F_p) into G_V-orbits.
 
-    Orbits are connected components of the action graph of a generating set,
-    found by union-find; representatives are the minimal points in enumeration
-    order, and aut counts come from orbit-stabilizer (|G_V| / orbit size, with
-    exact divisibility asserted).
+    Generators of G_V act on point indices through digit tables (see
+    `_generator_moves`). Orbits are swept breadth-first in index order, so
+    each orbit is entered at its minimal point, which is the representative.
+    Only representatives are decoded, for their fingerprints. Aut counts come
+    from orbit-stabilizer (|G_V| / orbit size, exact divisibility asserted).
     """
     PrimeField(p)
     codec = PointCodec(Q, dim, p)
@@ -442,75 +534,55 @@ def classify(
             f"classification at dim {dim}, p={p} requires {n_pts} points, budget is {budget}"
         )
 
-    parent = list(range(n_pts))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if ra < rb:
-                parent[rb] = ra
-            else:
-                parent[ra] = rb
-
-    gens = []  # (vertex, g, g_inv)
-    for v in range(Q.n):
-        for g, ginv in _gl_generators(dim[v], p):
-            gens.append((v, g, ginv))
-
-    arrows = Q.arrows
-    for idx in range(n_pts):
-        x = codec.decode(idx)
-        for v, g, ginv in gens:
-            mats = list(x.matrices)
-            for a, (s, t) in enumerate(arrows):
-                m = mats[a]
-                if t == v:
-                    m = fpmat.mat_mul(g, m, p)
-                if s == v:
-                    m = fpmat.mat_mul(m, ginv, p)
-                mats[a] = m
-            union(idx, codec.encode(tuple(mats)))
-
-    members: dict[int, list[int]] = {}
-    for idx in range(n_pts):
-        members.setdefault(find(idx), []).append(idx)
+    gens = _generator_moves(codec)
+    orbit_of = [-1] * n_pts
+    starts: list[int] = []
+    sizes: list[int] = []
+    for start in range(n_pts):
+        if orbit_of[start] >= 0:
+            continue
+        o = len(starts)
+        orbit_of[start] = o
+        queue = [start]
+        # generators alone suffice: in a finite group each inverse is a power
+        for x in queue:
+            for moves in gens:
+                y = x
+                for mult, mod, shifted in moves:
+                    y += shifted[x // mult % mod]
+                if orbit_of[y] < 0:
+                    orbit_of[y] = o
+                    queue.append(y)
+        starts.append(start)
+        sizes.append(len(queue))
 
     g_order = group_order(Q, dim, p)
     simples = [simple_rep(Q, v, p) for v in range(Q.n)]
     raw = []
-    for root, pts in members.items():
-        rep = codec.decode(min(pts))
+    for o, start in enumerate(starts):
+        rep = codec.decode(start)
         fp = (
             hom_dimension(rep, rep),
             *(hom_dimension(rep, s) for s in simples),
             *(hom_dimension(s, rep) for s in simples),
         )
-        raw.append((fp, min(pts), pts, rep))
+        raw.append((fp, start, o, rep))
     raw.sort(key=lambda r: (r[0], r[1]))
 
     classes = []
     tiebreaks: dict[tuple, int] = {}
-    roots_in_order = []
-    for fp, _, pts, rep in raw:
+    class_of_orbit = [0] * len(starts)
+    for ci, (fp, _, o, rep) in enumerate(raw):
         k = tiebreaks.get(fp, 0)
         tiebreaks[fp] = k + 1
         cid = IsoClassId(dim.entries, fp, k)
-        orbit = len(pts)
+        orbit = sizes[o]
         if g_order % orbit:
             raise AssertionError("orbit size does not divide group order")
         classes.append(ClassInfo(cid, rep, orbit, g_order // orbit))
-        roots_in_order.append(pts)
+        class_of_orbit[o] = ci
 
-    class_of_point = [0] * n_pts
-    for ci, pts in enumerate(roots_in_order):
-        for idx in pts:
-            class_of_point[idx] = ci
+    class_of_point = [class_of_orbit[o] for o in orbit_of]
     return ClassificationTable(Q, dim, p, classes, class_of_point)
 
 

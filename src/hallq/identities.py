@@ -20,7 +20,7 @@ from itertools import product
 from typing import Callable
 
 from . import hall, uminus
-from .ffrep import IsoClassId
+from .ffrep import DEFAULT_POINT_BUDGET, IsoClassId
 from .hall import HallElement, HallModel, TensorElement
 from .laurent import (
     LaurentPoly,
@@ -887,7 +887,7 @@ class SweepConfig:
     primes: tuple[int, ...] = (2, 3)
     maxdim: int = 4
     single_maxdim: int = 5
-    budget: int = 10**6
+    budget: int = DEFAULT_POINT_BUDGET
     only: tuple[str, ...] | None = None
     corrupt: bool = False
     skip_slow: bool = False
@@ -1020,7 +1020,7 @@ def experiment_reports(primes: tuple[int, ...]) -> list[Report]:
     t1 = time.perf_counter()
     bridge_holds = True
     for p in primes:
-        model = _pooled_model(Q.to_text(), p, 10**6)
+        model = _pooled_model(Q.to_text(), p, DEFAULT_POINT_BUDGET)
         for dim in (DimVector((2, 1)), DimVector((2, 2))):
             for M in model.table(dim).ids():
                 f = hall.unit_class(model, M)

@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from . import hall
-from .ffrep import IsoClassId
+from .ffrep import DEFAULT_POINT_BUDGET, IsoClassId
 from .hall import HallModel
 from .identities import CONVENTION_BY_LABEL, Report
 from .laurent import LaurentPoly
@@ -119,7 +119,7 @@ def _collect(name: str, qname: str, fn, args, p: int, budget: int) -> dict[str, 
 def verify_count_series(
     primes: tuple[int, ...] = (2, 3, 5),
     holdout: int = 7,
-    budget: int = 10**6,
+    budget: int = DEFAULT_POINT_BUDGET,
     max_degree: int = 2,
 ) -> list[Report]:
     """Fit every curated count series at `primes` and reproduce the held-out
@@ -182,7 +182,7 @@ def green_sides_fit(
     alpha_p: tuple,
     beta_p: tuple,
     primes: tuple[int, ...] = (2, 3, 5),
-    budget: int = 10**6,
+    budget: int = DEFAULT_POINT_BUDGET,
 ) -> Report:
     """Fit the raw integer counts of both sides of the compatibility identity
     and check the fitted polynomials agree after the exact q-power bookkeeping
@@ -274,7 +274,7 @@ def green_sides_fit(
                   {"coefficients": len(keys)}, time.perf_counter() - t0)
 
 
-def verify_holdout_identities(holdout: int = 7, budget: int = 10**6) -> list[Report]:
+def verify_holdout_identities(holdout: int = 7, budget: int = DEFAULT_POINT_BUDGET) -> list[Report]:
     """Re-run three identity checks at the held-out prime directly."""
     from . import identities as idn
 
@@ -295,7 +295,7 @@ def verify_holdout_identities(holdout: int = 7, budget: int = 10**6) -> list[Rep
 def verify_polynomiality(
     primes: tuple[int, ...] = (2, 3, 5),
     holdout: int = 7,
-    budget: int = 10**6,
+    budget: int = DEFAULT_POINT_BUDGET,
     full: bool = True,
 ) -> list[Report]:
     """Criterion harness: count-series fits, both-sides fits, and held-out

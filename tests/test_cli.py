@@ -4,7 +4,8 @@ import os
 import pytest
 
 from hallq.cli import RunConfig, main
-from hallq.quiver import builtin_quiver
+from hallq.ffrep import ClassificationTable, classify
+from hallq.quiver import DimVector, builtin_quiver
 
 
 @pytest.fixture()
@@ -181,11 +182,44 @@ def test_verify_user_quiver_file(cache, capsys, tmp_path):
     assert all(l["status"] != "fail" for l in lines)
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda data: {**data, "class_of_point": data["class_of_point"][:-3]},
-    lambda data: {**data, "class_of_point": [0] * len(data["class_of_point"])},
-    None,  # not JSON at all
-], ids=["truncated", "all_zero", "invalid_json"])
+def _truncate_representative(d):
+    d["classes"][1]["representative"][0].pop()
+
+
+def _swap_representatives(d):
+    a, b = d["classes"][0], d["classes"][1]
+    a["representative"], b["representative"] = b["representative"], a["representative"]
+
+
+# each corruption (in place) turns the JSON of a2 (2,1) at p=3 into a table
+# that no classification produces; the cache loader must treat each as a miss
+BAD_TABLE_JSON = {
+    "truncated_representative": _truncate_representative,
+    "p_as_string": lambda d: d.update(p=str(d["p"])),
+    "dim_as_strings": lambda d: d.update(dim=[str(x) for x in d["dim"]]),
+    "swapped_representatives": _swap_representatives,
+    "entry_outside_field": lambda d: d["classes"][0]["representative"][0].__setitem__(0, 7),
+    "aut_count": lambda d: d["classes"][0].update(aut_count=1),
+}
+
+
+@pytest.mark.parametrize("corrupt", BAD_TABLE_JSON.values(), ids=BAD_TABLE_JSON.keys())
+def test_classification_table_from_json_rejects_bad_classes(corrupt):
+    data = classify(builtin_quiver("a2"), DimVector((2, 1)), 3).to_json()
+    corrupt(data)
+    with pytest.raises(ValueError):
+        ClassificationTable.from_json(data)
+
+
+BAD_CACHE_JSON = {
+    "truncated": lambda data: data.update(class_of_point=data["class_of_point"][:-3]),
+    "all_zero": lambda data: data.update(class_of_point=[0] * len(data["class_of_point"])),
+    **BAD_TABLE_JSON,
+    "invalid_json": None,
+}
+
+
+@pytest.mark.parametrize("corrupt", BAD_CACHE_JSON.values(), ids=BAD_CACHE_JSON.keys())
 def test_bad_cache_file_is_a_miss_and_is_overwritten(cache, capsys, corrupt):
     args = ("classify", "--quiver", "a2", "--dim", "2,1", "-p", "3")
     code, fresh, _ = run_cli(capsys, *args)
@@ -195,7 +229,9 @@ def test_bad_cache_file_is_a_miss_and_is_overwritten(cache, capsys, corrupt):
     if corrupt is None:
         path.write_text(good[: len(good) // 2])
     else:
-        path.write_text(json.dumps(corrupt(json.loads(good)), sort_keys=True))
+        data = json.loads(good)
+        corrupt(data)
+        path.write_text(json.dumps(data, sort_keys=True))
     code, again, _ = run_cli(capsys, *args)
     assert code == 0
     assert again == fresh

@@ -1,11 +1,18 @@
+import tracemalloc
 from itertools import product
 
 import pytest
 
+from hallq import fpmat
 from hallq.ffrep import (
+    DEFAULT_POINT_BUDGET,
     BudgetExceededError,
     ClassificationTable,
+    ClassInfo,
+    IsoClassId,
+    PointCodec,
     TableCache,
+    _gl_generators,
     aut_count_brute,
     classify,
     enumerate_points,
@@ -21,7 +28,7 @@ from hallq.ffrep import (
     Rep,
 )
 from hallq.laurent import gaussian_binomial_q
-from hallq.quiver import DimVector, builtin_quiver
+from hallq.quiver import DimVector, builtin_names, builtin_quiver
 
 A2 = builtin_quiver("a2")
 KRON = builtin_quiver("kronecker")
@@ -321,3 +328,158 @@ def test_extension_count_representative_independence():
             counts.append(c)
         assert counts[0] == counts[1]
         assert counts[0] == extension_count(tables, quot_t.classes[0].id, pp, M)
+
+
+# -- classification against the union-find sweep and closed counts ----------------
+
+
+def _classify_union_find(Q, dim, p):
+    """The former classify, kept as the reference: decode every point, apply
+    each generator with fpmat.mat_mul, re-encode, and union the two indices."""
+    codec = PointCodec(Q, dim, p)
+    n_pts = codec.size
+    parent = list(range(n_pts))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            if ra < rb:
+                parent[rb] = ra
+            else:
+                parent[ra] = rb
+
+    gens = [(v, g, ginv) for v in range(Q.n) for g, ginv in _gl_generators(dim[v], p)]
+    for idx in range(n_pts):
+        x = codec.decode(idx)
+        for v, g, ginv in gens:
+            mats = list(x.matrices)
+            for a, (s, t) in enumerate(Q.arrows):
+                m = mats[a]
+                if t == v:
+                    m = fpmat.mat_mul(g, m, p)
+                if s == v:
+                    m = fpmat.mat_mul(m, ginv, p)
+                mats[a] = m
+            union(idx, codec.encode(tuple(mats)))
+
+    members = {}
+    for idx in range(n_pts):
+        members.setdefault(find(idx), []).append(idx)
+    g_order = group_order(Q, dim, p)
+    simples = [simple_rep(Q, v, p) for v in range(Q.n)]
+    raw = []
+    for pts in members.values():
+        rep = codec.decode(min(pts))
+        fp = (hom_dimension(rep, rep), *(hom_dimension(rep, s) for s in simples),
+              *(hom_dimension(s, rep) for s in simples))
+        raw.append((fp, min(pts), pts, rep))
+    raw.sort(key=lambda r: (r[0], r[1]))
+    classes, tiebreaks = [], {}
+    class_of_point = [0] * n_pts
+    for ci, (fp, _, pts, rep) in enumerate(raw):
+        k = tiebreaks.get(fp, 0)
+        tiebreaks[fp] = k + 1
+        classes.append(ClassInfo(IsoClassId(dim.entries, fp, k), rep, len(pts), g_order // len(pts)))
+        for idx in pts:
+            class_of_point[idx] = ci
+    return ClassificationTable(Q, dim, p, classes, class_of_point)
+
+
+def small_spaces(names, cap, max_entry=3):
+    """(quiver, dim, p) for p in 2, 3, 5 and dims with entries up to
+    max_entry whose representation space has at most cap points."""
+    for name in names:
+        Q = builtin_quiver(name)
+        for p in (2, 3, 5):
+            for e in product(range(max_entry + 1), repeat=Q.n):
+                if p ** sum(e[s] * e[t] for s, t in Q.arrows) <= cap:
+                    yield Q, DimVector(e), p
+
+
+def table_shape(t):
+    return ([(c.id, c.representative, c.orbit_size, c.aut_count) for c in t.classes],
+            [t.class_of_index(i) for i in range(PointCodec(t.quiver, t.dim, t.p).size)])
+
+
+def test_classify_matches_union_find_sweep():
+    cases = list(small_spaces(builtin_names(), cap=625))
+    assert len(cases) > 250
+    for Q, dim, p in cases:
+        assert table_shape(classify(Q, dim, p)) == table_shape(_classify_union_find(Q, dim, p)), (Q, dim, p)
+
+
+def test_classify_decodes_once_per_class(monkeypatch):
+    calls = []
+    decode = PointCodec.decode
+
+    def counting_decode(self, idx):
+        calls.append(idx)
+        return decode(self, idx)
+
+    monkeypatch.setattr(PointCodec, "decode", counting_decode)
+    for Q, dim, p in [(KRON, dv(2, 2), 3), (builtin_quiver("a3"), dv(1, 2, 1), 3)]:
+        calls.clear()
+        t = classify(Q, dim, p)
+        assert len(calls) == len(t) < PointCodec(Q, dim, p).size
+        assert sorted(calls) == sorted(PointCodec(Q, dim, p).encode(c.representative.matrices)
+                                       for c in t.classes)
+
+
+def kostant_partition(roots, d):
+    """Number of multisets of the given positive roots that sum to d."""
+    if not roots:
+        return int(not any(d))
+    total = 0
+    while min(d) >= 0:
+        total += kostant_partition(roots[1:], d)
+        d = tuple(x - r for x, r in zip(d, roots[0]))
+    return total
+
+
+def type_a_roots(n):
+    """Positive roots of A_n: indicator vectors of the intervals [i, j]."""
+    return [tuple(int(i <= k <= j) for k in range(n)) for i in range(n) for j in range(i, n)]
+
+
+DYNKIN_ROOTS = {
+    "single": type_a_roots(1),
+    "a2": type_a_roots(2),
+    "a3": type_a_roots(3),
+    "disconnected": [(1, 0), (0, 1)],
+}
+
+
+def test_kostant_partition_examples():
+    assert kostant_partition(DYNKIN_ROOTS["a3"], (2, 2, 2)) == 10
+    assert kostant_partition(DYNKIN_ROOTS["a3"], (1, 2, 1)) == 5
+    assert kostant_partition(DYNKIN_ROOTS["a2"], (1, 1)) == 2
+
+
+def test_class_count_is_kostant_partition_function():
+    # Gabriel: for a Dynkin quiver the classes at d are the multisets of
+    # positive roots (indecomposables) summing to d, at every prime
+    cases = list(small_spaces(DYNKIN_ROOTS, cap=3**8))
+    assert (builtin_quiver("a3"), dv(2, 2, 2), 3) in cases
+    for Q, dim, p in cases:
+        name = next(n for n in DYNKIN_ROOTS if builtin_quiver(n) == Q)
+        assert len(classify(Q, dim, p)) == kostant_partition(DYNKIN_ROOTS[name], dim.entries), (
+            name, dim, p)
+
+
+def test_classify_default_budget_refuses_before_allocating():
+    assert DEFAULT_POINT_BUDGET < 5**9  # else the call below would classify
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as e:
+            classify(A2, dv(3, 3), 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "1953125" in str(e.value)
+    assert peak < 100_000
