@@ -391,13 +391,13 @@ def _classify_union_find(Q, dim, p):
     return ClassificationTable(Q, dim, p, classes, class_of_point)
 
 
-def small_spaces(names, cap, max_entry=3):
-    """(quiver, dim, p) for p in 2, 3, 5 and dims with entries up to
-    max_entry whose representation space has at most cap points."""
+def small_spaces(names, cap):
+    """(quiver, dim, p) for p in 2, 3, 5 and dims with entries up to 3
+    whose representation space has at most cap points."""
     for name in names:
         Q = builtin_quiver(name)
         for p in (2, 3, 5):
-            for e in product(range(max_entry + 1), repeat=Q.n):
+            for e in product(range(4), repeat=Q.n):
                 if p ** sum(e[s] * e[t] for s, t in Q.arrows) <= cap:
                     yield Q, DimVector(e), p
 
