@@ -62,8 +62,14 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "hallq"
 
 
+# version of the cache file layout, part of every file name: a layout change
+# bumps it, so files in an older layout are never read
+CACHE_SCHEMA = 1
+
+
 def _cache_path(Q: Quiver, dim: DimVector, p: int) -> Path:
-    return cache_dir() / f"{quiver_hash(Q)}_{dim.to_csv().replace(',', '-')}_{p}.json"
+    key = f"{quiver_hash(Q)}_{dim.to_csv().replace(',', '-')}_{p}"
+    return cache_dir() / f"{key}.v{CACHE_SCHEMA}.json"
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -84,15 +90,19 @@ def cached_table_cache(Q: Quiver, p: int, budget: int, use_cache: bool) -> Table
         return TableCache(Q, p, budget)
 
     def loader(dim: DimVector) -> ClassificationTable | None:
-        """A missing or unreadable cache file is a miss; the table is then
-        classified afresh and the saver overwrites the file."""
+        """A missing or unreadable cache file, or one that holds the table of
+        another space, is a miss; the table is then classified afresh and the
+        saver overwrites the file."""
         path = _cache_path(Q, dim, p)
         if not path.exists():
             return None
         try:
-            return ClassificationTable.from_json(json.loads(path.read_text()))
+            table = ClassificationTable.from_json(json.loads(path.read_text()))
         except (ValueError, KeyError, json.JSONDecodeError):
             return None
+        if table.quiver != Q or table.dim != dim or table.p != p:
+            return None
+        return table
 
     def saver(table: ClassificationTable) -> None:
         path = _cache_path(Q, table.dim, p)
@@ -228,8 +238,7 @@ def cmd_op(cfg: RunConfig, op: str, operands: list[str], vertex: str | None,
         if len(elems) != 1 or vertex is None:
             raise ValueError(f"{op} takes one operand, --vertex and -m")
         i = _vertex_index(Q, vertex)
-        fn = hall.derive_sub if op == "dsub" else hall.derive_quot
-        result = fn(model, elems[0], i, m)
+        result = hall.derivation(op[1:])(model, elems[0], i, m)
         payload = _element_payload(model, result, cfg.sign)
     elif op == "pair":
         if len(elems) != 2:

@@ -344,11 +344,7 @@ class ClassificationTable:
             "dim": list(self.dim.entries),
             "classes": [
                 {
-                    "id": {
-                        "dim": list(c.id.dim),
-                        "fingerprint": list(c.id.fingerprint),
-                        "tiebreak": c.id.tiebreak,
-                    },
+                    "id": _id_json(c.id),
                     "representative": [
                         [x for row in m for x in row] for m in c.representative.matrices
                     ],
@@ -365,8 +361,10 @@ class ClassificationTable:
         """Rebuild a table written by `to_json`. Anything that a fresh
         classification could not have produced raises ValueError: wrong types
         of p or dim, a representative of the wrong shape, with entries
-        outside F_p or not the minimal point of its class, and a point ->
-        class list that disagrees with the classes."""
+        outside F_p or not the minimal point of its class, counts that are
+        not ints, class ids or a class order other than the ones `classify`
+        derives from the representatives, and a point -> class list that
+        disagrees with the classes."""
         Q = Quiver.from_text(data["quiver"])
         p = data["p"]
         if type(p) is not int:
@@ -374,11 +372,8 @@ class ClassificationTable:
         PrimeField(p)
         dim = DimVector(tuple(_json_ints(data["dim"], Q.n, None, "dim")))
         codec = PointCodec(Q, dim, p)
-        classes = []
+        reps = []
         for c in data["classes"]:
-            cid = IsoClassId(
-                tuple(c["id"]["dim"]), tuple(c["id"]["fingerprint"]), c["id"]["tiebreak"]
-            )
             flats = c["representative"]
             if not isinstance(flats, list) or len(flats) != len(Q.arrows):
                 raise ValueError(f"representative needs one block per arrow, got {flats!r}")
@@ -386,14 +381,55 @@ class ClassificationTable:
             for (rows, cols), flat in zip(codec.shapes, flats):
                 flat = _json_ints(flat, rows * cols, p, "representative block")
                 mats.append(tuple(tuple(flat[i * cols:(i + 1) * cols]) for i in range(rows)))
-            rep = Rep(Q, p, dim, tuple(mats))
-            classes.append(ClassInfo(cid, rep, c["orbit_size"], c["aut_count"]))
+            reps.append(Rep(Q, p, dim, tuple(mats)))
+        simples = [simple_rep(Q, v, p) for v in range(Q.n)]
+        keys = [(_fingerprint(rep, simples), codec.encode(rep.matrices)) for rep in reps]
+        ids = _class_ids(dim, keys)
+        if [k for k, _ in ids] != list(range(len(reps))):
+            raise ValueError("classes are not in classification order")
+        classes = []
+        for (_, cid), rep, c in zip(ids, reps, data["classes"]):
+            if c["id"] != _id_json(cid):
+                raise ValueError(f"class id {c['id']!r} does not match its representative, {cid}")
+            counts = [c["orbit_size"], c["aut_count"]]
+            if any(type(x) is not int for x in counts):
+                raise ValueError(f"orbit and aut counts must be ints, got {counts!r}")
+            classes.append(ClassInfo(cid, rep, *counts))
         class_of_point = list(data["class_of_point"])
         _check_class_of_point(class_of_point, classes, codec)
         try:
             return ClassificationTable(Q, dim, p, classes, class_of_point)
         except AssertionError as e:
             raise ValueError(str(e)) from None
+
+
+def _id_json(cid: IsoClassId) -> dict:
+    return {"dim": list(cid.dim), "fingerprint": list(cid.fingerprint), "tiebreak": cid.tiebreak}
+
+
+def _fingerprint(rep: Rep, simples: list[Rep]) -> tuple[int, ...]:
+    """(dim End, hom(x, S_v) for each vertex, hom(S_v, x) for each vertex)."""
+    return (
+        hom_dimension(rep, rep),
+        *(hom_dimension(rep, s) for s in simples),
+        *(hom_dimension(s, rep) for s in simples),
+    )
+
+
+def _class_ids(
+    dim: DimVector, keys: list[tuple[tuple[int, ...], int]]
+) -> list[tuple[int, IsoClassId]]:
+    """Class ids as `classify` assigns them. `keys` holds one (fingerprint,
+    minimal point) per class; classes are ordered by it, and the tiebreak
+    counts the classes before them with the same fingerprint. Returns
+    (index into keys, id) in class order."""
+    tiebreaks: dict[tuple, int] = {}
+    out = []
+    for k in sorted(range(len(keys)), key=keys.__getitem__):
+        fp = keys[k][0]
+        out.append((k, IsoClassId(dim.entries, fp, tiebreaks.get(fp, 0))))
+        tiebreaks[fp] = tiebreaks.get(fp, 0) + 1
+    return out
 
 
 def _json_ints(value, length: int, below: int | None, what: str) -> list[int]:
@@ -558,28 +594,15 @@ def classify(
 
     g_order = group_order(Q, dim, p)
     simples = [simple_rep(Q, v, p) for v in range(Q.n)]
-    raw = []
-    for o, start in enumerate(starts):
-        rep = codec.decode(start)
-        fp = (
-            hom_dimension(rep, rep),
-            *(hom_dimension(rep, s) for s in simples),
-            *(hom_dimension(s, rep) for s in simples),
-        )
-        raw.append((fp, start, o, rep))
-    raw.sort(key=lambda r: (r[0], r[1]))
-
+    reps = [codec.decode(start) for start in starts]
+    keys = [(_fingerprint(rep, simples), start) for rep, start in zip(reps, starts)]
     classes = []
-    tiebreaks: dict[tuple, int] = {}
     class_of_orbit = [0] * len(starts)
-    for ci, (fp, _, o, rep) in enumerate(raw):
-        k = tiebreaks.get(fp, 0)
-        tiebreaks[fp] = k + 1
-        cid = IsoClassId(dim.entries, fp, k)
+    for ci, (o, cid) in enumerate(_class_ids(dim, keys)):
         orbit = sizes[o]
         if g_order % orbit:
             raise AssertionError("orbit size does not divide group order")
-        classes.append(ClassInfo(cid, rep, orbit, g_order // orbit))
+        classes.append(ClassInfo(cid, reps[o], orbit, g_order // orbit))
         class_of_orbit[o] = ci
 
     class_of_point = [class_of_orbit[o] for o in orbit_of]

@@ -121,18 +121,6 @@ class TensorElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.dims != other.dims:
-            raise ValueError("cannot add tensor elements of different gradings")
-        c = self.coeffs()
-        for k, x in other.terms:
-            c[k] = c.get(k, LaurentPoly.zero()) + x
-        return TensorElement.make(self.quiver, self.p, self.dims, c)
-
     def scale(self, s) -> "TensorElement":
         sp = _as_poly(s)
         return TensorElement.make(self.quiver, self.p, self.dims, {k: sp * c for k, c in self.terms})
@@ -184,19 +172,17 @@ class HallModel:
         return got
 
     def derive_sub_table(self, alpha: DimVector, i: int, m: int) -> dict:
-        key = (alpha.entries, i, m)
-        got = self._dsub.get(key)
-        if got is None:
-            got = ffrep.derive_sub_histogram(self.tables, alpha, i, m)
-            self._dsub[key] = got
-        return got
+        """(M, N) -> count for derive_sub at alpha, vertex i, multiplicity m."""
+        return self._derive_table(self._dsub, ffrep.derive_sub_histogram, alpha, i, m)
 
     def derive_quot_table(self, alpha: DimVector, i: int, m: int) -> dict:
+        return self._derive_table(self._dquot, ffrep.derive_quot_histogram, alpha, i, m)
+
+    def _derive_table(self, memo: dict, histogram, alpha: DimVector, i: int, m: int) -> dict:
         key = (alpha.entries, i, m)
-        got = self._dquot.get(key)
+        got = memo.get(key)
         if got is None:
-            got = ffrep.derive_quot_histogram(self.tables, alpha, i, m)
-            self._dquot[key] = got
+            got = memo[key] = histogram(self.tables, alpha, i, m)
         return got
 
     # -- basis helpers ------------------------------------------------------
@@ -300,9 +286,22 @@ def geometric_restriction(
     return TensorElement.make(model.quiver, model.p, (alpha, beta), out)
 
 
-def _apply_derivation(model: HallModel, f: HallElement, table: dict, tw: int,
-                      dim: DimVector) -> HallElement:
-    """f -> v^tw sum table[(M, N)] * f_M u_N, for a derivation count table."""
+def _derive(model: HallModel, f: HallElement, i: int, m: int, side: str) -> HallElement:
+    """f -> v^tw sum table[(M, N)] * f_M u_N over the derivation count table of
+    the side; zero (not an error) when the grading cannot drop by m*e_i."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    if f.is_zero() or m == 0:
+        return f
+    alpha = f.dim
+    mi = model.quiver.unit(i).scale(m)
+    if not mi <= alpha:
+        return HallElement.zero(model.quiver, model.p)
+    rest = alpha - mi
+    if side == "sub":
+        tw, table = -euler_form(model.quiver, mi, rest), model.derive_sub_table(alpha, i, m)
+    else:
+        tw, table = -euler_form(model.quiver, rest, mi), model.derive_quot_table(alpha, i, m)
     coeffs = f.coeffs()
     acc: dict[IsoClassId, dict[int, Scalar]] = {}
     for (M, N), c in table.items():
@@ -310,40 +309,23 @@ def _apply_derivation(model: HallModel, f: HallElement, table: dict, tw: int,
         if cf is not None:
             add_scaled(acc.setdefault(N, {}), cf, c, tw)
     out = {N: LaurentPoly(d) for N, d in acc.items()}
-    return HallElement.make(model.quiver, model.p, dim, out)
+    return HallElement.make(model.quiver, model.p, rest, out)
 
 
 def derive_sub(model: HallModel, f: HallElement, i: int, m: int) -> HallElement:
     """Derivation with quotient concentrated at vertex i with multiplicity m;
     returns zero (not an error) when the grading cannot drop by m*e_i."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if f.is_zero():
-        return f
-    if m == 0:
-        return f
-    alpha = f.dim
-    mi = model.quiver.unit(i).scale(m)
-    if not mi <= alpha:
-        return HallElement.zero(model.quiver, model.p)
-    tw = -euler_form(model.quiver, mi, alpha - mi)
-    return _apply_derivation(model, f, model.derive_sub_table(alpha, i, m), tw, alpha - mi)
+    return _derive(model, f, i, m, "sub")
 
 
 def derive_quot(model: HallModel, f: HallElement, i: int, m: int) -> HallElement:
     """Mirror derivation with sub concentrated at vertex i with multiplicity m."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if f.is_zero():
-        return f
-    if m == 0:
-        return f
-    alpha = f.dim
-    mi = model.quiver.unit(i).scale(m)
-    if not mi <= alpha:
-        return HallElement.zero(model.quiver, model.p)
-    tw = -euler_form(model.quiver, alpha - mi, mi)
-    return _apply_derivation(model, f, model.derive_quot_table(alpha, i, m), tw, alpha - mi)
+    return _derive(model, f, i, m, "quot")
+
+
+def derivation(side: str):
+    """derive_sub for side "sub", derive_quot for "quot", looked up when called."""
+    return derive_sub if side == "sub" else derive_quot
 
 
 def _stratified(model: HallModel, A: IsoClassId, B: IsoClassId, i: int, m: int, side: str) -> dict[int, HallElement]:
@@ -431,18 +413,5 @@ def element_to_json(model: HallModel, f: HallElement) -> dict:
         "dim": list(f.dim.entries),
         "terms": [
             {"class": table.label(M), "laurent": c.render()} for M, c in f.terms
-        ],
-    }
-
-
-def tensor_to_json(model: HallModel, f: TensorElement) -> dict:
-    if f.is_zero():
-        return {"dims": None, "terms": []}
-    ta, tb = model.table(f.dims[0]), model.table(f.dims[1])
-    return {
-        "dims": [list(f.dims[0].entries), list(f.dims[1].entries)],
-        "terms": [
-            {"class": [ta.label(N), tb.label(L)], "laurent": c.render()}
-            for (N, L), c in f.terms
         ],
     }

@@ -1,6 +1,11 @@
 """Verification engine: every theorem shadow is a named, parameterized check
 producing a structured Report.
 
+Each check is a generator of comparisons between the two sides of its
+identity, run by `_check`, which alone times the check, counts the
+comparisons and builds the Report; the sweeps over many gradings aggregate
+their checks' reports in `_sweep`.
+
 Checks compare exact scalars in Q[sqrt(p)] after specializing the formal
 variable. Four specialization conventions are supported, v = s * p^{e/2} with
 s in {+1,-1} and e in {+1,-1}; which convention validates is not assumed but
@@ -14,10 +19,9 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Callable
 
 from . import hall, uminus
 from .ffrep import DEFAULT_POINT_BUDGET, IsoClassId
@@ -71,16 +75,8 @@ DEFAULT_PINS = {
 }
 
 
-def spec_hall(f: HallElement, p: int, conv: Convention) -> dict[IsoClassId, SqrtQScalar]:
-    out = {}
-    for M, c in f.terms:
-        v = conv.poly(c, p)
-        if v:
-            out[M] = v
-    return out
-
-
-def spec_tensor(f: TensorElement, p: int, conv: Convention) -> dict:
+def spec_hall(f: HallElement | TensorElement, p: int, conv: Convention) -> dict:
+    """The specialized nonzero coefficients of a Hall or tensor element."""
     out = {}
     for k, c in f.terms:
         v = conv.poly(c, p)
@@ -89,11 +85,32 @@ def spec_tensor(f: TensorElement, p: int, conv: Convention) -> dict:
     return out
 
 
+def _spec_term(scalar: LaurentPoly, f: HallElement, p: int, conv: Convention) -> dict:
+    """spec_hall of scalar * f for a nonzero scalar, specializing it once."""
+    sc = conv.poly(scalar, p)
+    return {M: sc * v for M, v in spec_hall(f, p, conv).items()}
+
+
+def _sum_specs(specs) -> dict:
+    """Sum of specialized elements, zero coefficients dropped."""
+    acc: dict = {}
+    for d in specs:
+        for k, v in d.items():
+            acc[k] = acc[k] + v if k in acc else v
+    return {k: v for k, v in acc.items() if v}
+
+
+def _labels(model: HallModel, *classes: IsoClassId) -> list[str]:
+    return [model.table(DimVector(c.dim)).label(c) for c in classes]
+
+
 def _render_spec(model: HallModel, d: dict) -> dict:
+    """Class labels (a pair of classes as "(N,L)") -> the coefficient as text."""
+
     def lab(k):
         if isinstance(k, tuple):
-            return "(" + ",".join(lab(x) for x in k) + ")"
-        return model.table(DimVector(k.dim)).label(k)
+            return "(" + ",".join(_labels(model, *k)) + ")"
+        return _labels(model, k)[0]
 
     return {lab(k): str(v) for k, v in sorted(d.items(), key=lambda kv: repr(kv[0]))}
 
@@ -113,22 +130,66 @@ class Report:
         return self.status != "fail"
 
     def to_json(self) -> dict:
-        return {
-            "identity": self.identity,
-            "params": self.params,
-            "status": self.status,
-            "witness": self.witness,
-            "convention": self.convention,
-            "details": self.details,
-            "elapsed": round(self.elapsed, 6),
-        }
+        return {**asdict(self), "elapsed": round(self.elapsed, 6)}
 
 
-def _dims_up_to(Q: Quiver, total: int, include_zero: bool = True) -> list[DimVector]:
+# -- the check runner ---------------------------------------------------------------
+
+# stands, in a check's details, for the number of comparisons it made
+_COUNT = object()
+_CHECKED = {"checked": _COUNT}
+
+
+def _check(identity: str, params: dict, convention: str | None, comparisons,
+           status: str = "pass") -> Report:
+    """Run one check and report it.
+
+    `comparisons` is a generator that yields once per comparison of the two
+    sides of the identity: None when they agree, or (witness, details) for
+    the first that does not, which ends the check with status "fail"; the
+    generator is not resumed after a failure. Otherwise the report's status
+    is `status` and its details are what the generator returns (None means
+    _CHECKED). In either details dict, the value _COUNT is replaced by the
+    number of comparisons made.
+    """
+    t0 = time.perf_counter()
+    checked = 0
+    witness = None
+    while True:
+        try:
+            failure = next(comparisons)
+        except StopIteration as done:
+            details = _CHECKED if done.value is None else done.value
+            break
+        checked += 1
+        if failure is not None:
+            status = "fail"
+            witness, details = failure
+            break
+    details = {k: checked if v is _COUNT else v for k, v in details.items()}
+    return Report(identity, params, status, witness, convention, details,
+                  time.perf_counter() - t0)
+
+
+def _sweep(identity: str, params: dict, convention: str, reports) -> Report:
+    """Aggregate the reports of one family's checks: the first failing
+    report, timed from the start of the sweep, or a pass with the comparisons
+    of every check summed."""
+    t0 = time.perf_counter()
+    checked = 0
+    for r in reports:
+        checked += r.details.get("checked", 0)
+        if not r.passed:
+            r.elapsed = time.perf_counter() - t0
+            return r
+    return Report(identity, params, "pass", None, convention, {"checked": checked},
+                  time.perf_counter() - t0)
+
+
+def _dims_up_to(Q: Quiver, total: int) -> list[DimVector]:
     out = []
-    rng = range(total + 1)
-    for entries in product(rng, repeat=Q.n):
-        if sum(entries) <= total and (include_zero or any(entries)):
+    for entries in product(range(total + 1), repeat=Q.n):
+        if sum(entries) <= total:
             out.append(DimVector(entries))
     return sorted(out, key=lambda d: (d.total, d.entries))
 
@@ -147,44 +208,34 @@ def _splits_of(nu: DimVector) -> list[tuple[DimVector, DimVector]]:
 def verify_associativity(model: HallModel, maxdim: int = 4, corrupt: bool = False) -> Report:
     """(u_A * u_B) * u_C = u_A * (u_B * u_C), all basis triples with total
     grading at most maxdim, both twist conventions, compared formally."""
-    t0 = time.perf_counter()
     Q, p = model.quiver, model.p
     params = {"quiver": Q.to_text(), "p": p, "maxdim": maxdim, "corrupt": corrupt}
-    checked = 0
-    for prod_fn, twist_name in ((hall.geometric_induction, "geometric"), (hall.ringel_product, "ringel")):
-        for da in _dims_up_to(Q, maxdim):
-            for db in _dims_up_to(Q, maxdim - da.total):
-                for dc in _dims_up_to(Q, maxdim - da.total - db.total):
-                    for A in model.table(da).ids():
-                        fa = hall.unit_class(model, A)
-                        for B in model.table(db).ids():
-                            fb = hall.unit_class(model, B)
-                            ab = prod_fn(model, fa, fb)
-                            for C in model.table(dc).ids():
-                                fc = hall.unit_class(model, C)
-                                lhs = prod_fn(model, ab, fc)
-                                if corrupt:
-                                    lhs = lhs.scale(LaurentPoly.v(1))
-                                rhs = prod_fn(model, fa, prod_fn(model, fb, fc))
-                                checked += 1
-                                if lhs != rhs:
-                                    wit = {
+
+    def comparisons():
+        for prod_fn, twist_name in ((hall.geometric_induction, "geometric"),
+                                    (hall.ringel_product, "ringel")):
+            for da in _dims_up_to(Q, maxdim):
+                for db in _dims_up_to(Q, maxdim - da.total):
+                    for dc in _dims_up_to(Q, maxdim - da.total - db.total):
+                        for A in model.table(da).ids():
+                            fa = hall.unit_class(model, A)
+                            for B in model.table(db).ids():
+                                fb = hall.unit_class(model, B)
+                                ab = prod_fn(model, fa, fb)
+                                for C in model.table(dc).ids():
+                                    fc = hall.unit_class(model, C)
+                                    lhs = prod_fn(model, ab, fc)
+                                    if corrupt:
+                                        lhs = lhs.scale(LaurentPoly.v(1))
+                                    rhs = prod_fn(model, fa, prod_fn(model, fb, fc))
+                                    yield None if lhs == rhs else ({
                                         "twist": twist_name,
-                                        "triple": [
-                                            model.table(da).label(A),
-                                            model.table(db).label(B),
-                                            model.table(dc).label(C),
-                                        ],
+                                        "triple": _labels(model, A, B, C),
                                         "lhs": hall.element_to_json(model, lhs),
                                         "rhs": hall.element_to_json(model, rhs),
-                                    }
-                                    return Report(
-                                        "associativity", params, "fail", wit,
-                                        "formal", {"checked": checked},
-                                        time.perf_counter() - t0,
-                                    )
-    return Report("associativity", params, "pass", None, "formal",
-                  {"checked": checked}, time.perf_counter() - t0)
+                                    }, _CHECKED)
+
+    return _check("associativity", params, "formal", comparisons())
 
 
 # -- Green compatibility ---------------------------------------------------------
@@ -206,21 +257,21 @@ def _green_strata(alpha: DimVector, beta: DimVector, alpha_p: DimVector, beta_p:
     return out
 
 
-def green_both_sides(
+def _add_green_stratum(
     model: HallModel,
-    A: IsoClassId,
-    B: IsoClassId,
-    alpha_p: DimVector,
-    beta_p: DimVector,
-    corrupt: bool = False,
-) -> tuple[TensorElement, TensorElement]:
-    """Left side Res(Ind), right side the sum over the compatibility strata."""
-    Q = model.quiver
-    alpha, beta = DimVector(A.dim), DimVector(B.dim)
-    fa, fb = hall.unit_class(model, A), hall.unit_class(model, B)
-    lhs = hall.geometric_restriction(model, hall.geometric_induction(model, fa, fb), (alpha_p, beta_p))
-
-    products: dict[tuple[IsoClassId, IsoClassId], HallElement] = {}
+    acc: dict[tuple[IsoClassId, IsoClassId], dict[int, Scalar]],
+    products: dict[tuple[IsoClassId, IsoClassId], HallElement],
+    fa: HallElement,
+    fb: HallElement,
+    stratum: tuple[DimVector, DimVector, DimVector, DimVector],
+    exp: int,
+) -> None:
+    """Add the Green right-hand side of one stratum (a1, a2, b1, b2), times
+    v^exp, into acc: (N, L) -> exponent -> coefficient. The restrictions
+    Res u_A at (a1, a2) and Res u_B at (b1, b2) are multiplied slotwise,
+    u_{n1} (x) u_{n2} times u_{l1} (x) u_{l2} giving (u_{n1} * u_{l1}) (x)
+    (u_{n2} * u_{l2}). `products` memoizes those unit products across calls."""
+    a1, a2, b1, b2 = stratum
 
     def unit_product(N: IsoClassId, L: IsoClassId) -> HallElement:
         got = products.get((N, L))
@@ -230,22 +281,38 @@ def green_both_sides(
             )
         return got
 
+    res_a = hall.geometric_restriction(model, fa, (a1, a2))
+    res_b = hall.geometric_restriction(model, fb, (b1, b2))
+    for (n1, n2), ca in res_a.terms:
+        for (l1, l2), cb in res_b.terms:
+            left = unit_product(n1, l1)
+            right = unit_product(n2, l2)
+            base = ca * cb
+            for N, cn in left.terms:
+                left_base = base * cn
+                for L, cl in right.terms:
+                    add_scaled(acc.setdefault((N, L), {}), left_base * cl, 1, exp)
+
+
+def green_both_sides(
+    model: HallModel,
+    A: IsoClassId,
+    B: IsoClassId,
+    alpha_p: DimVector,
+    beta_p: DimVector,
+    corrupt: bool = False,
+) -> tuple[TensorElement, TensorElement]:
+    """Left side Res(Ind), right side the sum over the compatibility strata,
+    each twisted by v^{-(a2, b1)}."""
+    Q = model.quiver
+    alpha, beta = DimVector(A.dim), DimVector(B.dim)
+    fa, fb = hall.unit_class(model, A), hall.unit_class(model, B)
+    lhs = hall.geometric_restriction(model, hall.geometric_induction(model, fa, fb), (alpha_p, beta_p))
     acc: dict[tuple[IsoClassId, IsoClassId], dict[int, Scalar]] = {}
-    for a1, a2, b1, b2 in _green_strata(alpha, beta, alpha_p, beta_p):
-        exp = -symmetric_form(Q, a2, b1)
-        if corrupt:
-            exp += 1
-        res_a = hall.geometric_restriction(model, fa, (a1, a2))
-        res_b = hall.geometric_restriction(model, fb, (b1, b2))
-        for (n1, n2), ca in res_a.terms:
-            for (l1, l2), cb in res_b.terms:
-                left = unit_product(n1, l1)
-                right = unit_product(n2, l2)
-                base = ca * cb
-                for N, cn in left.terms:
-                    left_base = base * cn
-                    for L, cl in right.terms:
-                        add_scaled(acc.setdefault((N, L), {}), left_base * cl, 1, exp)
+    products: dict[tuple[IsoClassId, IsoClassId], HallElement] = {}
+    for stratum in _green_strata(alpha, beta, alpha_p, beta_p):
+        exp = -symmetric_form(Q, stratum[1], stratum[2])
+        _add_green_stratum(model, acc, products, fa, fb, stratum, exp + 1 if corrupt else exp)
     rhs = TensorElement.make(Q, model.p, (alpha_p, beta_p),
                              {k: LaurentPoly(d) for k, d in acc.items()})
     return lhs, rhs
@@ -260,7 +327,6 @@ def verify_green_compatibility(
     convention: Convention,
     corrupt: bool = False,
 ) -> Report:
-    t0 = time.perf_counter()
     Q, p = model.quiver, model.p
     params = {
         "quiver": Q.to_text(), "p": p,
@@ -270,22 +336,19 @@ def verify_green_compatibility(
     }
     if alpha + beta != alpha_p + beta_p:
         raise ValueError("splits must share the total grading")
-    checked = 0
-    for A in model.table(alpha).ids():
-        for B in model.table(beta).ids():
-            lhs, rhs = green_both_sides(model, A, B, alpha_p, beta_p, corrupt)
-            sl, sr = spec_tensor(lhs, p, convention), spec_tensor(rhs, p, convention)
-            checked += 1
-            if sl != sr:
-                wit = {
-                    "pair": [model.table(alpha).label(A), model.table(beta).label(B)],
+
+    def comparisons():
+        for A in model.table(alpha).ids():
+            for B in model.table(beta).ids():
+                lhs, rhs = green_both_sides(model, A, B, alpha_p, beta_p, corrupt)
+                sl, sr = spec_hall(lhs, p, convention), spec_hall(rhs, p, convention)
+                yield None if sl == sr else ({
+                    "pair": _labels(model, A, B),
                     "lhs": _render_spec(model, sl),
                     "rhs": _render_spec(model, sr),
-                }
-                return Report("green", params, "fail", wit, convention.label,
-                              {"checked": checked}, time.perf_counter() - t0)
-    return Report("green", params, "pass", None, convention.label,
-                  {"checked": checked}, time.perf_counter() - t0)
+                }, _CHECKED)
+
+    return _check("green", params, convention.label, comparisons())
 
 
 # -- derivation product rules ----------------------------------------------------
@@ -299,7 +362,7 @@ def product_rule_sides(
     Q = model.quiver
     alpha, beta = DimVector(A.dim), DimVector(B.dim)
     fa, fb = hall.unit_class(model, A), hall.unit_class(model, B)
-    derive = hall.derive_sub if side == "sub" else hall.derive_quot
+    derive = hall.derivation(side)
     lhs = derive(model, hall.geometric_induction(model, fa, fb), i, m)
     lo, hi, strata = stratum_data(Q, alpha, beta, i, m)
     terms = []
@@ -318,41 +381,31 @@ def verify_derivation_product_rule(
     convention: Convention, corrupt: bool = False,
 ) -> Report:
     """Both flavors of the derivation-of-a-product formula, coefficientwise."""
-    t0 = time.perf_counter()
     p = model.p
     params = {
         "quiver": model.quiver.to_text(), "p": p, "i": i, "m": m,
         "alpha": list(alpha.entries), "beta": list(beta.entries), "corrupt": corrupt,
     }
-    checked = 0
-    for side in ("sub", "quot"):
-        for A in model.table(alpha).ids():
-            for B in model.table(beta).ids():
-                lhs, terms = product_rule_sides(model, A, B, i, m, side)
-                acc: dict[IsoClassId, SqrtQScalar] = {}
-                for t, scalar, piece in terms:
+
+    def comparisons():
+        for side in ("sub", "quot"):
+            for A in model.table(alpha).ids():
+                for B in model.table(beta).ids():
+                    lhs, terms = product_rule_sides(model, A, B, i, m, side)
+                    sl = spec_hall(lhs, p, convention)
                     if corrupt:
-                        scalar = scalar * LaurentPoly.v(1)
-                    sc = convention.poly(scalar, p)
-                    for M, c in piece.terms:
-                        v = sc * convention.poly(c, p)
-                        prev = acc.get(M)
-                        acc[M] = v if prev is None else prev + v
-                rhs = {M: v for M, v in acc.items() if v}
-                sl = spec_hall(lhs, p, convention)
-                checked += 1
-                if sl != rhs:
-                    wit = {
+                        terms = [(t, scalar * LaurentPoly.v(1), piece)
+                                 for t, scalar, piece in terms]
+                    sr = _sum_specs(_spec_term(scalar, piece, p, convention)
+                                    for _, scalar, piece in terms)
+                    yield None if sl == sr else ({
                         "side": side,
-                        "pair": [model.table(alpha).label(A), model.table(beta).label(B)],
+                        "pair": _labels(model, A, B),
                         "lhs": _render_spec(model, sl),
-                        "rhs": _render_spec(model, rhs),
-                    }
-                    return Report("derivation_product_rule", params, "fail", wit,
-                                  convention.label, {"checked": checked},
-                                  time.perf_counter() - t0)
-    return Report("derivation_product_rule", params, "pass", None, convention.label,
-                  {"checked": checked}, time.perf_counter() - t0)
+                        "rhs": _render_spec(model, sr),
+                    }, _CHECKED)
+
+    return _check("derivation_product_rule", params, convention.label, comparisons())
 
 
 # -- stratified refinement -------------------------------------------------------
@@ -362,67 +415,49 @@ def verify_stratification(
     model: HallModel, i: int, m: int, alpha: DimVector, beta: DimVector,
     convention: Convention,
 ) -> Report:
-    """Per-stratum equality plus exact telescoping of the stratified pieces."""
-    t0 = time.perf_counter()
+    """Per-stratum equality plus exact telescoping of the stratified pieces:
+    the strata sum to the product rule's left side, and stratum t equals
+    its right-hand term."""
     Q, p = model.quiver, model.p
     params = {
         "quiver": Q.to_text(), "p": p, "i": i, "m": m,
         "alpha": list(alpha.entries), "beta": list(beta.entries),
     }
-    lo, hi, strata_info = stratum_data(Q, alpha, beta, i, m)
-    checked = 0
-    for side in ("sub", "quot"):
-        derive = hall.derive_sub if side == "sub" else hall.derive_quot
-        strat_fn = hall.stratified_derive_sub if side == "sub" else hall.stratified_derive_quot
-        for A in model.table(alpha).ids():
-            for B in model.table(beta).ids():
-                fa, fb = hall.unit_class(model, A), hall.unit_class(model, B)
-                strata = strat_fn(model, A, B, i, m)
-                if any(t < lo or t > hi for t in strata):
-                    return Report("stratification", params, "fail",
-                                  {"reason": "stratum index out of range",
-                                   "got": sorted(strata)},
-                                  convention.label, {}, time.perf_counter() - t0)
-                total = derive(model, hall.geometric_induction(model, fa, fb), i, m)
-                acc = HallElement.zero(Q, p)
-                for t in sorted(strata):
-                    acc = acc + strata[t]
-                checked += 1
-                if acc != total:
-                    return Report("stratification", params, "fail",
-                                  {"reason": "strata do not telescope to the total",
-                                   "pair": [model.table(alpha).label(A), model.table(beta).label(B)],
-                                   "sum": hall.element_to_json(model, acc),
-                                   "total": hall.element_to_json(model, total)},
-                                  convention.label, {"checked": checked},
-                                  time.perf_counter() - t0)
-                for t, pt, ppt in strata_info:
-                    exp = -pt if side == "sub" else -ppt
-                    scalar = quantum_binomial(m, t) * LaurentPoly.v(exp)
-                    piece = hall.geometric_induction(
-                        model, derive(model, fa, i, t), derive(model, fb, i, m - t)
-                    )
-                    sc = convention.poly(scalar, p)
-                    rhs = {}
-                    for M, c in piece.terms:
-                        v = sc * convention.poly(c, p)
-                        if v:
-                            rhs[M] = v
-                    got = strata.get(t)
-                    sl = spec_hall(got, p, convention) if got is not None else {}
-                    checked += 1
-                    if sl != rhs:
-                        wit = {
+    lo, hi, _ = stratum_data(Q, alpha, beta, i, m)
+
+    def comparisons():
+        for side in ("sub", "quot"):
+            for A in model.table(alpha).ids():
+                for B in model.table(beta).ids():
+                    if side == "sub":
+                        strata = hall.stratified_derive_sub(model, A, B, i, m)
+                    else:
+                        strata = hall.stratified_derive_quot(model, A, B, i, m)
+                    if any(t < lo or t > hi for t in strata):
+                        yield {"reason": "stratum index out of range",
+                               "got": sorted(strata)}, {}
+                    total, terms = product_rule_sides(model, A, B, i, m, side)
+                    acc = HallElement.zero(Q, p)
+                    for t in sorted(strata):
+                        acc = acc + strata[t]
+                    yield None if acc == total else ({
+                        "reason": "strata do not telescope to the total",
+                        "pair": _labels(model, A, B),
+                        "sum": hall.element_to_json(model, acc),
+                        "total": hall.element_to_json(model, total),
+                    }, _CHECKED)
+                    for t, scalar, piece in terms:
+                        expected = _spec_term(scalar, piece, p, convention)
+                        got = strata.get(t)
+                        sl = spec_hall(got, p, convention) if got is not None else {}
+                        yield None if sl == expected else ({
                             "side": side, "t": t,
-                            "pair": [model.table(alpha).label(A), model.table(beta).label(B)],
+                            "pair": _labels(model, A, B),
                             "stratum": _render_spec(model, sl),
-                            "expected": _render_spec(model, rhs),
-                        }
-                        return Report("stratification", params, "fail", wit,
-                                      convention.label, {"checked": checked},
-                                      time.perf_counter() - t0)
-    return Report("stratification", params, "pass", None, convention.label,
-                  {"checked": checked}, time.perf_counter() - t0)
+                            "expected": _render_spec(model, expected),
+                        }, _CHECKED)
+
+    return _check("stratification", params, convention.label, comparisons())
 
 
 # -- quantum Serre, class level ---------------------------------------------------
@@ -433,43 +468,37 @@ def serre_generator_sides(model: HallModel, i: int, j: int, corrupt: bool = Fals
     geometric product."""
     Q = model.quiver
     n_top = 1 - symmetric_form(Q, Q.unit(i), Q.unit(j))
-    odd = None
-    even = None
     lj = hall.constant_class(model, j, 1)
-    for m in range(n_top + 1):
-        n = n_top - m
-        term = hall.geometric_induction(
+    terms = [
+        hall.geometric_induction(
             model,
             hall.geometric_induction(model, hall.constant_class(model, i, m), lj),
-            hall.constant_class(model, i, n),
+            hall.constant_class(model, i, n_top - m),
         )
-        if corrupt and m == 0:
-            term = term.scale(LaurentPoly.v(2))
-        if m % 2:
-            odd = term if odd is None else odd + term
-        else:
-            even = term if even is None else even + term
+        for m in range(n_top + 1)
+    ]
+    if corrupt:
+        terms[0] = terms[0].scale(LaurentPoly.v(2))
     zero = HallElement.zero(Q, model.p)
-    return (odd if odd is not None else zero), (even if even is not None else zero)
+    return sum(terms[1::2], zero), sum(terms[0::2], zero)
 
 
 def verify_serre_generators(
     model: HallModel, i: int, j: int, convention: Convention, corrupt: bool = False
 ) -> Report:
-    t0 = time.perf_counter()
-    p = model.p
-    params = {"quiver": model.quiver.to_text(), "p": p, "i": i, "j": j, "corrupt": corrupt}
+    Q, p = model.quiver, model.p
+    params = {"quiver": Q.to_text(), "p": p, "i": i, "j": j, "corrupt": corrupt}
     if i == j:
         raise ValueError("serre check needs distinct vertices")
-    odd, even = serre_generator_sides(model, i, j, corrupt)
-    so, se = spec_hall(odd, p, convention), spec_hall(even, p, convention)
-    if so != se:
-        wit = {"odd": _render_spec(model, so), "even": _render_spec(model, se)}
-        return Report("serre_generators", params, "fail", wit, convention.label,
-                      {}, time.perf_counter() - t0)
-    return Report("serre_generators", params, "pass", None, convention.label,
-                  {"terms": 2 + 1 - symmetric_form(model.quiver, model.quiver.unit(i), model.quiver.unit(j))},
-                  time.perf_counter() - t0)
+
+    def comparisons():
+        odd, even = serre_generator_sides(model, i, j, corrupt)
+        so, se = spec_hall(odd, p, convention), spec_hall(even, p, convention)
+        yield None if so == se else (
+            {"odd": _render_spec(model, so), "even": _render_spec(model, se)}, {})
+        return {"terms": 2 + 1 - symmetric_form(Q, Q.unit(i), Q.unit(j))}
+
+    return _check("serre_generators", params, convention.label, comparisons())
 
 
 # -- quantum Serre for derivation operators ----------------------------------------
@@ -482,7 +511,7 @@ def _divided_eps_chain(
     """Specialized value of eps_i^{(m)} eps_j eps_i^{(n)} (f), with eps the
     one-step derivation of the given flavor and divided powers applied after
     specialization (the quantum factorials are invertible scalars there)."""
-    step = hall.derive_sub if flavor == "sub" else hall.derive_quot
+    step = hall.derivation(flavor)
     p = model.p
     g = f
     for _ in range(n):
@@ -491,12 +520,7 @@ def _divided_eps_chain(
     for _ in range(m):
         g = step(model, g, i, 1)
     denom = convention.poly(quantum_factorial(m) * quantum_factorial(n), p)
-    out = {}
-    for M, c in g.terms:
-        v = convention.poly(c, p) / denom
-        if v:
-            out[M] = v
-    return out
+    return {M: v / denom for M, v in spec_hall(g, p, convention).items()}
 
 
 def verify_serre_derivations(
@@ -504,7 +528,6 @@ def verify_serre_derivations(
 ) -> Report:
     """Odd-m sum equals even-m sum of the divided derivation composites, on
     every basis class at the test grading, for both derivation flavors."""
-    t0 = time.perf_counter()
     Q, p = model.quiver, model.p
     params = {
         "quiver": Q.to_text(), "p": p, "i": i, "j": j, "testdim": list(testdim.entries),
@@ -513,34 +536,22 @@ def verify_serre_derivations(
     need = Q.unit(i).scale(n_top) + Q.unit(j)
     if not need <= testdim:
         raise ValueError(f"testdim must dominate {need}")
-    checked = 0
-    for flavor in ("sub", "quot"):
-        for M in model.table(testdim).ids():
-            f = hall.unit_class(model, M)
-            odd: dict = {}
-            even: dict = {}
-            for m in range(n_top + 1):
-                n = n_top - m
-                val = _divided_eps_chain(model, f, i, j, m, n, convention, flavor)
-                target = odd if m % 2 else even
-                for k, v in val.items():
-                    prev = target.get(k)
-                    target[k] = v if prev is None else prev + v
-            odd = {k: v for k, v in odd.items() if v}
-            even = {k: v for k, v in even.items() if v}
-            checked += 1
-            if odd != even:
-                wit = {
+
+    def comparisons():
+        for flavor in ("sub", "quot"):
+            for M in model.table(testdim).ids():
+                f = hall.unit_class(model, M)
+                chains = [_divided_eps_chain(model, f, i, j, m, n_top - m, convention, flavor)
+                          for m in range(n_top + 1)]
+                odd, even = _sum_specs(chains[1::2]), _sum_specs(chains[0::2])
+                yield None if odd == even else ({
                     "flavor": flavor,
                     "class": model.table(testdim).label(M),
                     "odd": _render_spec(model, odd),
                     "even": _render_spec(model, even),
-                }
-                return Report("serre_derivations", params, "fail", wit,
-                              convention.label, {"checked": checked},
-                              time.perf_counter() - t0)
-    return Report("serre_derivations", params, "pass", None, convention.label,
-                  {"checked": checked}, time.perf_counter() - t0)
+                }, _CHECKED)
+
+    return _check("serre_derivations", params, convention.label, comparisons())
 
 
 # -- pairing adjunction -------------------------------------------------------------
@@ -548,32 +559,20 @@ def verify_serre_derivations(
 
 def _as_signed_q_power(s: SqrtQScalar) -> tuple[int, int] | None:
     """Write s = sign * q^{k/2}; returns (sign, k) or None if not of that shape."""
-    if s.even and s.odd:
+    if bool(s.even) == bool(s.odd):
         return None
-    if not s.even and not s.odd:
+    part = s.even or s.odd
+    num, den = abs(part).numerator, abs(part).denominator
+    if num != 1 and den != 1:
         return None
-    part, odd = (s.even, False) if s.even else (s.odd, True)
-    sign = 1 if part > 0 else -1
-    f = abs(part)
-    num, den = f.numerator, f.denominator
-    k = 0
-    if num == 1 and den > 1:
-        while den % s.q == 0 and den > 1:
-            den //= s.q
-            k -= 2
-        if den != 1:
-            return None
-    else:
-        if den != 1:
-            return None
-        while num % s.q == 0 and num > 1:
-            num //= s.q
-            k += 2
-        if num != 1:
-            return None
-    if odd:
-        k += 1
-    return (sign, k)
+    n, j = max(num, den), 0
+    while n % s.q == 0:
+        n //= s.q
+        j += 1
+    if n != 1:
+        return None
+    k = 2 * j if den == 1 else -2 * j
+    return (1 if part > 0 else -1, k if s.even else k + 1)
 
 
 def verify_pairing_adjunction(
@@ -585,74 +584,55 @@ def verify_pairing_adjunction(
     computed for every basis pair; their ratio must be one signed power of
     sqrt(q), constant across pairs (and flavors mirror with the right product).
     """
-    t0 = time.perf_counter()
     Q, p = model.quiver, model.p
     params = {
         "quiver": Q.to_text(), "p": p, "i": i, "m": m, "alpha": list(alpha.entries),
     }
     big = alpha + Q.unit(i).scale(m)
-    lmi = hall.constant_class(model, i, m)
-    paper = LaurentPoly.one()
-    for k in range(1, m + 1):
-        paper = paper * (LaurentPoly.one() - LaurentPoly.v(2 * k))
-    paper_inv = convention.poly(paper, p).inverse() if m else SqrtQScalar.one(p)
-    bridges = {}
-    checked = 0
-    for flavor in ("sub", "quot"):
-        for A in model.table(alpha).ids():
-            fa = hall.unit_class(model, A)
-            if flavor == "sub":
-                prod = hall.geometric_induction(model, lmi, fa)
-            else:
-                prod = hall.geometric_induction(model, fa, lmi)
-            for B in model.table(big).ids():
-                fb = hall.unit_class(model, B)
-                lhs = convention.poly(hall.pairing(model, prod, fb), p)
-                derive = hall.derive_sub if flavor == "sub" else hall.derive_quot
-                inner = hall.pairing(model, fa, derive(model, fb, i, m))
-                rhs = paper_inv * convention.poly(inner, p)
-                checked += 1
-                if bool(lhs) != bool(rhs):
-                    wit = {
-                        "flavor": flavor,
-                        "pair": [model.table(alpha).label(A), model.table(big).label(B)],
-                        "lhs": str(lhs), "rhs": str(rhs),
-                    }
-                    return Report("pairing_adjunction", params, "fail", wit,
-                                  convention.label, {"checked": checked},
-                                  time.perf_counter() - t0)
-                if not lhs:
-                    continue
-                ratio = lhs / rhs
-                power = _as_signed_q_power(ratio)
-                if power is None:
-                    wit = {
-                        "flavor": flavor,
-                        "pair": [model.table(alpha).label(A), model.table(big).label(B)],
-                        "ratio": str(ratio),
-                    }
-                    return Report("pairing_adjunction", params, "fail", wit,
-                                  convention.label,
-                                  {"reason": "bridge is not a signed q-power"},
-                                  time.perf_counter() - t0)
-                prev = bridges.get(flavor)
-                if prev is None:
-                    bridges[flavor] = power
-                elif prev != power:
-                    wit = {
-                        "flavor": flavor,
-                        "pair": [model.table(alpha).label(A), model.table(big).label(B)],
-                        "bridge": list(power), "previous": list(prev),
-                    }
-                    return Report("pairing_adjunction", params, "fail", wit,
-                                  convention.label,
-                                  {"reason": "bridge depends on the basis element"},
-                                  time.perf_counter() - t0)
-    det = {"checked": checked}
-    for flavor, (sgn, k) in sorted(bridges.items()):
-        det[f"bridge_{flavor}"] = {"sign": sgn, "sqrtq_exponent": k}
-    return Report("pairing_adjunction", params, "pass", None, convention.label,
-                  det, time.perf_counter() - t0)
+
+    def comparisons():
+        lmi = hall.constant_class(model, i, m)
+        paper = LaurentPoly.one()
+        for k in range(1, m + 1):
+            paper = paper * (LaurentPoly.one() - LaurentPoly.v(2 * k))
+        paper_inv = convention.poly(paper, p).inverse() if m else SqrtQScalar.one(p)
+        bridges = {}
+        for flavor in ("sub", "quot"):
+            derive = hall.derivation(flavor)
+            for A in model.table(alpha).ids():
+                fa = hall.unit_class(model, A)
+                if flavor == "sub":
+                    prod = hall.geometric_induction(model, lmi, fa)
+                else:
+                    prod = hall.geometric_induction(model, fa, lmi)
+                for B in model.table(big).ids():
+                    fb = hall.unit_class(model, B)
+                    lhs = convention.poly(hall.pairing(model, prod, fb), p)
+                    inner = hall.pairing(model, fa, derive(model, fb, i, m))
+                    rhs = paper_inv * convention.poly(inner, p)
+                    if bool(lhs) != bool(rhs):
+                        yield {"flavor": flavor, "pair": _labels(model, A, B),
+                               "lhs": str(lhs), "rhs": str(rhs)}, _CHECKED
+                    if not lhs:
+                        yield None
+                        continue
+                    ratio = lhs / rhs
+                    power = _as_signed_q_power(ratio)
+                    if power is None:
+                        yield ({"flavor": flavor, "pair": _labels(model, A, B),
+                                "ratio": str(ratio)},
+                               {"reason": "bridge is not a signed q-power"})
+                    prev = bridges.setdefault(flavor, power)
+                    yield None if prev == power else (
+                        {"flavor": flavor, "pair": _labels(model, A, B),
+                         "bridge": list(power), "previous": list(prev)},
+                        {"reason": "bridge depends on the basis element"})
+        details = dict(_CHECKED)
+        for flavor, (sgn, k) in sorted(bridges.items()):
+            details[f"bridge_{flavor}"] = {"sign": sgn, "sqrtq_exponent": k}
+        return details
+
+    return _check("pairing_adjunction", params, convention.label, comparisons())
 
 
 def verify_pairing_general(
@@ -660,53 +640,44 @@ def verify_pairing_general(
 ) -> Report:
     """{A*B, C} against {A (x) B, Res C}: zero sets must agree and the ratio
     must be a single signed q-power depending only on the split."""
-    t0 = time.perf_counter()
     Q, p = model.quiver, model.p
     params = {"quiver": Q.to_text(), "p": p,
               "alpha": list(alpha.entries), "beta": list(beta.entries)}
     nu = alpha + beta
-    bridge = None
-    checked = 0
-    for A in model.table(alpha).ids():
-        fa = hall.unit_class(model, A)
-        for B in model.table(beta).ids():
-            fb = hall.unit_class(model, B)
-            prod = hall.geometric_induction(model, fa, fb)
-            for C in model.table(nu).ids():
-                fc = hall.unit_class(model, C)
-                lhs = convention.poly(hall.pairing(model, prod, fc), p)
-                res = hall.geometric_restriction(model, fc, (alpha, beta))
-                rhs_poly = LaurentPoly.zero()
-                ta, tb = model.table(alpha), model.table(beta)
-                for (N, L), c in res.terms:
-                    if N == A and L == B:
-                        rhs_poly = rhs_poly + c * Fraction(
-                            1, ta.info(A).aut_count * tb.info(B).aut_count
-                        )
-                rhs = convention.poly(rhs_poly, p)
-                checked += 1
-                if bool(lhs) != bool(rhs):
-                    return Report("pairing_adjunction", params, "fail",
-                                  {"triple": [ta.label(A), tb.label(B), model.table(nu).label(C)],
-                                   "lhs": str(lhs), "rhs": str(rhs)},
-                                  convention.label, {"part": "general"},
-                                  time.perf_counter() - t0)
-                if not lhs:
-                    continue
-                power = _as_signed_q_power(rhs / lhs)
-                if power is None or (bridge is not None and power != bridge):
-                    return Report("pairing_adjunction", params, "fail",
-                                  {"triple": [ta.label(A), tb.label(B), model.table(nu).label(C)],
-                                   "ratio": str(rhs / lhs)},
-                                  convention.label,
-                                  {"part": "general", "reason": "bridge not constant"},
-                                  time.perf_counter() - t0)
-                bridge = power
-    det = {"part": "general", "checked": checked}
-    if bridge is not None:
-        det["bridge"] = {"sign": bridge[0], "sqrtq_exponent": bridge[1]}
-    return Report("pairing_adjunction", params, "pass", None, convention.label,
-                  det, time.perf_counter() - t0)
+
+    def comparisons():
+        bridge = None
+        ta, tb = model.table(alpha), model.table(beta)
+        for A in ta.ids():
+            fa = hall.unit_class(model, A)
+            for B in tb.ids():
+                fb = hall.unit_class(model, B)
+                prod = hall.geometric_induction(model, fa, fb)
+                weight = Fraction(1, ta.info(A).aut_count * tb.info(B).aut_count)
+                for C in model.table(nu).ids():
+                    fc = hall.unit_class(model, C)
+                    lhs = convention.poly(hall.pairing(model, prod, fc), p)
+                    res = hall.geometric_restriction(model, fc, (alpha, beta)).coeffs()
+                    rhs = convention.poly(res.get((A, B), LaurentPoly.zero()) * weight, p)
+                    if bool(lhs) != bool(rhs):
+                        yield ({"triple": _labels(model, A, B, C),
+                                "lhs": str(lhs), "rhs": str(rhs)},
+                               {"part": "general"})
+                    if not lhs:
+                        yield None
+                        continue
+                    power = _as_signed_q_power(rhs / lhs)
+                    agrees = power is not None and bridge in (None, power)
+                    bridge = power
+                    yield None if agrees else (
+                        {"triple": _labels(model, A, B, C), "ratio": str(rhs / lhs)},
+                        {"part": "general", "reason": "bridge not constant"})
+        details = {"part": "general", **_CHECKED}
+        if bridge is not None:
+            details["bridge"] = {"sign": bridge[0], "sqrtq_exponent": bridge[1]}
+        return details
+
+    return _check("pairing_adjunction", params, convention.label, comparisons())
 
 
 # -- operator relations ---------------------------------------------------------------
@@ -718,57 +689,44 @@ def verify_operator_relations(
     """Composition and commutation laws for the multiplication and one-step
     derivation operators; the divided Serre law is delegated to
     verify_serre_derivations."""
-    t0 = time.perf_counter()
     Q, p = model.quiver, model.p
     params = {"quiver": Q.to_text(), "p": p, "i": i, "alpha": list(alpha.entries),
               "maxother": maxother}
     exp = LaurentPoly.v(-symmetric_form(Q, alpha, Q.unit(i)))
-    checked = 0
-    for A in model.table(alpha).ids():
-        fa = hall.unit_class(model, A)
-        dsub_a = hall.derive_sub(model, fa, i, 1)
-        dquot_a = hall.derive_quot(model, fa, i, 1)
-        for db in _dims_up_to(Q, maxother):
-            for B in model.table(db).ids():
-                fb = hall.unit_class(model, B)
-                # (1) m^L_A m^L_B = m^L_{A*B} and the m^R mirror
-                for C_dim in (Q.unit(i),):
-                    for C in model.table(C_dim).ids():
+
+    def differ(item, A, B, lhs, rhs):
+        sl, sr = spec_hall(lhs, p, convention), spec_hall(rhs, p, convention)
+        return None if sl == sr else ({
+            "item": item, "pair": _labels(model, A, B),
+            "lhs": _render_spec(model, sl), "rhs": _render_spec(model, sr),
+        }, {})
+
+    def comparisons():
+        ind = hall.geometric_induction
+        for A in model.table(alpha).ids():
+            fa = hall.unit_class(model, A)
+            dsub_a = hall.derive_sub(model, fa, i, 1)
+            dquot_a = hall.derive_quot(model, fa, i, 1)
+            for db in _dims_up_to(Q, maxother):
+                for B in model.table(db).ids():
+                    fb = hall.unit_class(model, B)
+                    # (1) m^L_A m^L_B = m^L_{A*B} and the m^R mirror
+                    for C in model.table(Q.unit(i)).ids():
                         fc = hall.unit_class(model, C)
-                        l1 = hall.geometric_induction(model, fa, hall.geometric_induction(model, fb, fc))
-                        r1 = hall.geometric_induction(model, hall.geometric_induction(model, fa, fb), fc)
-                        checked += 1
-                        if l1 != r1:
-                            return Report("operator_relations", params, "fail",
-                                          {"item": 1}, convention.label, {},
-                                          time.perf_counter() - t0)
-                # (3) left derivation against left multiplication
-                lhs = hall.derive_sub(model, hall.geometric_induction(model, fa, fb), i, 1)
-                rhs = hall.geometric_induction(model, fa, hall.derive_sub(model, fb, i, 1)).scale(exp)
-                rhs = rhs + hall.geometric_induction(model, dsub_a, fb)
-                sl, sr = spec_hall(lhs, p, convention), spec_hall(rhs, p, convention)
-                checked += 1
-                if sl != sr:
-                    return Report("operator_relations", params, "fail",
-                                  {"item": 3,
-                                   "pair": [model.table(alpha).label(A), model.table(db).label(B)],
-                                   "lhs": _render_spec(model, sl), "rhs": _render_spec(model, sr)},
-                                  convention.label, {}, time.perf_counter() - t0)
-                # (4) right derivation against right multiplication
-                lhs = hall.derive_quot(model, hall.geometric_induction(model, fb, fa), i, 1)
-                rhs = hall.geometric_induction(model, hall.derive_quot(model, fb, i, 1), fa).scale(exp)
-                rhs = rhs + hall.geometric_induction(model, fb, dquot_a)
-                sl, sr = spec_hall(lhs, p, convention), spec_hall(rhs, p, convention)
-                checked += 1
-                if sl != sr:
-                    return Report("operator_relations", params, "fail",
-                                  {"item": 4,
-                                   "pair": [model.table(alpha).label(A), model.table(db).label(B)],
-                                   "lhs": _render_spec(model, sl), "rhs": _render_spec(model, sr)},
-                                  convention.label, {}, time.perf_counter() - t0)
-    return Report("operator_relations", params, "pass", None, convention.label,
-                  {"checked": checked, "item2": "delegated to serre_derivations"},
-                  time.perf_counter() - t0)
+                        l1 = ind(model, fa, ind(model, fb, fc))
+                        r1 = ind(model, ind(model, fa, fb), fc)
+                        yield None if l1 == r1 else ({"item": 1}, {})
+                    # (3) left derivation against left multiplication
+                    lhs = hall.derive_sub(model, ind(model, fa, fb), i, 1)
+                    rhs = ind(model, fa, hall.derive_sub(model, fb, i, 1)).scale(exp)
+                    yield differ(3, A, B, lhs, rhs + ind(model, dsub_a, fb))
+                    # (4) right derivation against right multiplication
+                    lhs = hall.derive_quot(model, ind(model, fb, fa), i, 1)
+                    rhs = ind(model, hall.derive_quot(model, fb, i, 1), fa).scale(exp)
+                    yield differ(4, A, B, lhs, rhs + ind(model, fb, dquot_a))
+        return {**_CHECKED, "item2": "delegated to serre_derivations"}
+
+    return _check("operator_relations", params, convention.label, comparisons())
 
 
 # -- symbolic layer -------------------------------------------------------------------
@@ -777,79 +735,39 @@ def verify_operator_relations(
 def verify_uminus_serre(model: HallModel, i: int, j: int, convention: Convention) -> Report:
     """serre_element evaluates to zero in the Hall algebra under the Euler-form
     twist at the pinned convention."""
-    t0 = time.perf_counter()
     p = model.p
     params = {"quiver": model.quiver.to_text(), "p": p, "i": i, "j": j, "twist": "ringel"}
-    s = uminus.serre_element(i, j, model.quiver)
-    formal = uminus.evaluate_to_hall(s, model)
-    val = spec_hall(formal, p, convention)
-    if val:
-        return Report("uminus_serre", params, "fail",
-                      {"value": _render_spec(model, val)}, convention.label, {},
-                      time.perf_counter() - t0)
-    return Report("uminus_serre", params, "pass", None, convention.label, {},
-                  time.perf_counter() - t0)
+
+    def comparisons():
+        s = uminus.serre_element(i, j, model.quiver)
+        val = spec_hall(uminus.evaluate_to_hall(s, model), p, convention)
+        yield ({"value": _render_spec(model, val)}, {}) if val else None
+        return {}
+
+    return _check("uminus_serre", params, convention.label, comparisons())
 
 
 # -- convention pinning ----------------------------------------------------------------
 
+_E1 = DimVector((1,))
 
-def _convention_probes() -> dict[str, Callable[[int, Convention], bool]]:
-    """Small representative instances per identity family; each probe returns
-    whether the family's defining equality holds at the given convention."""
-
-    def green_probe(p: int, conv: Convention) -> bool:
-        m = HallModel(builtin_quiver("single"), p)
-        i = DimVector((1,))
-        r = verify_green_compatibility(m, i, i, i, i, conv)
-        if not r.passed:
-            return False
-        m2 = HallModel(builtin_quiver("a2"), p)
-        r2 = verify_green_compatibility(
-            m2, DimVector((1, 0)), DimVector((0, 1)), DimVector((1, 0)), DimVector((0, 1)), conv
-        )
-        return r2.passed
-
-    def rule_probe(p, conv):
-        m = HallModel(builtin_quiver("single"), p)
-        i = DimVector((1,))
-        return verify_derivation_product_rule(m, 0, 1, i, i, conv).passed
-
-    def strat_probe(p, conv):
-        m = HallModel(builtin_quiver("single"), p)
-        i = DimVector((1,))
-        return verify_stratification(m, 0, 1, i, i, conv).passed
-
-    def serre_gen_probe(p, conv):
-        m = HallModel(builtin_quiver("a2"), p)
-        return verify_serre_generators(m, 0, 1, conv).passed
-
-    def serre_der_probe(p, conv):
-        m = HallModel(builtin_quiver("a2"), p)
-        return verify_serre_derivations(m, 0, 1, DimVector((2, 1)), conv).passed
-
-    def pairing_probe(p, conv):
-        m = HallModel(builtin_quiver("single"), p)
-        return verify_pairing_adjunction(m, 0, 1, DimVector((1,)), conv).passed
-
-    def oprel_probe(p, conv):
-        m = HallModel(builtin_quiver("a2"), p)
-        return verify_operator_relations(m, 0, DimVector((1, 0)), 2, conv).passed
-
-    def userre_probe(p, conv):
-        m = HallModel(builtin_quiver("a2"), p)
-        return verify_uminus_serre(m, 0, 1, conv).passed
-
-    return {
-        "green": green_probe,
-        "derivation_product_rule": rule_probe,
-        "stratification": strat_probe,
-        "serre_generators": serre_gen_probe,
-        "serre_derivations": serre_der_probe,
-        "pairing_adjunction": pairing_probe,
-        "operator_relations": oprel_probe,
-        "uminus_serre": userre_probe,
-    }
+# (family, quiver, check): small representative instances per identity
+# family; a convention validates a family at p when all its checks pass
+_PROBES = (
+    ("green", "single", lambda m, c: verify_green_compatibility(m, _E1, _E1, _E1, _E1, c)),
+    ("green", "a2", lambda m, c: verify_green_compatibility(
+        m, DimVector((1, 0)), DimVector((0, 1)), DimVector((1, 0)), DimVector((0, 1)), c)),
+    ("derivation_product_rule", "single",
+     lambda m, c: verify_derivation_product_rule(m, 0, 1, _E1, _E1, c)),
+    ("stratification", "single", lambda m, c: verify_stratification(m, 0, 1, _E1, _E1, c)),
+    ("serre_generators", "a2", lambda m, c: verify_serre_generators(m, 0, 1, c)),
+    ("serre_derivations", "a2",
+     lambda m, c: verify_serre_derivations(m, 0, 1, DimVector((2, 1)), c)),
+    ("pairing_adjunction", "single", lambda m, c: verify_pairing_adjunction(m, 0, 1, _E1, c)),
+    ("operator_relations", "a2",
+     lambda m, c: verify_operator_relations(m, 0, DimVector((1, 0)), 2, c)),
+    ("uminus_serre", "a2", lambda m, c: verify_uminus_serre(m, 0, 1, c)),
+)
 
 
 def pin_convention_table(primes: tuple[int, ...] = (2, 3)) -> dict:
@@ -860,17 +778,19 @@ def pin_convention_table(primes: tuple[int, ...] = (2, 3)) -> dict:
     validates at every prime. Associativity is convention-free (formal).
     """
     table: dict = {"associativity": {"pinned": "formal", "validating": {}, "consistent": True}}
-    for family, probe in sorted(_convention_probes().items()):
-        per_prime: dict[int, list[str]] = {}
-        for p in primes:
-            per_prime[p] = [c.label for c in CONVENTIONS if probe(p, c)]
-        common = set(per_prime[primes[0]])
-        for p in primes[1:]:
-            common &= set(per_prime[p])
+    for family in sorted({f for f, _, _ in _PROBES}):
+        probes = [(qname, check) for f, qname, check in _PROBES if f == family]
+        per_prime = {
+            p: [c.label for c in CONVENTIONS
+                if all(check(HallModel(builtin_quiver(qname), p), c).passed
+                       for qname, check in probes)]
+            for p in primes
+        }
+        common = set.intersection(*(set(v) for v in per_prime.values()))
         pinned = next((c.label for c in CONVENTIONS if c.label in common), None)
         table[family] = {
             "pinned": pinned,
-            "validating": {p: v for p, v in per_prime.items()},
+            "validating": per_prime,
             "consistent": pinned is not None,
         }
     return table
@@ -928,21 +848,18 @@ def _pooled_model(text: str, p: int, budget: int) -> HallModel:
 def verify_green_sweep(model: HallModel, nu: DimVector, convention: Convention,
                        corrupt: bool = False) -> Report:
     """All split pairs of one total grading, aggregated."""
-    t0 = time.perf_counter()
     params = {"quiver": model.quiver.to_text(), "p": model.p, "nu": list(nu.entries),
               "corrupt": corrupt}
-    checked = 0
-    for alpha, beta in _splits_of(nu):
-        for alpha_p, beta_p in _splits_of(nu):
-            r = verify_green_compatibility(model, alpha, beta, alpha_p, beta_p,
-                                           convention, corrupt)
-            checked += r.details.get("checked", 0)
-            if not r.passed:
-                r.params["nu"] = list(nu.entries)
-                r.elapsed = time.perf_counter() - t0
-                return r
-    return Report("green", params, "pass", None, convention.label,
-                  {"checked": checked}, time.perf_counter() - t0)
+
+    def reports():
+        for alpha, beta in _splits_of(nu):
+            for alpha_p, beta_p in _splits_of(nu):
+                r = verify_green_compatibility(model, alpha, beta, alpha_p, beta_p,
+                                               convention, corrupt)
+                r.params["nu"] = list(nu.entries)  # a failing report names its sweep
+                yield r
+
+    return _sweep("green", params, convention.label, reports())
 
 
 def _rule_pairs(Q: Quiver, i: int, m: int, maxtotal: int) -> list[tuple[DimVector, DimVector]]:
@@ -957,88 +874,78 @@ def _rule_pairs(Q: Quiver, i: int, m: int, maxtotal: int) -> list[tuple[DimVecto
 
 def verify_rule_sweep(model: HallModel, i: int, m: int, maxtotal: int,
                       convention: Convention, corrupt: bool = False) -> Report:
-    t0 = time.perf_counter()
     params = {"quiver": model.quiver.to_text(), "p": model.p, "i": i, "m": m,
               "maxtotal": maxtotal, "corrupt": corrupt}
-    checked = 0
-    for alpha, beta in _rule_pairs(model.quiver, i, m, maxtotal):
-        r = verify_derivation_product_rule(model, i, m, alpha, beta, convention, corrupt)
-        checked += r.details.get("checked", 0)
-        if not r.passed:
-            r.elapsed = time.perf_counter() - t0
-            return r
-    return Report("derivation_product_rule", params, "pass", None, convention.label,
-                  {"checked": checked}, time.perf_counter() - t0)
+    reports = (verify_derivation_product_rule(model, i, m, alpha, beta, convention, corrupt)
+               for alpha, beta in _rule_pairs(model.quiver, i, m, maxtotal))
+    return _sweep("derivation_product_rule", params, convention.label, reports)
 
 
 def verify_stratification_sweep(model: HallModel, i: int, m: int, maxtotal: int,
                                 convention: Convention) -> Report:
     """All (alpha, beta) with a genuinely multi-stratum range a < b, plus one
     degenerate case for coverage."""
-    t0 = time.perf_counter()
     Q = model.quiver
     params = {"quiver": Q.to_text(), "p": model.p, "i": i, "m": m, "maxtotal": maxtotal}
-    checked = 0
-    seen_degenerate = False
-    for alpha, beta in _rule_pairs(Q, i, m, maxtotal):
-        lo, hi, _ = stratum_data(Q, alpha, beta, i, m)
-        if lo > hi:
-            continue
-        if lo == hi:
-            if seen_degenerate or alpha.total + beta.total > 2:
+
+    def reports():
+        seen_degenerate = False
+        for alpha, beta in _rule_pairs(Q, i, m, maxtotal):
+            lo, hi, _ = stratum_data(Q, alpha, beta, i, m)
+            if lo > hi:
                 continue
-            seen_degenerate = True
-        r = verify_stratification(model, i, m, alpha, beta, convention)
-        checked += r.details.get("checked", 0)
-        if not r.passed:
-            r.elapsed = time.perf_counter() - t0
-            return r
-    return Report("stratification", params, "pass", None, convention.label,
-                  {"checked": checked}, time.perf_counter() - t0)
+            if lo == hi:
+                if seen_degenerate or alpha.total + beta.total > 2:
+                    continue
+                seen_degenerate = True
+            yield verify_stratification(model, i, m, alpha, beta, convention)
+
+    return _sweep("stratification", params, convention.label, reports())
 
 
 def experiment_reports(primes: tuple[int, ...]) -> list[Report]:
     """Observations recorded alongside the suite, never failing it: the
     same-vertex commutation of the two symbolic derivations, and the monomial
-    bridge between iterated one-step derivations and the single m-step one."""
-    t0 = time.perf_counter()
-    out = []
+    bridge between iterated one-step derivations and the single m-step one.
+    Each yields one None per comparison and returns what it observed."""
     Q = builtin_quiver("a2")
-    commute = True
-    for w in product(range(Q.n), repeat=3):
-        x = uminus.FreeElement.make(Q, {tuple(w): LaurentPoly.one()})
-        for i in range(Q.n):
-            a = uminus.derivation_right(uminus.derivation_left(x, i), i)
-            b = uminus.derivation_left(uminus.derivation_right(x, i), i)
-            if a != b:
-                commute = False
-    out.append(Report(
-        "experiment", {"name": "left_right_same_vertex_commute", "words": "length 3"},
-        "info", None, None, {"observed_commuting": commute},
-        time.perf_counter() - t0,
-    ))
-    t1 = time.perf_counter()
-    bridge_holds = True
-    for p in primes:
-        model = _pooled_model(Q.to_text(), p, DEFAULT_POINT_BUDGET)
-        for dim in (DimVector((2, 1)), DimVector((2, 2))):
-            for M in model.table(dim).ids():
-                f = hall.unit_class(model, M)
-                for i in range(Q.n):
-                    for m in (2,):
+
+    def commuting():
+        observed = True
+        for w in product(range(Q.n), repeat=3):
+            x = uminus.FreeElement.make(Q, {tuple(w): LaurentPoly.one()})
+            for i in range(Q.n):
+                a = uminus.derivation_right(uminus.derivation_left(x, i), i)
+                b = uminus.derivation_left(uminus.derivation_right(x, i), i)
+                observed = observed and a == b
+                yield None
+        return {"observed_commuting": observed}
+
+    def bridge():
+        observed = True
+        m = 2
+        for p in primes:
+            model = _pooled_model(Q.to_text(), p, DEFAULT_POINT_BUDGET)
+            for dim in (DimVector((2, 1)), DimVector((2, 2))):
+                for M in model.table(dim).ids():
+                    f = hall.unit_class(model, M)
+                    for i in range(Q.n):
                         single = hall.derive_sub(model, f, i, m)
                         iterated = f
                         for _ in range(m):
                             iterated = hall.derive_sub(model, iterated, i, 1)
-                        if iterated != single.scale(LaurentPoly.v(-m * (m - 1) // 2)):
-                            bridge_holds = False
-    out.append(Report(
-        "experiment",
-        {"name": "iterated_vs_single_derivation_monomial_bridge", "relation":
-         "eps_i^m = v^{-m(m-1)/2} * (m-step derivation)"},
-        "info", None, None, {"observed": bridge_holds}, time.perf_counter() - t1,
-    ))
-    return out
+                        bridged = single.scale(LaurentPoly.v(-m * (m - 1) // 2))
+                        observed = observed and iterated == bridged
+                        yield None
+        return {"observed": observed}
+
+    return [
+        _check("experiment", {"name": "left_right_same_vertex_commute", "words": "length 3"},
+               None, commuting(), "info"),
+        _check("experiment", {"name": "iterated_vs_single_derivation_monomial_bridge",
+                              "relation": "eps_i^m = v^{-m(m-1)/2} * (m-step derivation)"},
+               None, bridge(), "info"),
+    ]
 
 
 def _suite_specs(config: SweepConfig) -> list[tuple]:
@@ -1048,13 +955,9 @@ def _suite_specs(config: SweepConfig) -> list[tuple]:
     else:
         quivers = [(n, builtin_quiver(n).to_text()) for n in config.quivers]
     specs: list[tuple] = []
-
-    def qmax(name: str, Q: Quiver) -> int:
-        return config.single_maxdim if Q.n == 1 else config.maxdim
-
     for name, text in quivers:
         Q = Quiver.from_text(text)
-        md = qmax(name, Q)
+        md = config.single_maxdim if Q.n == 1 else config.maxdim
         for p in config.primes:
             specs.append(("associativity", name, text, p, {"maxdim": md}))
             for total in range(1, md + 1):
@@ -1098,44 +1001,44 @@ def _family_of(kind: str) -> str:
     return "pairing_adjunction" if kind == "pairing_general" else kind
 
 
+# job kind -> (model, convention, corrupt, kwargs) -> Report; the checks are
+# looked up when a job runs
+_JOBS = {
+    "associativity": lambda model, conv, corrupt, kw: verify_associativity(
+        model, kw["maxdim"], corrupt=corrupt),
+    "green": lambda model, conv, corrupt, kw: verify_green_sweep(
+        model, DimVector(kw["nu"]), conv, corrupt=corrupt),
+    "derivation_product_rule": lambda model, conv, corrupt, kw: verify_rule_sweep(
+        model, kw["i"], kw["m"], kw["maxtotal"], conv, corrupt=corrupt),
+    "stratification": lambda model, conv, corrupt, kw: verify_stratification_sweep(
+        model, kw["i"], kw["m"], kw["maxtotal"], conv),
+    "serre_generators": lambda model, conv, corrupt, kw: verify_serre_generators(
+        model, kw["i"], kw["j"], conv, corrupt=corrupt),
+    "serre_derivations": lambda model, conv, corrupt, kw: verify_serre_derivations(
+        model, kw["i"], kw["j"], DimVector(kw["testdim"]), conv),
+    "pairing_adjunction": lambda model, conv, corrupt, kw: verify_pairing_adjunction(
+        model, kw["i"], kw["m"], DimVector(kw["alpha"]), conv),
+    "pairing_general": lambda model, conv, corrupt, kw: verify_pairing_general(
+        model, DimVector(kw["alpha"]), DimVector(kw["beta"]), conv),
+    "operator_relations": lambda model, conv, corrupt, kw: verify_operator_relations(
+        model, kw["i"], DimVector(kw["alpha"]), kw["maxother"], conv),
+    "uminus_serre": lambda model, conv, corrupt, kw: verify_uminus_serre(
+        model, kw["i"], kw["j"], conv),
+}
+
+
 def run_spec(spec: tuple, budget: int, corrupt: bool, pins: dict) -> list[Report]:
     kind, name, text, p, kw = spec
     if kind == "polynomiality":
         from .polyfit import verify_polynomiality
 
         return verify_polynomiality(budget=kw["budget"], full=kw["full"])
-    model = _pooled_model(text, p, budget)
-    conv_label = pins.get(_family_of(kind), {}).get("pinned") or DEFAULT_PINS[_family_of(kind)]
-    conv = CONVENTION_BY_LABEL.get(conv_label)
-    if kind == "associativity":
-        return [verify_associativity(model, kw["maxdim"], corrupt=corrupt)]
-    if kind == "green":
-        return [verify_green_sweep(model, DimVector(kw["nu"]), conv, corrupt=corrupt)]
-    if kind == "derivation_product_rule":
-        return [verify_rule_sweep(model, kw["i"], kw["m"], kw["maxtotal"], conv,
-                                  corrupt=corrupt)]
-    if kind == "stratification":
-        return [verify_stratification_sweep(model, kw["i"], kw["m"], kw["maxtotal"], conv)]
-    if kind == "serre_generators":
-        return [verify_serre_generators(model, kw["i"], kw["j"], conv, corrupt=corrupt)]
-    if kind == "serre_derivations":
-        return [verify_serre_derivations(model, kw["i"], kw["j"],
-                                         DimVector(kw["testdim"]), conv)]
-    if kind == "pairing_adjunction":
-        return [verify_pairing_adjunction(model, kw["i"], kw["m"],
-                                          DimVector(kw["alpha"]), conv)]
-    if kind == "pairing_general":
-        return [verify_pairing_general(model, DimVector(kw["alpha"]),
-                                       DimVector(kw["beta"]), conv)]
-    if kind == "operator_relations":
-        return [verify_operator_relations(model, kw["i"], DimVector(kw["alpha"]),
-                                          kw["maxother"], conv)]
-    if kind == "uminus_serre":
-        conv_u = CONVENTION_BY_LABEL.get(
-            pins.get("uminus_serre", {}).get("pinned") or DEFAULT_PINS["uminus_serre"]
-        )
-        return [verify_uminus_serre(model, kw["i"], kw["j"], conv_u)]
-    raise ValueError(f"unknown job kind {kind}")
+    job = _JOBS.get(kind)
+    if job is None:
+        raise ValueError(f"unknown job kind {kind}")
+    family = _family_of(kind)
+    conv_label = pins.get(family, {}).get("pinned") or DEFAULT_PINS[family]
+    return [job(_pooled_model(text, p, budget), CONVENTION_BY_LABEL.get(conv_label), corrupt, kw)]
 
 
 def _spec_worker(args):
@@ -1146,15 +1049,16 @@ def _spec_worker(args):
 def run_suite(config: SweepConfig) -> list[Report]:
     """Execute the configured sweep; the first report carries the convention
     table, experiments are appended as info reports."""
-    t0 = time.perf_counter()
-    pins = pin_convention_table(config.primes)
-    reports = [Report(
-        "convention_table", {"primes": list(config.primes)},
-        "pass" if all(v.get("consistent", True) for v in pins.values()) else "fail",
-        None if all(v.get("consistent", True) for v in pins.values())
-        else {"inconsistent": [k for k, v in pins.items() if not v.get("consistent", True)]},
-        None, pins, time.perf_counter() - t0,
-    )]
+    pins: dict = {}
+
+    def convention_table():
+        pins.update(pin_convention_table(config.primes))
+        inconsistent = [k for k, v in pins.items() if not v.get("consistent", True)]
+        yield ({"inconsistent": inconsistent}, pins) if inconsistent else None
+        return pins
+
+    reports = [_check("convention_table", {"primes": list(config.primes)}, None,
+                      convention_table())]
     specs = _suite_specs(config)
     if config.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -1162,13 +1066,7 @@ def run_suite(config: SweepConfig) -> list[Report]:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             args = [(s, config.budget, config.corrupt, pins) for s in specs]
             for chunk in pool.map(_spec_worker, args):
-                for data in chunk:
-                    reports.append(Report(**{
-                        "identity": data["identity"], "params": data["params"],
-                        "status": data["status"], "witness": data["witness"],
-                        "convention": data["convention"], "details": data["details"],
-                        "elapsed": data["elapsed"],
-                    }))
+                reports.extend(Report(**data) for data in chunk)
     else:
         for s in specs:
             reports.extend(run_spec(s, config.budget, config.corrupt, pins))

@@ -11,13 +11,19 @@ construction).
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 
-from . import hall
+from . import ffrep, hall, identities
 from .ffrep import DEFAULT_POINT_BUDGET, IsoClassId
 from .hall import HallModel
-from .identities import CONVENTION_BY_LABEL, Report
+from .identities import (
+    _COUNT,
+    CONVENTION_BY_LABEL,
+    Report,
+    _add_green_stratum,
+    _check,
+    _green_strata,
+)
 from .laurent import LaurentPoly
 from .quiver import DimVector, builtin_quiver, euler_form, induction_twist, symmetric_form
 
@@ -48,21 +54,21 @@ def _xlabel(model: HallModel, cid: IsoClassId) -> str:
     return ",".join(map(str, cid.dim)) + "#" + ".".join(map(str, cid.fingerprint))
 
 
-def filtration_series(model: HallModel, alpha: DimVector, beta: DimVector) -> dict[str, int]:
+def _histogram_series(model: HallModel, prefix: str, table: dict) -> dict[str, int]:
+    """A count table (N, L) -> {M: count} keyed by prime-independent labels."""
     out = {}
-    table = model.filtration_table(alpha, beta)
     for (N, L), hist in table.items():
         for M, c in hist.items():
-            out[f"F|{_xlabel(model, M)}|{_xlabel(model, N)}|{_xlabel(model, L)}"] = c
+            out[f"{prefix}|{_xlabel(model, M)}|{_xlabel(model, N)}|{_xlabel(model, L)}"] = c
     return out
+
+
+def filtration_series(model: HallModel, alpha: DimVector, beta: DimVector) -> dict[str, int]:
+    return _histogram_series(model, "F", model.filtration_table(alpha, beta))
 
 
 def extension_series(model: HallModel, alpha: DimVector, beta: DimVector) -> dict[str, int]:
-    out = {}
-    for (N, L), hist in model.extension_table(alpha, beta).items():
-        for M, c in hist.items():
-            out[f"e|{_xlabel(model, M)}|{_xlabel(model, N)}|{_xlabel(model, L)}"] = c
-    return out
+    return _histogram_series(model, "e", model.extension_table(alpha, beta))
 
 
 def derive_series(model: HallModel, alpha: DimVector, i: int, m: int, flavor: str) -> dict[str, int]:
@@ -78,8 +84,6 @@ def derive_series(model: HallModel, alpha: DimVector, i: int, m: int, flavor: st
 
 
 def strata_series(model: HallModel, alpha: DimVector, beta: DimVector, i: int, m: int) -> dict[str, int]:
-    import hallq.ffrep as ffrep
-
     out = {}
     for A in model.table(alpha).ids():
         for B in model.table(beta).ids():
@@ -108,12 +112,35 @@ _SERIES_INSTANCES = [
 ]
 
 
-def _collect(name: str, qname: str, fn, args, p: int, budget: int) -> dict[str, int]:
+def _collect(qname: str, fn, args, p: int, budget: int) -> dict[str, int]:
     model = HallModel(builtin_quiver(qname), p, budget)
     conv_args = []
     for a in args:
         conv_args.append(DimVector(a) if isinstance(a, tuple) else a)
     return fn(model, *conv_args)
+
+
+def _series_comparisons(qname: str, fn, args, primes, holdout: int, budget: int,
+                        max_degree: int):
+    """One comparison per count of the series: its fit through `primes`
+    against the count at the held-out prime."""
+    try:
+        per_prime = {p: _collect(qname, fn, args, p, budget) for p in primes}
+        held = _collect(qname, fn, args, holdout, budget)
+    except SeriesLabelError as e:
+        yield {"reason": str(e)}, {}
+    for label in sorted(set(held).union(*per_prime.values())):
+        poly = lagrange_fit([(p, per_prime[p].get(label, 0)) for p in primes])
+        if poly and poly.degree > max_degree:
+            yield {"label": label, "reason": "fit degree exceeds bound",
+                   "fit": poly.render("q")}, {}
+        predicted = poly.eval_rational(holdout) if poly else Fraction(0)
+        actual = held.get(label, 0)
+        yield None if predicted == actual else ({
+            "label": label, "fit": poly.render("q"),
+            "predicted": str(predicted), "actual": actual,
+        }, {})
+    return {"series": _COUNT}
 
 
 def verify_count_series(
@@ -124,45 +151,11 @@ def verify_count_series(
 ) -> list[Report]:
     """Fit every curated count series at `primes` and reproduce the held-out
     prime exactly. One report per instance."""
-    reports = []
-    for name, qname, fn, args in _SERIES_INSTANCES:
-        t0 = time.perf_counter()
-        params = {"instance": name, "primes": list(primes), "holdout": holdout}
-        try:
-            per_prime = {p: _collect(name, qname, fn, args, p, budget) for p in primes}
-            held = _collect(name, qname, fn, args, holdout, budget)
-        except SeriesLabelError as e:
-            reports.append(Report("polynomiality", params, "fail",
-                                  {"reason": str(e)}, None, {},
-                                  time.perf_counter() - t0))
-            continue
-        labels = set()
-        for vals in per_prime.values():
-            labels |= set(vals)
-        labels |= set(held)
-        bad = None
-        fitted = 0
-        for label in sorted(labels):
-            pts = [(p, per_prime[p].get(label, 0)) for p in primes]
-            poly = lagrange_fit(pts)
-            if poly and poly.degree > max_degree:
-                bad = {"label": label, "reason": "fit degree exceeds bound",
-                       "fit": poly.render("q")}
-                break
-            predicted = poly.eval_rational(holdout) if poly else Fraction(0)
-            actual = held.get(label, 0)
-            if predicted != actual:
-                bad = {"label": label, "fit": poly.render("q"),
-                       "predicted": str(predicted), "actual": actual}
-                break
-            fitted += 1
-        if bad:
-            reports.append(Report("polynomiality", params, "fail", bad, None,
-                                  {}, time.perf_counter() - t0))
-        else:
-            reports.append(Report("polynomiality", params, "pass", None, None,
-                                  {"series": fitted}, time.perf_counter() - t0))
-    return reports
+    return [
+        _check("polynomiality", {"instance": name, "primes": list(primes), "holdout": holdout},
+               None, _series_comparisons(qname, fn, args, primes, holdout, budget, max_degree))
+        for name, qname, fn, args in _SERIES_INSTANCES
+    ]
 
 
 def _monomial_count(c: LaurentPoly, expected_exp: int):
@@ -187,17 +180,15 @@ def green_sides_fit(
     """Fit the raw integer counts of both sides of the compatibility identity
     and check the fitted polynomials agree after the exact q-power bookkeeping
     of the twists (v^2 = 1/q direction)."""
-    t0 = time.perf_counter()
     params = {"instance": f"green-fit-{qname}", "alpha": list(alpha), "beta": list(beta),
               "alpha_p": list(alpha_p), "beta_p": list(beta_p), "primes": list(primes)}
     a, b = DimVector(alpha), DimVector(beta)
     ap, bp = DimVector(alpha_p), DimVector(beta_p)
     Q = builtin_quiver(qname)
     e_lhs = induction_twist(Q, a, b) - euler_form(Q, ap, bp)
-
-    from .identities import _green_strata
-
     strata = _green_strata(a, b, ap, bp)
+    # the exponent of every count in a stratum: its Green twist v^{-(a2, b1)}
+    # plus the twists of the restrictions and products
     exps = []
     for a1, a2, b1, b2 in strata:
         exps.append(
@@ -208,85 +199,68 @@ def green_sides_fit(
             + induction_twist(Q, a2, b2)
         )
 
-    lhs_vals: dict[str, dict[int, Fraction]] = {}
-    rhs_vals: dict[tuple[int, str], dict[int, Fraction]] = {}
-    for p in primes:
-        model = HallModel(Q, p, budget)
-        for A in model.table(a).ids():
-            for B in model.table(b).ids():
-                fa, fb = hall.unit_class(model, A), hall.unit_class(model, B)
-                lhs = hall.geometric_restriction(
-                    model, hall.geometric_induction(model, fa, fb), (ap, bp)
-                )
-                pair = f"{_xlabel(model, A)};{_xlabel(model, B)}"
-                for (N, L), c in lhs.terms:
-                    key = f"{pair}>{_xlabel(model, N)};{_xlabel(model, L)}"
-                    lhs_vals.setdefault(key, {})[p] = _monomial_count(c, e_lhs)
-                for si, (a1, a2, b1, b2) in enumerate(strata):
-                    res_a = hall.geometric_restriction(model, fa, (a1, a2))
-                    res_b = hall.geometric_restriction(model, fb, (b1, b2))
-                    acc: dict = {}
-                    for (n1, n2), ca in res_a.terms:
-                        for (l1, l2), cb in res_b.terms:
-                            left = hall.geometric_induction(
-                                model, hall.unit_class(model, n1), hall.unit_class(model, l1)
-                            )
-                            right = hall.geometric_induction(
-                                model, hall.unit_class(model, n2), hall.unit_class(model, l2)
-                            )
-                            for N, cn in left.terms:
-                                for L, cl in right.terms:
-                                    k = (N, L)
-                                    prev = acc.get(k, LaurentPoly.zero())
-                                    acc[k] = prev + ca * cb * cn * cl
-                    e_acc = exps[si] + symmetric_form(Q, a2, b1)
-                    for (N, L), c in acc.items():
-                        if not c:
-                            continue
+    def comparisons():
+        lhs_vals: dict[str, dict[int, Fraction]] = {}
+        rhs_vals: dict[tuple[int, str], dict[int, Fraction]] = {}
+        for p in primes:
+            model = HallModel(Q, p, budget)
+            for A in model.table(a).ids():
+                for B in model.table(b).ids():
+                    fa, fb = hall.unit_class(model, A), hall.unit_class(model, B)
+                    lhs = hall.geometric_restriction(
+                        model, hall.geometric_induction(model, fa, fb), (ap, bp)
+                    )
+                    pair = f"{_xlabel(model, A)};{_xlabel(model, B)}"
+                    for (N, L), c in lhs.terms:
                         key = f"{pair}>{_xlabel(model, N)};{_xlabel(model, L)}"
-                        rhs_vals.setdefault((si, key), {})[p] = _monomial_count(c, e_acc)
+                        lhs_vals.setdefault(key, {})[p] = _monomial_count(c, e_lhs)
+                    products: dict = {}
+                    for si, stratum in enumerate(strata):
+                        acc: dict = {}
+                        exp = -symmetric_form(Q, stratum[1], stratum[2])
+                        _add_green_stratum(model, acc, products, fa, fb, stratum, exp)
+                        for (N, L), d in acc.items():
+                            c = LaurentPoly(d)
+                            if not c:
+                                continue
+                            key = f"{pair}>{_xlabel(model, N)};{_xlabel(model, L)}"
+                            rhs_vals.setdefault((si, key), {})[p] = _monomial_count(c, exps[si])
 
-    # a count absent at some prime is zero there
-    lhs_fit = {
-        k: lagrange_fit([(p, vals.get(p, Fraction(0))) for p in primes])
-        for k, vals in lhs_vals.items()
-    }
-    rhs_fit: dict[str, LaurentPoly] = {}
-    for (si, key), vals in rhs_vals.items():
-        # q-power from the twist difference; v^2 = 1/q makes it (e_lhs - e_si)/2
-        diff = e_lhs - exps[si]
-        if diff % 2:
-            return Report("polynomiality", params, "fail",
-                          {"reason": "odd twist mismatch between the sides"},
-                          None, {}, time.perf_counter() - t0)
-        fit = lagrange_fit([(p, vals.get(p, Fraction(0))) for p in primes])
-        shifted = LaurentPoly.v(diff // 2) * fit
-        rhs_fit[key] = rhs_fit.get(key, LaurentPoly.zero()) + shifted
-    keys = set(lhs_fit) | set(rhs_fit)
-    for k in sorted(keys):
-        if lhs_fit.get(k, LaurentPoly.zero()) != rhs_fit.get(k, LaurentPoly.zero()):
-            return Report("polynomiality", params, "fail",
-                          {"key": k,
-                           "lhs_fit": lhs_fit.get(k, LaurentPoly.zero()).render("q"),
-                           "rhs_fit": rhs_fit.get(k, LaurentPoly.zero()).render("q")},
-                          None, {}, time.perf_counter() - t0)
-    return Report("polynomiality", params, "pass", None, None,
-                  {"coefficients": len(keys)}, time.perf_counter() - t0)
+        # a count absent at some prime is zero there
+        lhs_fit = {
+            k: lagrange_fit([(p, vals.get(p, Fraction(0))) for p in primes])
+            for k, vals in lhs_vals.items()
+        }
+        rhs_fit: dict[str, LaurentPoly] = {}
+        for (si, key), vals in rhs_vals.items():
+            # q-power from the twist difference; v^2 = 1/q makes it (e_lhs - e_si)/2
+            diff = e_lhs - exps[si]
+            if diff % 2:
+                yield {"reason": "odd twist mismatch between the sides"}, {}
+            fit = lagrange_fit([(p, vals.get(p, Fraction(0))) for p in primes])
+            shifted = LaurentPoly.v(diff // 2) * fit
+            rhs_fit[key] = rhs_fit.get(key, LaurentPoly.zero()) + shifted
+        zero = LaurentPoly.zero()
+        for k in sorted(set(lhs_fit) | set(rhs_fit)):
+            lf, rf = lhs_fit.get(k, zero), rhs_fit.get(k, zero)
+            yield None if lf == rf else (
+                {"key": k, "lhs_fit": lf.render("q"), "rhs_fit": rf.render("q")}, {})
+        return {"coefficients": _COUNT}
+
+    return _check("polynomiality", params, None, comparisons())
 
 
 def verify_holdout_identities(holdout: int = 7, budget: int = DEFAULT_POINT_BUDGET) -> list[Report]:
     """Re-run three identity checks at the held-out prime directly."""
-    from . import identities as idn
-
     conv = CONVENTION_BY_LABEL["-1/sqrt(q)"]
     out = []
     m = HallModel(builtin_quiver("single"), holdout, budget)
     one = DimVector((1,))
     two = DimVector((2,))
-    out.append(idn.verify_green_compatibility(m, one, one, one, one, conv))
-    out.append(idn.verify_derivation_product_rule(m, 0, 2, two, two, conv))
+    out.append(identities.verify_green_compatibility(m, one, one, one, one, conv))
+    out.append(identities.verify_derivation_product_rule(m, 0, 2, two, two, conv))
     m2 = HallModel(builtin_quiver("a2"), holdout, budget)
-    out.append(idn.verify_serre_generators(m2, 0, 1, conv))
+    out.append(identities.verify_serre_generators(m2, 0, 1, conv))
     for r in out:
         r.params["holdout"] = holdout
     return out

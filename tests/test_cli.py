@@ -200,6 +200,15 @@ BAD_TABLE_JSON = {
     "swapped_representatives": _swap_representatives,
     "entry_outside_field": lambda d: d["classes"][0]["representative"][0].__setitem__(0, 7),
     "aut_count": lambda d: d["classes"][0].update(aut_count=1),
+    # class ids must be the ones classify derives from the representatives
+    "fingerprint": lambda d: d["classes"][0]["id"].update(fingerprint=[9, 9, 9, 9, 9]),
+    "id_dim": lambda d: d["classes"][1]["id"].update(dim=[7, 7]),
+    "tiebreak": lambda d: d["classes"][0]["id"].update(tiebreak=4),
+    "id_not_a_dict": lambda d: d["classes"][0].update(id=5),
+    "orbit_size_as_string": lambda d: d["classes"][0].update(
+        orbit_size=str(d["classes"][0]["orbit_size"])),
+    "aut_count_as_float": lambda d: d["classes"][0].update(
+        aut_count=float(d["classes"][0]["aut_count"])),
 }
 
 
@@ -211,10 +220,24 @@ def test_classification_table_from_json_rejects_bad_classes(corrupt):
         ClassificationTable.from_json(data)
 
 
+def _table_of(quiver, dim, p):
+    """Replace the JSON in place by the table of another space."""
+
+    def corrupt(data):
+        data.clear()
+        data.update(classify(builtin_quiver(quiver), DimVector(dim), p).to_json())
+
+    return corrupt
+
+
 BAD_CACHE_JSON = {
     "truncated": lambda data: data.update(class_of_point=data["class_of_point"][:-3]),
     "all_zero": lambda data: data.update(class_of_point=[0] * len(data["class_of_point"])),
     **BAD_TABLE_JSON,
+    # valid tables, but written for another dimension vector, prime or quiver
+    "another_dim": _table_of("a2", (1, 1), 3),
+    "another_prime": _table_of("a2", (2, 1), 2),
+    "another_quiver": _table_of("kronecker", (2, 1), 3),
     "invalid_json": None,
 }
 
@@ -236,6 +259,29 @@ def test_bad_cache_file_is_a_miss_and_is_overwritten(cache, capsys, corrupt):
     assert code == 0
     assert again == fresh
     assert path.read_text() == good
+
+
+def test_cache_file_under_the_unversioned_name_is_not_read(cache, capsys, monkeypatch):
+    from pathlib import Path
+
+    from hallq.cli import CACHE_SCHEMA
+
+    args = ("classify", "--quiver", "a2", "--dim", "2,1", "-p", "3")
+    code, fresh, _ = run_cli(capsys, *args)
+    [path] = cache.glob("*.json")
+    assert path.name.endswith(f".v{CACHE_SCHEMA}.json")
+    # the name files had before the schema version was part of it
+    old = path.with_name(path.name.replace(f".v{CACHE_SCHEMA}.json", ".json"))
+    old.write_text(path.read_text())
+    path.unlink()
+    read = []
+    original = Path.read_text
+    monkeypatch.setattr(Path, "read_text", lambda self, *a, **k: read.append(self.name)
+                        or original(self, *a, **k))
+    code, again, _ = run_cli(capsys, *args)
+    assert code == 0 and again == fresh
+    assert old.name not in read
+    assert path.exists()
 
 
 def test_verify_jobs_capped_at_cpu_count(cache, capsys, monkeypatch):
