@@ -8,14 +8,23 @@ G_V-orbits, computed exactly by a breadth-first sweep over all point indices:
 each generator of G_V acts on an index through digit tables over one or two
 rows of an arrow block, so no point is decoded into matrices except the class
 representatives. All counts are exact integers.
+
+The filtration, derivation and stratified counts walk the x-stable graded
+subspaces of a point (`stable_subspaces`). While it checks stability, the walk
+sums the point indices of the induced sub and quotient representations digit
+by digit, so a class is one `class_of_index` lookup and no sub or quotient
+`Rep` is built. What depends only on (quiver, dim, beta, p), the per-vertex
+subspace lists and digit weights, is a `SubspaceFrame`, built once per fiber
+sweep and dropped with it.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
+from operator import mul
 from typing import Callable, Iterator
 
 from . import fpmat
@@ -644,92 +653,177 @@ class TableCache:
 # -- graded subspaces and submodule counting -----------------------------------
 
 
+class SubspaceFrame:
+    """The part of `stable_subspaces` that depends on (quiver, dim, beta, p)
+    but not on the point: per vertex, the subspaces of dimension beta_v, and
+    per arrow the digit weights of its sub and quotient blocks.
+
+    Each subspace is a tuple (k, basis, pivots, non-pivots, projection), with
+    k its place in the `fpmat.subspaces` order and the rest as in
+    `fpmat.grassmannian`. A fiber sweep builds one frame and passes it with
+    every point of the fiber, so these lists are built once per sweep.
+    """
+
+    def __init__(self, Q: Quiver, dim: DimVector, beta: DimVector, p: int):
+        self.key = (Q, dim, beta, p)
+        quot = dim - beta
+        grassmannians: dict[tuple[int, int], list] = {}
+        self.subspaces = []
+        for n, k in zip(dim, beta):
+            if (n, k) not in grassmannians:
+                grassmannians[n, k] = [(j, *w) for j, w in enumerate(fpmat.grassmannian(n, k, p))]
+            self.subspaces.append(grassmannians[n, k])
+        # each arrow is checked once the later of its two ends is chosen; its
+        # weights are p^digit of its sub and quotient blocks, one tuple per column
+        self.arrows_at: list[list[tuple]] = [[] for _ in range(Q.n)]
+        sub_base = quot_base = 1
+        for a, (s, t) in enumerate(Q.arrows):
+            sub_w = _block_weights(sub_base, beta[t], beta[s], p)
+            quot_w = _block_weights(quot_base, quot[t], quot[s], p)
+            self.arrows_at[max(s, t)].append((a, s, t, sub_w, quot_w))
+            sub_base *= p ** (beta[t] * beta[s])
+            quot_base *= p ** (quot[t] * quot[s])
+
+
+def _block_weights(base: int, rows: int, cols: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """Weight of entry (i, j) of a row-major block whose first digit weighs
+    `base`, as one tuple over i per column j."""
+    return tuple(tuple(base * p ** (i * cols + j) for i in range(rows)) for j in range(cols))
+
+
 @dataclass(frozen=True)
 class GradedSubspace:
-    """An x-stable I-graded subspace with its induced sub and quotient points.
+    """An x-stable I-graded subspace W with the point indices of the induced
+    sub and quotient representations.
 
-    `bases` holds one RREF row basis per vertex; quotient coordinates are the
-    non-pivot standard vectors in increasing order.
+    `bases` holds one RREF row basis per vertex. The sub matrix of an arrow
+    is written in the basis rows of W; the quotient coordinates are the
+    non-pivot standard vectors in increasing order. `sub_index` and
+    `quot_index` are the `PointCodec` indices of those points at beta and at
+    dim - beta, so a class is `ClassificationTable.class_of_index(index)`;
+    `sub_rep` and `quot_rep` decode them.
     """
 
     bases: tuple[Matrix, ...]
-    sub_rep: Rep
-    quot_rep: Rep
+    sub_index: int
+    quot_index: int
+    frame: SubspaceFrame = field(compare=False, repr=False)
+
+    @property
+    def sub_rep(self) -> Rep:
+        Q, _, beta, p = self.frame.key
+        return PointCodec(Q, beta, p).decode(self.sub_index)
+
+    @property
+    def quot_rep(self) -> Rep:
+        Q, dim, beta, p = self.frame.key
+        return PointCodec(Q, dim - beta, p).decode(self.quot_index)
 
 
-def stable_subspaces(x: Rep, beta: DimVector) -> Iterator[GradedSubspace]:
-    """All x-stable graded subspaces of dimension vector beta, each once."""
-    Q, p = x.quiver, x.p
+def stable_subspaces(
+    x: Rep, beta: DimVector, frame: SubspaceFrame | None = None
+) -> Iterator[GradedSubspace]:
+    """All x-stable graded subspaces of dimension vector beta, each once, in
+    the order of the product of the per-vertex `fpmat.subspaces` lists.
+
+    Vertices are chosen depth first in vertex order, and each arrow is
+    checked as soon as both of its ends are chosen, so an unstable prefix is
+    never extended. The check sums the sub and quotient point indices as it
+    goes. The images x_h w of a source subspace's basis rows and the columns
+    of x_h at its non-pivots are computed once per arrow and subspace.
+    `frame` must be built for (x.quiver, x.dim, beta, x.p); without one a
+    fresh frame is built.
+    """
     if not beta <= x.dim:
         return
-    per_vertex = [list(fpmat.subspaces(x.dim[v], beta[v], p)) for v in range(Q.n)]
-    pivot_cache = {}
-
-    def pivots_of(basis: Matrix, n: int) -> tuple[int, ...]:
-        key = (basis, n)
-        if key not in pivot_cache:
-            pivot_cache[key] = tuple(next(j for j in range(n) if row[j]) for row in basis)
-        return pivot_cache[key]
-
-    for combo in product(*per_vertex):
-        stable = True
-        sub_mats: list[Matrix] = []
-        quot_mats: list[Matrix] = []
-        for (s, t), xh in zip(Q.arrows, x.matrices):
-            ws, wt = combo[s], combo[t]
-            piv_t = pivots_of(wt, x.dim[t]) if wt else ()
-            sub_rows = []
-            for w in ws:
-                img = fpmat.mat_vec(xh, w, p)
-                coords, res = fpmat.reduce_by_basis(img, wt, piv_t, p)
-                if any(res):
-                    stable = False
+    p = x.p
+    if frame is None:
+        frame = SubspaceFrame(x.quiver, x.dim, beta, p)
+    elif frame.key != (x.quiver, x.dim, beta, p):
+        raise ValueError("subspace frame was built for another space")
+    subspaces, arrows_at = frame.subspaces, frame.arrows_at
+    n = len(subspaces)
+    if n == 0:  # a quiver without vertices: the zero space is its own subspace
+        yield GradedSubspace((), 0, 0, frame)
+        return
+    mats = x.matrices
+    columns: list[list] = [[None] * len(subspaces[s]) for s, _ in x.quiver.arrows]
+    picks: list = [None] * n
+    sums = [(0, 0)] * n  # index sums of the arrows checked below each vertex
+    # one subspace iterator per chosen vertex; going deeper leaves the loop
+    # over vertex v, which resumes where it stopped once v + 1 is exhausted
+    stack = [iter(subspaces[0])]
+    while stack:
+        v = len(stack) - 1
+        for w in stack[v]:
+            picks[v] = w
+            si, qi = sums[v]
+            for a, s, t, sub_w, quot_w in arrows_at[v]:
+                k = picks[s][0]
+                cols = columns[a][k]
+                if cols is None:
+                    cols = columns[a][k] = _arrow_columns(mats[a], picks[s], p)
+                digits = _arrow_digits(cols, picks[t], sub_w, quot_w, p)
+                if digits is None:
                     break
-                sub_rows.append(coords)
-            if not stable:
-                break
-            # sub matrix: shape beta_t x beta_s, columns indexed by basis of W_s
-            sub_mats.append(tuple(zip(*sub_rows)) if sub_rows else fpmat.zeros(beta[t], 0))
-            # quotient matrix on non-pivot coordinates
-            np_s = fpmat.nonpivot_columns(x.dim[s], pivots_of(ws, x.dim[s]) if ws else ())
-            np_t = fpmat.nonpivot_columns(x.dim[t], piv_t)
-            qcols = []
-            for j in np_s:
-                e = [0] * x.dim[s]
-                e[j] = 1
-                img = fpmat.mat_vec(xh, e, p)
-                _, res = fpmat.reduce_by_basis(img, wt, piv_t, p)
-                qcols.append(tuple(res[k] for k in np_t))
-            quot_mats.append(tuple(zip(*qcols)) if qcols else fpmat.zeros(len(np_t), 0))
-        if not stable:
-            continue
-        sub = Rep(Q, p, beta, tuple(_normalize_shape(m, beta[t], beta[s]) for m, (s, t) in zip(sub_mats, Q.arrows)))
-        qdim = x.dim - beta
-        quot = Rep(Q, p, qdim, tuple(_normalize_shape(m, qdim[t], qdim[s]) for m, (s, t) in zip(quot_mats, Q.arrows)))
-        yield GradedSubspace(tuple(combo), sub, quot)
+                si += digits[0]
+                qi += digits[1]
+            else:
+                if v + 1 < n:
+                    sums[v + 1] = (si, qi)
+                    stack.append(iter(subspaces[v + 1]))
+                    break
+                yield GradedSubspace(tuple(u[1] for u in picks), si, qi, frame)
+        else:
+            stack.pop()
 
 
-def _normalize_shape(m, rows: int, cols: int) -> Matrix:
-    if rows == 0:
-        return ()
-    if cols == 0:
-        return tuple(() for _ in range(rows))
-    return tuple(tuple(int(v) for v in row) for row in m)
+def _arrow_columns(xh: Matrix, source: tuple, p: int) -> tuple[Matrix, Matrix]:
+    """(x_h w for each basis row w of the source subspace, the columns of x_h
+    at its non-pivots)."""
+    _, basis, _, free, _ = source
+    return (
+        tuple(tuple(sum(map(mul, row, w)) % p for row in xh) for w in basis),
+        tuple(tuple(row[c] for row in xh) for c in free),
+    )
+
+
+def _arrow_digits(
+    cols: tuple[Matrix, Matrix], target: tuple, sub_w: tuple, quot_w: tuple, p: int
+) -> tuple[int, int] | None:
+    """The sub and quotient index parts of one arrow, or None when x_h maps
+    the source subspace outside the target. An image's sub coordinates are its
+    pivot entries; a quotient entry is the projection of a column of x_h."""
+    images, qcols = cols
+    _, _, pivots, _, proj = target
+    sub = 0
+    for img, weights in zip(images, sub_w):
+        for row in proj:
+            if sum(map(mul, row, img)) % p:
+                return None
+        for c, wt in zip(pivots, weights):
+            sub += img[c] * wt
+    quot = 0
+    for col, weights in zip(qcols, quot_w):
+        for row, wt in zip(proj, weights):
+            quot += sum(map(mul, row, col)) % p * wt
+    return sub, quot
 
 
 def filtration_counts(
-    tables: TableCache, M: IsoClassId, beta: DimVector
+    tables: TableCache, M: IsoClassId, beta: DimVector, frame: SubspaceFrame | None = None
 ) -> dict[tuple[IsoClassId, IsoClassId], int]:
     """For the representative of M, count stable subspaces of dimension beta
-    bucketed by (quotient class, sub class)."""
+    bucketed by (quotient class, sub class). A caller counting several classes
+    of one dimension vector may pass one `SubspaceFrame` for all of them."""
     dim = DimVector(M.dim)
     big = tables.table(dim)
     x = big.info(M).representative
     sub_t = tables.table(beta)
     quot_t = tables.table(dim - beta)
     out: dict[tuple[IsoClassId, IsoClassId], int] = {}
-    for gs in stable_subspaces(x, beta):
-        key = (quot_t.iso_class_of(gs.quot_rep), sub_t.iso_class_of(gs.sub_rep))
+    for gs in stable_subspaces(x, beta, frame):
+        key = (quot_t.class_of_index(gs.quot_index), sub_t.class_of_index(gs.sub_index))
         out[key] = out.get(key, 0) + 1
     return out
 
@@ -879,7 +973,7 @@ def derive_sub_w_counts(
     sub_t = tables.table(alpha - mi)
     out: dict[IsoClassId, int] = {}
     for gs in stable_subspaces(x, alpha - mi):
-        n = sub_t.iso_class_of(gs.sub_rep)
+        n = sub_t.class_of_index(gs.sub_index)
         out[n] = out.get(n, 0) + 1
     return out
 
@@ -898,7 +992,7 @@ def derive_quot_w_counts(
     quot_t = tables.table(alpha - mi)
     out: dict[IsoClassId, int] = {}
     for gs in stable_subspaces(x, mi):
-        n = quot_t.iso_class_of(gs.quot_rep)
+        n = quot_t.class_of_index(gs.quot_index)
         out[n] = out.get(n, 0) + 1
     return out
 
@@ -946,26 +1040,32 @@ def stratified_pair_counts(
     a_t = tables.table(alpha)
     b_t = tables.table(beta)
     strata: dict[int, dict[IsoClassId, int]] = {}
-    point_id = _point_class_at(tables, mi)
-    for N in tables.table(rest).ids():
-        z = tables.table(rest).info(N).representative
+    point = tables.table(mi).info(_point_class_at(tables, mi)).representative
+    rest_t = tables.table(rest)
+    frame = SubspaceFrame(Q, nu, beta, p)
+    # the stratum of W depends only on its basis at vertex i
+    stratum_of: dict[Matrix, int] = {}
+    for N in rest_t.ids():
+        z = rest_t.info(N).representative
         if side == "sub":
-            quot, sub = tables.table(mi).info(point_id).representative, z
+            quot, sub = point, z
             corner_dims = (mi, rest)
         else:
-            quot, sub = z, tables.table(mi).info(point_id).representative
+            quot, sub = z, point
             corner_dims = (rest, mi)
         for corners in _iter_corners(Q, corner_dims[0], corner_dims[1], p):
             x = _assemble(Q, p, quot, sub, corners)
-            for gs in stable_subspaces(x, beta):
-                if a_t.iso_class_of(gs.quot_rep) != A or b_t.iso_class_of(gs.sub_rep) != B:
+            for gs in stable_subspaces(x, beta, frame):
+                if a_t.class_of_index(gs.quot_index) != A or b_t.class_of_index(gs.sub_index) != B:
                     continue
-                if side == "sub":
-                    cut = _suffix_intersection_dim(gs.bases[i], m, p)
-                    t = m - beta[i] + cut
-                else:
-                    cut = _suffix_intersection_dim(gs.bases[i], nu[i] - m, p)
-                    t = m - cut
+                basis = gs.bases[i]
+                t = stratum_of.get(basis)
+                if t is None:
+                    if side == "sub":
+                        t = m - beta[i] + _suffix_intersection_dim(basis, m, p)
+                    else:
+                        t = m - _suffix_intersection_dim(basis, nu[i] - m, p)
+                    stratum_of[basis] = t
                 strata.setdefault(t, {})
                 strata[t][N] = strata[t].get(N, 0) + 1
     return strata

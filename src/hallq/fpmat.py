@@ -112,24 +112,42 @@ def subspaces(n: int, k: int, p: int) -> Iterator[Matrix]:
     Enumeration order: pivot column sets lexicographically, then free entries
     in little-endian counter order. Deterministic across runs.
     """
+    for basis, _, _, _ in grassmannian(n, k, p):
+        yield basis
+
+
+def grassmannian(
+    n: int, k: int, p: int
+) -> list[tuple[Matrix, tuple[int, ...], tuple[int, ...], Matrix]]:
+    """The subspaces of `subspaces(n, k, p)`, in its order, each as (RREF
+    basis, pivot columns, non-pivot columns, projection).
+
+    Row r of the projection gives the residue of a vector modulo the subspace
+    at the r-th non-pivot coordinate c: v[c] minus the sum over basis rows of
+    v[pivot] * row[c]. A vector lies in the subspace iff every row gives 0.
+    """
+    out: list = []
     if k < 0 or k > n:
-        return
-    if k == 0:
-        yield ()
-        return
+        return out
+    # equal rows share one tuple: a frame holds every subspace of a sweep at once
+    rows_seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     for pivots in combinations(range(n), k):
-        free_pos = []
-        for r, c in enumerate(pivots):
-            for j in range(c + 1, n):
-                if j not in pivots:
-                    free_pos.append((r, j))
-        for vals in product(range(p), repeat=len(free_pos)):
-            rows = [[0] * n for _ in range(k)]
-            for r, c in enumerate(pivots):
-                rows[r][c] = 1
-            for (r, j), x in zip(free_pos, vals):
+        free = nonpivot_columns(n, pivots)
+        slot_of = {c: i for i, c in enumerate(free)}
+        # free entries of the basis: (row, column, projection row)
+        slots = [(r, j, slot_of[j]) for r, c in enumerate(pivots) for j in range(c + 1, n)
+                 if j in slot_of]
+        unit_rows = [[int(j == c) for j in range(n)] for c in pivots]
+        unit_proj = [[int(j == c) for j in range(n)] for c in free]
+        for vals in product(range(p), repeat=len(slots)):
+            rows = [row[:] for row in unit_rows]
+            proj = [row[:] for row in unit_proj]
+            for (r, j, i), x in zip(slots, vals):
                 rows[r][j] = x
-            yield tuple(tuple(row) for row in rows)
+                proj[i][pivots[r]] = -x % p
+            basis = tuple(rows_seen.setdefault(r, r) for r in map(tuple, rows))
+            out.append((basis, pivots, free, tuple(rows_seen.setdefault(r, r) for r in map(tuple, proj))))
+    return out
 
 
 def nonpivot_columns(n: int, pivots: tuple[int, ...]) -> tuple[int, ...]:

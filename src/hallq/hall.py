@@ -152,9 +152,10 @@ class HallModel:
         got = self._filt.get(key)
         if got is None:
             got = {}
-            big = self.table(alpha + beta)
-            for M in big.ids():
-                for (N, L), c in ffrep.filtration_counts(self.tables, M, beta).items():
+            nu = alpha + beta
+            frame = ffrep.SubspaceFrame(self.quiver, nu, beta, self.p)
+            for M in self.table(nu).ids():
+                for (N, L), c in ffrep.filtration_counts(self.tables, M, beta, frame).items():
                     got.setdefault((N, L), {})[M] = c
             self._filt[key] = got
         return got

@@ -778,12 +778,19 @@ def pin_convention_table(primes: tuple[int, ...] = (2, 3)) -> dict:
     validates at every prime. Associativity is convention-free (formal).
     """
     table: dict = {"associativity": {"pinned": "formal", "validating": {}, "consistent": True}}
+    # one model per (quiver, p), shared by every probe and convention of this call
+    models: dict[tuple[str, int], HallModel] = {}
+
+    def model(qname: str, p: int) -> HallModel:
+        if (qname, p) not in models:
+            models[qname, p] = HallModel(builtin_quiver(qname), p)
+        return models[qname, p]
+
     for family in sorted({f for f, _, _ in _PROBES}):
         probes = [(qname, check) for f, qname, check in _PROBES if f == family]
         per_prime = {
             p: [c.label for c in CONVENTIONS
-                if all(check(HallModel(builtin_quiver(qname), p), c).passed
-                       for qname, check in probes)]
+                if all(check(model(qname, p), c).passed for qname, check in probes)]
             for p in primes
         }
         common = set.intersection(*(set(v) for v in per_prime.values()))

@@ -11,8 +11,11 @@ from hallq.ffrep import (
     ClassInfo,
     IsoClassId,
     PointCodec,
+    SubspaceFrame,
     TableCache,
+    _assemble,
     _gl_generators,
+    _iter_corners,
     aut_count_brute,
     classify,
     enumerate_points,
@@ -24,11 +27,12 @@ from hallq.ffrep import (
     hom_dimension,
     simple_rep,
     stable_subspaces,
+    stratified_pair_counts,
     zero_rep,
     Rep,
 )
 from hallq.laurent import gaussian_binomial_q
-from hallq.quiver import DimVector, builtin_names, builtin_quiver
+from hallq.quiver import DimVector, Quiver, builtin_names, builtin_quiver
 
 A2 = builtin_quiver("a2")
 KRON = builtin_quiver("kronecker")
@@ -483,3 +487,208 @@ def test_classify_default_budget_refuses_before_allocating():
         tracemalloc.stop()
     assert "1953125" in str(e.value)
     assert peak < 100_000
+
+
+# -- stable subspaces against the Rep-building kernel ------------------------------
+
+
+def _stable_subspaces_reference(x, beta):
+    """The former stable_subspaces, kept as the reference: for every product of
+    per-vertex subspaces, reduce x_h w against the target basis, build the sub
+    and quotient matrices and validate them as Reps. Yields (bases, sub Rep,
+    quotient Rep)."""
+    Q, p = x.quiver, x.p
+    if not beta <= x.dim:
+        return
+    per_vertex = [list(fpmat.subspaces(x.dim[v], beta[v], p)) for v in range(Q.n)]
+
+    def pivots_of(basis, n):
+        return tuple(next(j for j in range(n) if row[j]) for row in basis)
+
+    def shaped(m, rows, cols):
+        if rows == 0:
+            return ()
+        if cols == 0:
+            return tuple(() for _ in range(rows))
+        return tuple(tuple(row) for row in m)
+
+    qdim = x.dim - beta
+    for combo in product(*per_vertex):
+        sub_mats, quot_mats = [], []
+        for (s, t), xh in zip(Q.arrows, x.matrices):
+            ws, wt = combo[s], combo[t]
+            piv_t = pivots_of(wt, x.dim[t])
+            sub_rows = []
+            for w in ws:
+                coords, res = fpmat.reduce_by_basis(fpmat.mat_vec(xh, w, p), wt, piv_t, p)
+                if any(res):
+                    break
+                sub_rows.append(coords)
+            else:
+                sub_mats.append(shaped(tuple(zip(*sub_rows)), beta[t], beta[s]))
+                np_t = fpmat.nonpivot_columns(x.dim[t], piv_t)
+                qcols = []
+                for j in fpmat.nonpivot_columns(x.dim[s], pivots_of(ws, x.dim[s])):
+                    e = [int(k == j) for k in range(x.dim[s])]
+                    _, res = fpmat.reduce_by_basis(fpmat.mat_vec(xh, e, p), wt, piv_t, p)
+                    qcols.append(tuple(res[k] for k in np_t))
+                quot_mats.append(shaped(tuple(zip(*qcols)), qdim[t], qdim[s]))
+                continue
+            break
+        else:
+            yield tuple(combo), Rep(Q, p, beta, tuple(sub_mats)), Rep(Q, p, qdim, tuple(quot_mats))
+
+
+def _betas(dim):
+    return [DimVector(b) for b in product(*(range(d + 1) for d in dim))]
+
+
+def test_grassmannian_matches_subspaces_and_projects():
+    for n, k, p in [(0, 0, 2), (1, 0, 3), (1, 1, 3), (3, 1, 2), (3, 2, 3), (4, 2, 2), (2, 3, 2)]:
+        got = fpmat.grassmannian(n, k, p)
+        assert [g[0] for g in got] == list(fpmat.subspaces(n, k, p))
+        for basis, pivots, free, proj in got:
+            for v in product(range(p), repeat=n):
+                _, res = fpmat.reduce_by_basis(v, basis, pivots, p)
+                assert tuple(res[c] for c in free) == fpmat.mat_vec(proj, v, p)
+
+
+def test_stable_subspaces_match_reference_kernel():
+    # every point of every small space, every beta: the same subspaces in the
+    # same order, with the same quotient and sub classes
+    cases = [(Q, dim, p) for Q, dim, p in small_spaces(builtin_names(), cap=64)
+             if p in (2, 3) and max(dim.entries) <= 2]
+    assert len(cases) > 40
+    compared = 0
+    for Q, dim, p in cases:
+        tables = TableCache(Q, p)
+        for beta in _betas(dim):
+            sub_t, quot_t = tables.table(beta), tables.table(dim - beta)
+            for x in enumerate_points(Q, dim, p):
+                got = [(gs.bases, quot_t.class_of_index(gs.quot_index),
+                        sub_t.class_of_index(gs.sub_index)) for gs in stable_subspaces(x, beta)]
+                want = [(bases, quot_t.iso_class_of(quot), sub_t.iso_class_of(sub))
+                        for bases, sub, quot in _stable_subspaces_reference(x, beta)]
+                assert got == want, (Q, dim, beta, p, x)
+                compared += len(want)
+    assert compared > 5000
+
+
+def test_graded_subspace_reps_encode_to_indices():
+    a3 = builtin_quiver("a3")
+    for Q, dim, beta, p in [(A2, dv(2, 2), dv(1, 1), 3), (KRON, dv(2, 2), dv(1, 1), 2),
+                            (a3, dv(1, 2, 1), dv(0, 1, 1), 2), (SINGLE, dv(3), dv(1), 2)]:
+        for x in list(enumerate_points(Q, dim, p))[::7]:
+            want = list(_stable_subspaces_reference(x, beta))
+            got = list(stable_subspaces(x, beta))
+            assert [gs.bases for gs in got] == [w[0] for w in want]
+            for gs, (_, sub, quot) in zip(got, want):
+                assert gs.sub_rep == sub and gs.quot_rep == quot
+                assert PointCodec(Q, beta, p).encode(gs.sub_rep.matrices) == gs.sub_index
+                assert PointCodec(Q, dim - beta, p).encode(gs.quot_rep.matrices) == gs.quot_index
+
+
+def test_stable_subspaces_interleaved_generators():
+    # generators on different spaces, and on two points sharing one frame,
+    # consumed in turns give what each gives alone
+    p = 3
+    frame = SubspaceFrame(A2, dv(2, 2), dv(1, 1), p)
+    points = list(enumerate_points(A2, dv(2, 2), p))
+    runs = [
+        (points[5], dv(1, 1), frame),
+        (points[40], dv(1, 1), frame),
+        (points[40], dv(1, 1), None),
+        (Rep(KRON, p, dv(2, 1), (((1, 0),), ((0, 1),))), dv(1, 1), None),
+        (points[0], dv(1, 0), None),
+    ]
+    alone = [[(gs.bases, gs.sub_index, gs.quot_index) for gs in stable_subspaces(*r)] for r in runs]
+    assert all(alone) and alone[1] == alone[2]
+    gens = [stable_subspaces(*r) for r in runs]
+    mixed = [[] for _ in runs]
+    live = list(range(len(runs)))
+    while live:
+        for k in list(live):
+            gs = next(gens[k], None)
+            if gs is None:
+                live.remove(k)
+            else:
+                mixed[k].append((gs.bases, gs.sub_index, gs.quot_index))
+    assert mixed == alone
+
+
+def test_stable_subspaces_of_a_quiver_without_vertices():
+    Q = Quiver((), ())
+    x = zero_rep(Q, dv(), 2)
+    assert [(gs.bases, gs.sub_rep, gs.quot_rep) for gs in stable_subspaces(x, dv())] == list(
+        _stable_subspaces_reference(x, dv())) == [((), x, x)]
+
+
+def test_stable_subspaces_rejects_frame_of_another_space():
+    x = zero_rep(A2, dv(2, 1), 2)
+    for frame in (SubspaceFrame(A2, dv(2, 1), dv(1, 0), 2), SubspaceFrame(A2, dv(2, 1), dv(1, 1), 3),
+                  SubspaceFrame(KRON, dv(2, 1), dv(1, 1), 2)):
+        with pytest.raises(ValueError):
+            next(stable_subspaces(x, dv(1, 1), frame))
+
+
+def _filtration_counts_reference(tables, M, beta):
+    dim = DimVector(M.dim)
+    x = tables.table(dim).info(M).representative
+    sub_t, quot_t = tables.table(beta), tables.table(dim - beta)
+    out = {}
+    for _, sub, quot in _stable_subspaces_reference(x, beta):
+        key = (quot_t.iso_class_of(quot), sub_t.iso_class_of(sub))
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+def _stratified_pair_counts_reference(tables, alpha, beta, A, B, i, m, side):
+    """The former stratified loop over the reference kernel: the stratum of
+    each pair from the rank of W_i against the fixed subspace."""
+    Q, p = tables.quiver, tables.p
+    nu = alpha + beta
+    mi = Q.unit(i).scale(m)
+    if not mi <= nu:
+        return {}
+    rest = nu - mi
+    point = tables.table(mi).classes[0].representative
+    strata = {}
+    for N in tables.table(rest).ids():
+        z = tables.table(rest).info(N).representative
+        quot, sub, dims = (point, z, (mi, rest)) if side == "sub" else (z, point, (rest, mi))
+        for corners in _iter_corners(Q, *dims, p):
+            x = _assemble(Q, p, quot, sub, corners)
+            for bases, sub_rep, quot_rep in _stable_subspaces_reference(x, beta):
+                if (tables.table(alpha).iso_class_of(quot_rep) != A
+                        or tables.table(beta).iso_class_of(sub_rep) != B):
+                    continue
+                w = bases[i]
+                lead = m if side == "sub" else nu[i] - m
+                cut = len(w) - fpmat.rank([row[:lead] for row in w], p) if w else 0
+                t = m - beta[i] + cut if side == "sub" else m - cut
+                strata.setdefault(t, {})
+                strata[t][N] = strata[t].get(N, 0) + 1
+    return strata
+
+
+def test_filtration_and_stratified_counts_match_reference_kernel():
+    a3 = builtin_quiver("a3")
+    for Q, nu, p in [(A2, dv(2, 2), 2), (A2, dv(2, 1), 3), (KRON, dv(1, 2), 2), (a3, dv(1, 2, 1), 2)]:
+        tables = TableCache(Q, p)
+        for beta in _betas(nu):
+            for M in tables.table(nu).ids():
+                assert filtration_counts(tables, M, beta) == _filtration_counts_reference(tables, M, beta)
+        checked = 0
+        for beta in _betas(nu):
+            alpha = nu - beta
+            if alpha.is_zero() or beta.is_zero():
+                continue
+            for A in tables.table(alpha).ids():
+                for B in tables.table(beta).ids():
+                    for i in range(Q.n):
+                        for m, side in product((1, 2), ("sub", "quot")):
+                            got = stratified_pair_counts(tables, alpha, beta, A, B, i, m, side)
+                            assert got == _stratified_pair_counts_reference(
+                                tables, alpha, beta, A, B, i, m, side), (Q, alpha, beta, i, m, side)
+                            checked += bool(got)
+        assert checked > 10

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hallq import hall
+from hallq import hall, identities
 from hallq.hall import HallModel, unit_class
 from hallq.identities import (
     CONVENTION_BY_LABEL,
@@ -176,6 +176,34 @@ def test_convention_table_pins():
             dirs = {l.lstrip("+-") for l in labels}
             for d in dirs:
                 assert sum(1 for l in labels if l.lstrip("+-") == d) == 2
+
+
+def test_convention_table_builds_one_model_per_space(monkeypatch):
+    # the probes run on a2 and single at each prime: four (quiver, p) spaces
+    built = []
+
+    class CountingModel(HallModel):
+        def __init__(self, *args, **kwargs):
+            built.append(args[:2])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(identities, "HallModel", CountingModel)
+    table = pin_convention_table((2, 3))
+    assert len(built) <= 4 and len(set(built)) == len(built)
+    inverse = {p: ["-1/sqrt(q)", "+1/sqrt(q)"] for p in (2, 3)}
+    expected = {
+        family: {"pinned": "-1/sqrt(q)", "validating": inverse, "consistent": True}
+        for family in ("derivation_product_rule", "green", "operator_relations",
+                       "serre_derivations", "serre_generators", "stratification")
+    }
+    expected["associativity"] = {"pinned": "formal", "validating": {}, "consistent": True}
+    expected["pairing_adjunction"] = {
+        "pinned": "-1/sqrt(q)", "consistent": True,
+        "validating": {p: ["-1/sqrt(q)", "+1/sqrt(q)", "+sqrt(q)", "-sqrt(q)"] for p in (2, 3)}}
+    expected["uminus_serre"] = {
+        "pinned": "+sqrt(q)", "consistent": True,
+        "validating": {p: ["+sqrt(q)", "-sqrt(q)"] for p in (2, 3)}}
+    assert table == expected
 
 
 def test_suite_small_run_and_determinism():
