@@ -9,13 +9,16 @@ each generator of G_V acts on an index through digit tables over one or two
 rows of an arrow block, so no point is decoded into matrices except the class
 representatives. All counts are exact integers.
 
-The filtration, derivation and stratified counts walk the x-stable graded
-subspaces of a point (`stable_subspaces`). While it checks stability, the walk
-sums the point indices of the induced sub and quotient representations digit
-by digit, so a class is one `class_of_index` lookup and no sub or quotient
-`Rep` is built. What depends only on (quiver, dim, beta, p), the per-vertex
-subspace lists and digit weights, is a `SubspaceFrame`, built once per fiber
-sweep and dropped with it.
+Every count is one of two sweeps over point indices. A restriction fiber
+(`_fiber_points`), over a fixed quotient point z and sub point y, is a base
+index made of the digits of z and y plus one digit offset per corner entry;
+the extension and derivation histograms read each fiber point's class from
+`class_of_point`, and the stratified counts decode it for the second sweep.
+That one walks the x-stable graded subspaces of a point (`stable_subspaces`)
+and sums the point indices of the induced sub and quotient representations
+while it checks stability, so a class is one `class_of_index` lookup. What
+depends only on (quiver, dim, beta, p), the per-vertex subspace lists and
+digit weights, is a `SubspaceFrame`, built once per fiber sweep.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
 from operator import mul
 from typing import Callable, Iterator
 
@@ -190,76 +192,6 @@ def hom_dimension(x: Rep, y: Rep) -> int:
     if u == 0:
         return 0
     return u - fpmat.rank(rows, x.p)
-
-
-def _hom_basis(x: Rep, y: Rep) -> list[tuple[Matrix, ...]]:
-    """Basis of the intertwiner space as tuples of per-vertex matrices."""
-    rows, u = _intertwiner_system(x, y)
-    p = x.p
-    if u == 0:
-        return []
-    if rows:
-        r, pivots = fpmat.rref(rows, p)
-    else:
-        r, pivots = (), ()
-    basis_vecs = []
-    free = fpmat.nonpivot_columns(u, pivots)
-    for j in free:
-        vec = [0] * u
-        vec[j] = 1
-        for rr, c in zip(r, pivots):
-            vec[c] = (-rr[j]) % p
-        basis_vecs.append(vec)
-    Q = x.quiver
-    out = []
-    for vec in basis_vecs:
-        mats = []
-        off = 0
-        for v in range(Q.n):
-            ry, cx = y.dim[v], x.dim[v]
-            mats.append(tuple(tuple(vec[off + i * cx + j] for j in range(cx)) for i in range(ry)))
-            off += ry * cx
-        out.append(tuple(mats))
-    return out
-
-
-def aut_count_brute(x: Rep, limit: int = 300000) -> int:
-    """|Aut(x)| by enumerating the endomorphism space and testing invertibility.
-
-    Independent of the orbit-stabilizer route used by classification tables;
-    kept as a cross-check oracle for small endomorphism spaces.
-    """
-    basis = _hom_basis(x, x)
-    p = x.p
-    d = len(basis)
-    if p**d > limit:
-        raise ValueError(f"endomorphism space too large to enumerate: {p}^{d}")
-    Q = x.quiver
-    count = 0
-    for coeffs in product(range(p), repeat=d):
-        fs = []
-        for v in range(Q.n):
-            n = x.dim[v]
-            m = [[0] * n for _ in range(n)]
-            for c, b in zip(coeffs, basis):
-                if c:
-                    bv = b[v]
-                    for i in range(n):
-                        for j in range(n):
-                            m[i][j] = (m[i][j] + c * bv[i][j]) % p
-            fs.append(tuple(tuple(row) for row in m))
-        ok = True
-        for v in range(Q.n):
-            if x.dim[v] == 0:
-                continue
-            try:
-                fpmat.mat_inv(fs[v], p)
-            except ValueError:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
 
 
 # -- classification ------------------------------------------------------------
@@ -659,9 +591,9 @@ class SubspaceFrame:
     per arrow the digit weights of its sub and quotient blocks.
 
     Each subspace is a tuple (k, basis, pivots, non-pivots, projection), with
-    k its place in the `fpmat.subspaces` order and the rest as in
-    `fpmat.grassmannian`. A fiber sweep builds one frame and passes it with
-    every point of the fiber, so these lists are built once per sweep.
+    k its place in the `fpmat.grassmannian` list and the rest as there. A
+    fiber sweep builds one frame and passes it with every point of the fiber,
+    so these lists are built once per sweep.
     """
 
     def __init__(self, Q: Quiver, dim: DimVector, beta: DimVector, p: int):
@@ -724,7 +656,7 @@ def stable_subspaces(
     x: Rep, beta: DimVector, frame: SubspaceFrame | None = None
 ) -> Iterator[GradedSubspace]:
     """All x-stable graded subspaces of dimension vector beta, each once, in
-    the order of the product of the per-vertex `fpmat.subspaces` lists.
+    the order of the product of the per-vertex `fpmat.grassmannian` lists.
 
     Vertices are chosen depth first in vertex order, and each arrow is
     checked as soon as both of its ends are chosen, so an unstable prefix is
@@ -828,77 +760,52 @@ def filtration_counts(
     return out
 
 
-def filtration_number(
-    tables: TableCache, M: IsoClassId, N: IsoClassId, L: IsoClassId
-) -> int:
-    """F^M_{N,L}: number of stable subspaces of M with sub in L, quotient in N."""
-    if tuple(a + b for a, b in zip(N.dim, L.dim)) != M.dim:
-        raise ValueError("dimension mismatch: dim N + dim L must equal dim M")
-    return filtration_counts(tables, M, DimVector(L.dim)).get((N, L), 0)
-
-
 # -- extension counting (restriction fibers) ------------------------------------
 
 
-def _assemble(Q: Quiver, p: int, quot: Rep, sub: Rep, corners: tuple[Matrix, ...]) -> Rep:
-    """Block representation on V_{alpha+beta} with the quotient on the leading
-    coordinates and the sub on the trailing ones; corner blocks are the lower
-    left entries, one per arrow."""
-    alpha, beta = quot.dim, sub.dim
-    mats = []
-    for a, (s, t) in enumerate(Q.arrows):
-        zr, yr, cr = quot.matrices[a], sub.matrices[a], corners[a]
-        rows = []
-        for i in range(alpha[t]):
-            rows.append(tuple(zr[i]) + (0,) * beta[s])
-        for i in range(beta[t]):
-            rows.append(tuple(cr[i]) + tuple(yr[i]))
-        mats.append(tuple(rows))
-    return Rep(Q, p, alpha + beta, tuple(mats))
+def _fiber_points(codec: PointCodec, z: Rep, y: Rep) -> list[int]:
+    """Point indices of the fixed-subspace fiber over quotient point z and sub
+    point y, in the space of `codec` at dim z + dim y.
 
-
-def _corner_shapes(Q: Quiver, alpha: DimVector, beta: DimVector) -> list[tuple[int, int]]:
-    return [(beta[t], alpha[s]) for s, t in Q.arrows]
-
-
-def _iter_corners(Q: Quiver, alpha: DimVector, beta: DimVector, p: int) -> Iterator[tuple[Matrix, ...]]:
-    shapes = _corner_shapes(Q, alpha, beta)
-    total = sum(r * c for r, c in shapes)
-    for flat in product(range(p), repeat=total):
-        mats = []
-        off = 0
-        for r, c in shapes:
-            mats.append(tuple(tuple(flat[off + i * c + j] for j in range(c)) for i in range(r)))
-            off += r * c
-        yield tuple(mats)
+    A fiber point is the block representation [[z_h, 0], [c_h, y_h]], with
+    the quotient on the leading coordinates and the sub on the trailing ones.
+    Its index is a base index, the digits of z and y, plus one digit offset
+    per corner entry. The corner entries (arrows in quiver order, row-major)
+    run over F_p in `itertools.product` order, the last entry fastest.
+    """
+    p, alpha, beta = codec.p, z.dim, y.dim
+    base = 0
+    weights = []  # p^digit of each corner entry, in corner order
+    block = 1  # p^(digit offset of the arrow block)
+    for (s, t), zh, yh in zip(codec.quiver.arrows, z.matrices, y.matrices):
+        cols = alpha[s] + beta[s]
+        for i, row in enumerate(zh):
+            base += sum(d * block * p ** (i * cols + j) for j, d in enumerate(row))
+        for i, row in enumerate(yh):
+            first = block * p ** ((alpha[t] + i) * cols)
+            weights.extend(first * p**j for j in range(alpha[s]))
+            base += sum(d * first * p ** (alpha[s] + j) for j, d in enumerate(row))
+        block *= p ** ((alpha[t] + beta[t]) * cols)
+    points = [base]
+    for w in weights:
+        offsets = [d * w for d in range(p)]
+        points = [x + o for x in points for o in offsets]
+    return points
 
 
 def extension_histogram(
     tables: TableCache, N: IsoClassId, L: IsoClassId
 ) -> dict[IsoClassId, int]:
     """All extension counts with quotient point rep(N) and sub point rep(L):
-    the map M -> e^M_{N,L} obtained from one sweep over the corner blocks."""
-    Q, p = tables.quiver, tables.p
+    the map M -> e^M_{N,L} obtained from one sweep over the fiber points,
+    each read through `class_of_point`. Classes appear in the order the
+    sweep first meets them."""
     alpha, beta = DimVector(N.dim), DimVector(L.dim)
     z = tables.table(alpha).info(N).representative
     y = tables.table(beta).info(L).representative
     big = tables.table(alpha + beta)
-    out: dict[IsoClassId, int] = {}
-    for corners in _iter_corners(Q, alpha, beta, p):
-        cid = big.iso_class_of(_assemble(Q, p, z, y, corners))
-        out[cid] = out.get(cid, 0) + 1
-    return out
-
-
-def extension_count(
-    tables: TableCache, N: IsoClassId, L: IsoClassId, M: IsoClassId
-) -> int:
-    """e^M_{N,L}: points of the fixed-subspace fiber with sub point rep(L),
-    quotient point rep(N), and total isomorphic to M. The fixed subspace is
-    the coordinate span of the trailing dim(L) basis vectors at each vertex."""
-    if tuple(a + b for a, b in zip(N.dim, L.dim)) != M.dim:
-        raise ValueError("dimension mismatch: dim N + dim L must equal dim M")
-    return extension_histogram(tables, N, L).get(M, 0)
+    counts = Counter(map(big._class_of_point.__getitem__, _fiber_points(big._codec, z, y)))
+    return {big.classes[k].id: c for k, c in counts.items()}
 
 
 # -- derivation fibers ----------------------------------------------------------
@@ -913,88 +820,34 @@ def _point_class_at(tables: TableCache, dim: DimVector) -> IsoClassId:
     return t.classes[0].id
 
 
+def _derive_histogram(
+    tables: TableCache, alpha: DimVector, i: int, m: int, side: str
+) -> dict[tuple[IsoClassId, IsoClassId], int]:
+    """Counts for the restriction with quotient part m*e_i (side "sub") or sub
+    part m*e_i ("quot"): entry (M, N) counts the fiber points over rep(N) in
+    the other part that are isomorphic to M. Empty when m exceeds alpha_i."""
+    mi = tables.quiver.unit(i).scale(m)
+    if not mi <= alpha:
+        return {}
+    point = _point_class_at(tables, mi)
+    out: dict[tuple[IsoClassId, IsoClassId], int] = {}
+    for N in tables.table(alpha - mi).ids():
+        quot, sub = (point, N) if side == "sub" else (N, point)
+        for M, c in extension_histogram(tables, quot, sub).items():
+            out[(M, N)] = c
+    return out
+
+
 def derive_sub_histogram(
     tables: TableCache, alpha: DimVector, i: int, m: int
 ) -> dict[tuple[IsoClassId, IsoClassId], int]:
-    """Counts for the restriction with quotient part m*e_i.
-
-    Entry (M, N) is the number of points x of the fixed-subspace fiber with
-    x restricted to the trailing subspace equal to rep(N) and x isomorphic
-    to M. Empty when m exceeds alpha_i.
-    """
-    Q = tables.quiver
-    mi = Q.unit(i).scale(m)
-    if not mi <= alpha:
-        return {}
-    gamma = alpha - mi
-    quot_id = _point_class_at(tables, mi)
-    out: dict[tuple[IsoClassId, IsoClassId], int] = {}
-    for N in tables.table(gamma).ids():
-        for M, c in extension_histogram(tables, quot_id, N).items():
-            out[(M, N)] = c
-    return out
+    return _derive_histogram(tables, alpha, i, m, "sub")
 
 
 def derive_quot_histogram(
     tables: TableCache, alpha: DimVector, i: int, m: int
 ) -> dict[tuple[IsoClassId, IsoClassId], int]:
-    """Counts for the restriction with sub part m*e_i: entry (M, N) counts
-    fiber points with quotient equal to rep(N) and total isomorphic to M."""
-    Q = tables.quiver
-    mi = Q.unit(i).scale(m)
-    if not mi <= alpha:
-        return {}
-    gamma = alpha - mi
-    sub_id = _point_class_at(tables, mi)
-    out: dict[tuple[IsoClassId, IsoClassId], int] = {}
-    for N in tables.table(gamma).ids():
-        for M, c in extension_histogram(tables, N, sub_id).items():
-            out[(M, N)] = c
-    return out
-
-
-def derive_sub_w_counts(
-    tables: TableCache, M: IsoClassId, i: int, m: int
-) -> dict[IsoClassId, int]:
-    """Sum-over-subspaces oracle: for the representative x of M, count the
-    x-stable graded subspaces full away from i and of codimension m at i,
-    bucketed by the class of the induced sub representation.
-
-    Related to derive_sub_histogram by orbit sizes: with G the number of
-    codimension-m subspaces at vertex i,
-    |O_M| * w_counts[N] = G * |O_N| * histogram[(M, N)].
-    """
-    alpha = DimVector(M.dim)
-    Q = tables.quiver
-    mi = Q.unit(i).scale(m)
-    if not mi <= alpha:
-        return {}
-    x = tables.table(alpha).info(M).representative
-    sub_t = tables.table(alpha - mi)
-    out: dict[IsoClassId, int] = {}
-    for gs in stable_subspaces(x, alpha - mi):
-        n = sub_t.class_of_index(gs.sub_index)
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def derive_quot_w_counts(
-    tables: TableCache, M: IsoClassId, i: int, m: int
-) -> dict[IsoClassId, int]:
-    """Mirror oracle: x-stable subspaces of dimension m*e_i, bucketed by the
-    class of the quotient representation."""
-    alpha = DimVector(M.dim)
-    Q = tables.quiver
-    mi = Q.unit(i).scale(m)
-    if not mi <= alpha:
-        return {}
-    x = tables.table(alpha).info(M).representative
-    quot_t = tables.table(alpha - mi)
-    out: dict[IsoClassId, int] = {}
-    for gs in stable_subspaces(x, mi):
-        n = quot_t.class_of_index(gs.quot_index)
-        out[n] = out.get(n, 0) + 1
-    return out
+    return _derive_histogram(tables, alpha, i, m, "quot")
 
 
 def _suffix_intersection_dim(basis: Matrix, lead_cols: int, p: int) -> int:
@@ -1037,25 +890,19 @@ def stratified_pair_counts(
     if not mi <= nu:
         return {}
     rest = nu - mi
-    a_t = tables.table(alpha)
-    b_t = tables.table(beta)
+    a_t, b_t = tables.table(alpha), tables.table(beta)
     strata: dict[int, dict[IsoClassId, int]] = {}
     point = tables.table(mi).info(_point_class_at(tables, mi)).representative
     rest_t = tables.table(rest)
     frame = SubspaceFrame(Q, nu, beta, p)
+    codec = PointCodec(Q, nu, p)
     # the stratum of W depends only on its basis at vertex i
     stratum_of: dict[Matrix, int] = {}
     for N in rest_t.ids():
         z = rest_t.info(N).representative
-        if side == "sub":
-            quot, sub = point, z
-            corner_dims = (mi, rest)
-        else:
-            quot, sub = z, point
-            corner_dims = (rest, mi)
-        for corners in _iter_corners(Q, corner_dims[0], corner_dims[1], p):
-            x = _assemble(Q, p, quot, sub, corners)
-            for gs in stable_subspaces(x, beta, frame):
+        quot, sub = (point, z) if side == "sub" else (z, point)
+        for idx in _fiber_points(codec, quot, sub):
+            for gs in stable_subspaces(codec.decode(idx), beta, frame):
                 if a_t.class_of_index(gs.quot_index) != A or b_t.class_of_index(gs.sub_index) != B:
                     continue
                 basis = gs.bases[i]

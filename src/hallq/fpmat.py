@@ -8,17 +8,13 @@ is exact modular arithmetic, no floating point anywhere.
 from __future__ import annotations
 
 from itertools import combinations, product
-from typing import Iterator, Sequence
+from typing import Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
 
 
 def zeros(rows: int, cols: int) -> Matrix:
     return tuple((0,) * cols for _ in range(rows))
-
-
-def identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
@@ -34,10 +30,6 @@ def mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
             tuple(sum(row[k] * b[k][j] for k in range(inner)) % p for j in range(cols))
         )
     return tuple(out)
-
-
-def mat_vec(a: Matrix, v: Sequence[int], p: int) -> tuple[int, ...]:
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) % p for row in a)
 
 
 def mat_inv(a: Matrix, p: int) -> Matrix:
@@ -88,39 +80,14 @@ def rank(rows: Sequence[Sequence[int]], p: int) -> int:
     return len(rref(rows, p)[0])
 
 
-def reduce_by_basis(
-    v: Sequence[int], basis: Matrix, pivots: tuple[int, ...], p: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Reduce v against an RREF basis.
-
-    Returns (coords, residue): coords are the coefficients on the basis rows
-    and residue is v minus the span part. v lies in the span iff residue is 0.
-    """
-    coords = []
-    res = list(v)
-    for row, c in zip(basis, pivots):
-        f = res[c] % p
-        coords.append(f)
-        if f:
-            res = [(x - f * y) % p for x, y in zip(res, row)]
-    return tuple(coords), tuple(x % p for x in res)
-
-
-def subspaces(n: int, k: int, p: int) -> Iterator[Matrix]:
-    """All k-dimensional subspaces of F_p^n as RREF bases, each exactly once.
-
-    Enumeration order: pivot column sets lexicographically, then free entries
-    in little-endian counter order. Deterministic across runs.
-    """
-    for basis, _, _, _ in grassmannian(n, k, p):
-        yield basis
-
-
 def grassmannian(
     n: int, k: int, p: int
 ) -> list[tuple[Matrix, tuple[int, ...], tuple[int, ...], Matrix]]:
-    """The subspaces of `subspaces(n, k, p)`, in its order, each as (RREF
+    """All k-dimensional subspaces of F_p^n, each exactly once, as (RREF
     basis, pivot columns, non-pivot columns, projection).
+
+    Order: pivot column sets lexicographically, then the free entries in
+    `itertools.product` order, row by row, the last entry fastest.
 
     Row r of the projection gives the residue of a vector modulo the subspace
     at the r-th non-pivot coordinate c: v[c] minus the sum over basis rows of

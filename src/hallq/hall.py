@@ -292,10 +292,10 @@ def _derive(model: HallModel, f: HallElement, i: int, m: int, side: str) -> Hall
     the side; zero (not an error) when the grading cannot drop by m*e_i."""
     if m < 0:
         raise ValueError("m must be nonnegative")
+    mi = model.quiver.unit(i).scale(m)  # raises for a vertex outside the quiver
     if f.is_zero() or m == 0:
         return f
     alpha = f.dim
-    mi = model.quiver.unit(i).scale(m)
     if not mi <= alpha:
         return HallElement.zero(model.quiver, model.p)
     rest = alpha - mi

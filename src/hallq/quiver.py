@@ -59,7 +59,9 @@ class Quiver:
             raise KeyError(f"unknown vertex {name!r}") from None
 
     def unit(self, i: int) -> "DimVector":
-        """Unit dimension vector at vertex index i."""
+        """Unit dimension vector at vertex index i; ValueError outside range(n)."""
+        if not 0 <= i < self.n:
+            raise ValueError(f"vertex index {i} out of range for {self.n} vertices")
         return DimVector(tuple(1 if k == i else 0 for k in range(self.n)))
 
     def zero_dim(self) -> "DimVector":

@@ -90,6 +90,14 @@ def test_op_dsub_example(cache, capsys):
     assert data["terms"][0]["laurent"] == "1*v^1"
 
 
+@pytest.mark.parametrize("vertex", ["5", "-1"])
+def test_op_dsub_at_a_vertex_outside_the_quiver_exits_2(cache, capsys, vertex):
+    code, out, err = run_cli(capsys, "op", "dsub", "2,1:0", "--vertex", vertex,
+                             "--quiver", "a2", "-p", "2")
+    assert code == 2
+    assert out == "" and "out of range" in err
+
+
 def test_op_res_and_split(cache, capsys):
     code, out, _ = run_cli(capsys, "op", "res", "1,1:1", "--split", "1,0",
                            "--quiver", "a2", "-p", "2")

@@ -1,5 +1,5 @@
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -13,16 +13,13 @@ from hallq.ffrep import (
     PointCodec,
     SubspaceFrame,
     TableCache,
-    _assemble,
+    _fiber_points,
     _gl_generators,
-    _iter_corners,
-    aut_count_brute,
+    _intertwiner_system,
     classify,
     enumerate_points,
-    extension_count,
     extension_histogram,
     filtration_counts,
-    filtration_number,
     group_order,
     hom_dimension,
     simple_rep,
@@ -126,6 +123,52 @@ def test_hom_dimension_constant_on_orbits():
     assert hom_dimension(y, a2_rep(1, 3)) == hom_dimension(y, a2_rep(2, 3))
 
 
+def _hom_basis(x, y):
+    """Basis of the intertwiner space as tuples of per-vertex matrices."""
+    rows, u = _intertwiner_system(x, y)
+    p = x.p
+    if u == 0:
+        return []
+    r, pivots = fpmat.rref(rows, p) if rows else ((), ())
+    out = []
+    for j in fpmat.nonpivot_columns(u, pivots):
+        vec = [0] * u
+        vec[j] = 1
+        for rr, c in zip(r, pivots):
+            vec[c] = (-rr[j]) % p
+        mats, off = [], 0
+        for v in range(x.quiver.n):
+            ry, cx = y.dim[v], x.dim[v]
+            mats.append(tuple(tuple(vec[off + i * cx + k] for k in range(cx)) for i in range(ry)))
+            off += ry * cx
+        out.append(tuple(mats))
+    return out
+
+
+def aut_count_brute(x, limit=300000):
+    """|Aut(x)| by enumerating the endomorphism space and testing invertibility,
+    independent of the orbit-stabilizer route of classification tables."""
+    basis = _hom_basis(x, x)
+    p, n_v = x.p, x.quiver.n
+    assert p ** len(basis) <= limit, f"endomorphism space too large: {p}^{len(basis)}"
+    count = 0
+    for coeffs in product(range(p), repeat=len(basis)):
+        ok = True
+        for v in range(n_v):
+            n = x.dim[v]
+            if n == 0:
+                continue
+            m = tuple(tuple(sum(c * b[v][i][j] for c, b in zip(coeffs, basis)) % p for j in range(n))
+                      for i in range(n))
+            try:
+                fpmat.mat_inv(m, p)
+            except ValueError:
+                ok = False
+                break
+        count += ok
+    return count
+
+
 def test_aut_count_brute_matches_orbit_stabilizer():
     for Q, dim, p in [
         (A2, dv(1, 1), 2),
@@ -169,10 +212,10 @@ def test_filtration_numbers_a2():
         s1 = tables.table(dv(1, 0)).classes[0].id
         s2 = tables.table(dv(0, 1)).classes[0].id
         ss, pp = s_classes(tables, p)
-        assert filtration_number(tables, pp, s1, s2) == 1
-        assert filtration_number(tables, pp, s2, s1) == 0
-        assert filtration_number(tables, ss, s1, s2) == 1
-        assert filtration_number(tables, ss, s2, s1) == 1
+        assert filtration_counts(tables, pp, dv(0, 1)).get((s1, s2), 0) == 1
+        assert filtration_counts(tables, pp, dv(1, 0)).get((s2, s1), 0) == 0
+        assert filtration_counts(tables, ss, dv(0, 1)).get((s1, s2), 0) == 1
+        assert filtration_counts(tables, ss, dv(1, 0)).get((s2, s1), 0) == 1
 
 
 def test_filtration_single_vertex_matches_gaussian():
@@ -180,15 +223,7 @@ def test_filtration_single_vertex_matches_gaussian():
         tables = TableCache(SINGLE, p)
         s = tables.table(dv(1)).classes[0].id
         s2 = tables.table(dv(2)).classes[0].id
-        assert filtration_number(tables, s2, s, s) == gaussian_binomial_q(2, 1).eval_rational(p)
-
-
-def test_filtration_dimension_mismatch():
-    tables = TableCache(A2, 2)
-    s1 = tables.table(dv(1, 0)).classes[0].id
-    s2 = tables.table(dv(0, 1)).classes[0].id
-    with pytest.raises(ValueError):
-        filtration_number(tables, s1, s1, s2)
+        assert filtration_counts(tables, s2, dv(1)).get((s, s), 0) == gaussian_binomial_q(2, 1).eval_rational(p)
 
 
 def test_extension_counts_a2():
@@ -198,10 +233,10 @@ def test_extension_counts_a2():
         s2 = tables.table(dv(0, 1)).classes[0].id
         ss, pp = s_classes(tables, p)
         # quotient S1, sub S2: the orbit of nonzero maps gives p-1 extensions
-        assert extension_count(tables, s1, s2, pp) == expected_p
-        assert extension_count(tables, s1, s2, ss) == 1
-        assert extension_count(tables, s2, s1, pp) == 0
-        assert extension_count(tables, s2, s1, ss) == 1
+        assert extension_histogram(tables, s1, s2).get(pp, 0) == expected_p
+        assert extension_histogram(tables, s1, s2).get(ss, 0) == 1
+        assert extension_histogram(tables, s2, s1).get(pp, 0) == 0
+        assert extension_histogram(tables, s2, s1).get(ss, 0) == 1
 
 
 def test_extension_total_is_fiber_size():
@@ -234,7 +269,7 @@ def test_filtration_extension_conversion():
                 on = tables.table(alpha).info(N).orbit_size
                 ol = tables.table(beta).info(L).orbit_size
                 for M in big.ids():
-                    f = filtration_number(tables, M, N, L)
+                    f = filtration_counts(tables, M, beta).get((N, L), 0)
                     e = hist.get(M, 0)
                     assert big.info(M).orbit_size * f == n_w * e * on * ol
 
@@ -305,13 +340,11 @@ def test_filtration_representative_independence():
             if (tables.table(dv(1, 0)).iso_class_of(gs.quot_rep) == s1
                     and tables.table(dv(0, 1)).iso_class_of(gs.sub_rep) == s2):
                 count += 1
-        assert count == filtration_number(tables, pp, s1, s2)
+        assert count == filtration_counts(tables, pp, dv(0, 1)).get((s1, s2), 0)
 
 
 def test_extension_count_representative_independence():
     # fix a different orbit point of the sub class and recount by hand
-    from hallq.ffrep import _assemble, _iter_corners
-
     p = 3
     tables = TableCache(A2, p)
     big = tables.table(dv(2, 1))
@@ -331,7 +364,7 @@ def test_extension_count_representative_independence():
                     c += 1
             counts.append(c)
         assert counts[0] == counts[1]
-        assert counts[0] == extension_count(tables, quot_t.classes[0].id, pp, M)
+        assert counts[0] == extension_histogram(tables, quot_t.classes[0].id, pp).get(M, 0)
 
 
 # -- classification against the union-find sweep and closed counts ----------------
@@ -492,6 +525,38 @@ def test_classify_default_budget_refuses_before_allocating():
 # -- stable subspaces against the Rep-building kernel ------------------------------
 
 
+def _mat_vec(a, v, p):
+    return tuple(sum(row[k] * v[k] for k in range(len(v))) % p for row in a)
+
+
+def _reduce_by_basis(v, basis, pivots, p):
+    """Reduce v against an RREF basis: (coefficients on the basis rows, v minus
+    the span part). v lies in the span iff the residue is 0."""
+    coords = []
+    res = list(v)
+    for row, c in zip(basis, pivots):
+        f = res[c] % p
+        coords.append(f)
+        if f:
+            res = [(x - f * y) % p for x, y in zip(res, row)]
+    return tuple(coords), tuple(x % p for x in res)
+
+
+def _subspaces(n, k, p):
+    """Every k-dimensional subspace of F_p^n as its RREF basis, found by
+    reducing every k x n matrix of rank k, in the `fpmat.grassmannian` order:
+    pivot sets lexicographically, then the free entries row by row."""
+    found = set()
+    for flat in product(range(p), repeat=k * n):
+        basis, pivots = fpmat.rref([flat[r * n:(r + 1) * n] for r in range(k)], p)
+        if len(pivots) == k:
+            found.add((pivots, basis))
+    free = {piv: [(r, j) for r, c in enumerate(piv) for j in range(c + 1, n) if j not in piv]
+            for piv in combinations(range(n), k)}
+    return [basis for piv, basis in sorted(found, key=lambda f: (
+        f[0], [f[1][r][j] for r, j in free[f[0]]]))]
+
+
 def _stable_subspaces_reference(x, beta):
     """The former stable_subspaces, kept as the reference: for every product of
     per-vertex subspaces, reduce x_h w against the target basis, build the sub
@@ -500,7 +565,7 @@ def _stable_subspaces_reference(x, beta):
     Q, p = x.quiver, x.p
     if not beta <= x.dim:
         return
-    per_vertex = [list(fpmat.subspaces(x.dim[v], beta[v], p)) for v in range(Q.n)]
+    per_vertex = [_subspaces(x.dim[v], beta[v], p) for v in range(Q.n)]
 
     def pivots_of(basis, n):
         return tuple(next(j for j in range(n) if row[j]) for row in basis)
@@ -520,7 +585,7 @@ def _stable_subspaces_reference(x, beta):
             piv_t = pivots_of(wt, x.dim[t])
             sub_rows = []
             for w in ws:
-                coords, res = fpmat.reduce_by_basis(fpmat.mat_vec(xh, w, p), wt, piv_t, p)
+                coords, res = _reduce_by_basis(_mat_vec(xh, w, p), wt, piv_t, p)
                 if any(res):
                     break
                 sub_rows.append(coords)
@@ -530,7 +595,7 @@ def _stable_subspaces_reference(x, beta):
                 qcols = []
                 for j in fpmat.nonpivot_columns(x.dim[s], pivots_of(ws, x.dim[s])):
                     e = [int(k == j) for k in range(x.dim[s])]
-                    _, res = fpmat.reduce_by_basis(fpmat.mat_vec(xh, e, p), wt, piv_t, p)
+                    _, res = _reduce_by_basis(_mat_vec(xh, e, p), wt, piv_t, p)
                     qcols.append(tuple(res[k] for k in np_t))
                 quot_mats.append(shaped(tuple(zip(*qcols)), qdim[t], qdim[s]))
                 continue
@@ -546,11 +611,11 @@ def _betas(dim):
 def test_grassmannian_matches_subspaces_and_projects():
     for n, k, p in [(0, 0, 2), (1, 0, 3), (1, 1, 3), (3, 1, 2), (3, 2, 3), (4, 2, 2), (2, 3, 2)]:
         got = fpmat.grassmannian(n, k, p)
-        assert [g[0] for g in got] == list(fpmat.subspaces(n, k, p))
+        assert [g[0] for g in got] == _subspaces(n, k, p)
         for basis, pivots, free, proj in got:
             for v in product(range(p), repeat=n):
-                _, res = fpmat.reduce_by_basis(v, basis, pivots, p)
-                assert tuple(res[c] for c in free) == fpmat.mat_vec(proj, v, p)
+                _, res = _reduce_by_basis(v, basis, pivots, p)
+                assert tuple(res[c] for c in free) == _mat_vec(proj, v, p)
 
 
 def test_stable_subspaces_match_reference_kernel():
@@ -692,3 +757,119 @@ def test_filtration_and_stratified_counts_match_reference_kernel():
                                 tables, alpha, beta, A, B, i, m, side), (Q, alpha, beta, i, m, side)
                             checked += bool(got)
         assert checked > 10
+
+
+# -- restriction fibers against the Rep-building reference and Ext^1 cosets ---------
+
+
+def _corner_shapes(Q, alpha, beta):
+    return [(beta[t], alpha[s]) for s, t in Q.arrows]
+
+
+def _corner_blocks(shapes, flat):
+    """The corner matrices of a flat entry list, arrows in order, row-major."""
+    mats, off = [], 0
+    for r, c in shapes:
+        mats.append(tuple(tuple(flat[off + i * c + j] for j in range(c)) for i in range(r)))
+        off += r * c
+    return tuple(mats)
+
+
+def _iter_corners(Q, alpha, beta, p):
+    shapes = _corner_shapes(Q, alpha, beta)
+    for flat in product(range(p), repeat=sum(r * c for r, c in shapes)):
+        yield _corner_blocks(shapes, flat)
+
+
+def _assemble(Q, p, quot, sub, corners):
+    """The former fiber point: the block representation on V_{alpha+beta} with
+    the quotient on the leading coordinates, the sub on the trailing ones and
+    the corner blocks lower left, built and validated as a Rep."""
+    alpha, beta = quot.dim, sub.dim
+    mats = []
+    for a, (s, t) in enumerate(Q.arrows):
+        zr, yr, cr = quot.matrices[a], sub.matrices[a], corners[a]
+        rows = [tuple(zr[i]) + (0,) * beta[s] for i in range(alpha[t])]
+        rows += [tuple(cr[i]) + tuple(yr[i]) for i in range(beta[t])]
+        mats.append(tuple(rows))
+    return Rep(Q, p, alpha + beta, tuple(mats))
+
+
+def test_fiber_points_and_histogram_match_assembled_reference():
+    # every (N, L) of every small space: the same indices in the same order as
+    # encoding the assembled Reps, and the same histogram in the same key order
+    pairs = 0
+    for Q, nu, p in small_spaces(builtin_names(), cap=5**4):
+        tables = TableCache(Q, p)
+        big = tables.table(nu)
+        for beta in _betas(nu):
+            alpha = nu - beta
+            for N in tables.table(alpha).ids():
+                for L in tables.table(beta).ids():
+                    z = tables.table(alpha).info(N).representative
+                    y = tables.table(beta).info(L).representative
+                    reps = [_assemble(Q, p, z, y, c) for c in _iter_corners(Q, alpha, beta, p)]
+                    assert _fiber_points(big._codec, z, y) == [big._codec.encode(x.matrices) for x in reps]
+                    want = {}
+                    for x in reps:
+                        M = big.iso_class_of(x)
+                        want[M] = want.get(M, 0) + 1
+                    assert list(extension_histogram(tables, N, L).items()) == list(want.items())
+                    pairs += 1
+    assert pairs > 4000
+
+
+def _ext1_coset_histogram(tables, N, L):
+    """e^M_{N,L} without a sweep over the fiber. Conjugating the fiber point
+    with corner c by [[1, 0], [phi_v, 1]] gives corner c + delta(phi), where
+    delta(phi)_h = phi_t z_h - y_h phi_s. So each coset of im delta lies in one
+    class, and e^M_{N,L} is p^rank(delta) times the number of corners that
+    vanish at the pivot coordinates of an RREF basis of im delta (one per
+    coset) and lie in M. Returns (histogram, rank, number of cosets)."""
+    Q, p = tables.quiver, tables.p
+    alpha, beta = DimVector(N.dim), DimVector(L.dim)
+    z = tables.table(alpha).info(N).representative
+    y = tables.table(beta).info(L).representative
+    big = tables.table(alpha + beta)
+    coords = [(h, i, j) for h, (s, t) in enumerate(Q.arrows) for i in range(beta[t]) for j in range(alpha[s])]
+    images = []
+    for v in range(Q.n):
+        for a, b in product(range(beta[v]), range(alpha[v])):
+            row = []
+            for h, i, j in coords:
+                s, t = Q.arrows[h]
+                x = z.matrices[h][b][j] if (t, i) == (v, a) else 0
+                x -= y.matrices[h][i][a] if (s, j) == (v, b) else 0
+                row.append(x % p)
+            images.append(row)
+    _, pivots = fpmat.rref(images, p)
+    free = [k for k in range(len(coords)) if k not in pivots]
+    shapes = _corner_shapes(Q, alpha, beta)
+    counts = {}
+    for vals in product(range(p), repeat=len(free)):
+        flat = [0] * len(coords)
+        for k, x in zip(free, vals):
+            flat[k] = x
+        M = big.iso_class_of(_assemble(Q, p, z, y, _corner_blocks(shapes, flat)))
+        counts[M] = counts.get(M, 0) + p ** len(pivots)
+    return counts, len(pivots), p ** len(free)
+
+
+def test_extension_histogram_matches_ext1_coset_count():
+    pairs = ranked = split = 0
+    for Q, nu, p in small_spaces(("a2", "a3", "kronecker"), cap=5**4):
+        tables = TableCache(Q, p)
+        for beta in _betas(nu):
+            alpha = nu - beta
+            if p ** sum(n * m for n, m in _corner_shapes(Q, alpha, beta)) > 3**4:
+                continue
+            for N in tables.table(alpha).ids():
+                for L in tables.table(beta).ids():
+                    want, rank, cosets = _ext1_coset_histogram(tables, N, L)
+                    assert extension_histogram(tables, N, L) == want, (Q, N, L, p)
+                    pairs += 1
+                    ranked += rank > 0
+                    split += rank > 0 and cosets > 1
+    # the oracle is not trivial: many fibers have coboundaries, some also
+    # several cosets
+    assert pairs > 3000 and ranked > 500 and split > 200

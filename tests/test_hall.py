@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hallq import hall
-from hallq.ffrep import derive_sub_w_counts, derive_quot_w_counts
+from hallq.ffrep import stable_subspaces
 from hallq.hall import (
     HallElement,
     HallModel,
@@ -38,6 +38,28 @@ def model(name, p) -> HallModel:
 
 def dv(*e):
     return DimVector(tuple(e))
+
+
+def derive_w_counts(tables, M, i, m, side):
+    """Sum-over-subspaces oracle: for the representative x of M, count the
+    x-stable graded subspaces full away from i and of codimension m at i
+    (side "sub"), bucketed by the class of the sub, or those of dimension
+    m*e_i (side "quot"), bucketed by the class of the quotient.
+
+    Related to the derivation histogram by orbit sizes: with G the number of
+    such subspaces at vertex i, |O_M| * w_counts[N] = G * |O_N| * histogram[(M, N)].
+    """
+    alpha = DimVector(M.dim)
+    mi = tables.quiver.unit(i).scale(m)
+    if not mi <= alpha:
+        return {}
+    x = tables.table(alpha).info(M).representative
+    rest_t = tables.table(alpha - mi)
+    out = {}
+    for gs in stable_subspaces(x, alpha - mi if side == "sub" else mi):
+        n = rest_t.class_of_index(gs.sub_index if side == "sub" else gs.quot_index)
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 def a2_classes(m):
@@ -143,6 +165,29 @@ def test_derive_sub_a2_examples():
         assert derive_sub(m, unit_class(m, s2), 0, 1).is_zero()
 
 
+@pytest.mark.parametrize("vertex", [2, 5, -1])
+def test_derivations_at_a_vertex_outside_the_quiver_raise(vertex):
+    m = model("a2", 2)
+    s1, s2, ss, pp = a2_classes(m)
+    f = unit_class(m, pp)
+    for mm in (0, 1):
+        with pytest.raises(ValueError):
+            derive_sub(m, f, vertex, mm)
+        with pytest.raises(ValueError):
+            derive_quot(m, f, vertex, mm)
+    with pytest.raises(ValueError):
+        stratified_derive_sub(m, s1, s2, vertex, 1)
+    with pytest.raises(ValueError):
+        stratified_derive_quot(m, s1, s2, vertex, 1)
+    with pytest.raises(ValueError):
+        m.simple_class(vertex)
+    # vertices inside the quiver are unchanged
+    assert derive_sub(m, f, 0, 1).coeffs() == {s2: V(1, 1)}
+    assert derive_quot(m, f, 1, 1).coeffs() == {s1: V(1, 1)}
+    assert derive_sub(m, f, 1, 0) == f
+    assert m.table(dv(1, 0)).classes[0].id == s1
+
+
 def test_derive_sub_single_vertex_fiber_count():
     # the fiber count over the fixed flag is 1; the subspace count p+1 lives
     # in the sum-over-W oracle below
@@ -169,7 +214,7 @@ def test_derive_w_count_oracle_conversion():
         n_gr = int(gaussian_binomial_q(alpha[i], alpha[i] - mm).eval_rational(p))
         fib = m.derive_sub_table(alpha, i, mm)
         for M in big_t.ids():
-            w = derive_sub_w_counts(m.tables, M, i, mm)
+            w = derive_w_counts(m.tables, M, i, mm, "sub")
             for N in sub_t.ids():
                 lhs = big_t.info(M).orbit_size * w.get(N, 0)
                 rhs = n_gr * sub_t.info(N).orbit_size * fib.get((M, N), 0)
@@ -195,7 +240,7 @@ def test_derive_quot_w_count_oracle():
         n_gr = int(gaussian_binomial_q(alpha[i], mm).eval_rational(p))
         fib = m.derive_quot_table(alpha, i, mm)
         for M in big_t.ids():
-            w = derive_quot_w_counts(m.tables, M, i, mm)
+            w = derive_w_counts(m.tables, M, i, mm, "quot")
             for N in quot_t.ids():
                 lhs = big_t.info(M).orbit_size * w.get(N, 0)
                 rhs = n_gr * quot_t.info(N).orbit_size * fib.get((M, N), 0)

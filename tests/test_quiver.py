@@ -129,3 +129,12 @@ def test_dim_vector_ops():
     assert DimVector.from_csv("1,2,0", 3) == dv(1, 2, 0)
     with pytest.raises(ValueError):
         DimVector.from_csv("1,2", 3)
+
+
+def test_unit_is_refused_outside_the_vertices():
+    assert [A2.unit(i) for i in range(2)] == [dv(1, 0), dv(0, 1)]
+    for i in (2, 5, -1, -2):
+        with pytest.raises(ValueError):
+            A2.unit(i)
+    with pytest.raises(ValueError):
+        Quiver((), ()).unit(0)
