@@ -126,6 +126,13 @@ def _parse_primes(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
+def _one_prime(cfg: RunConfig, command: str) -> int:
+    """The prime of a command that works over one field; a list is refused."""
+    if len(cfg.primes) != 1:
+        raise ValueError(f"{command} takes one prime, got {','.join(map(str, cfg.primes))}")
+    return cfg.primes[0]
+
+
 # -- classify ------------------------------------------------------------------
 
 
@@ -153,7 +160,7 @@ def _table_payload(table: ClassificationTable) -> dict:
 def cmd_classify(cfg: RunConfig, dim: DimVector, out=None) -> int:
     out = out if out is not None else sys.stdout
     Q = cfg.quiver
-    p = cfg.primes[0]
+    p = _one_prime(cfg, "classify")
     tables = cached_table_cache(Q, p, cfg.budget, cfg.use_cache)
     table = tables.table(dim)
     payload = _table_payload(table)
@@ -219,7 +226,7 @@ def cmd_op(cfg: RunConfig, op: str, operands: list[str], vertex: str | None,
            m: int, split: str | None, out=None) -> int:
     out = out if out is not None else sys.stdout
     Q = cfg.quiver
-    p = cfg.primes[0]
+    p = _one_prime(cfg, "op")
     model = HallModel(Q, p, cfg.budget, tables=cached_table_cache(Q, p, cfg.budget, cfg.use_cache))
     elems = [hall.unit_class(model, model.class_by_label(lbl)) for lbl in operands]
     if op == "mul":
@@ -278,8 +285,7 @@ def _summary_table(reports) -> str:
     return "\n".join(lines)
 
 
-def cmd_verify(cfg: RunConfig, corrupt: bool, jobs: int, skip_slow: bool,
-               maxdim: int, out=None) -> int:
+def cmd_verify(cfg: RunConfig, corrupt: bool, jobs: int, skip_slow: bool, out=None) -> int:
     out = out if out is not None else sys.stdout
     if cfg.quiver is not None:
         texts = (("user", cfg.quiver.to_text()),)
@@ -287,7 +293,7 @@ def cmd_verify(cfg: RunConfig, corrupt: bool, jobs: int, skip_slow: bool,
         texts = None
     sweep = SweepConfig(
         primes=cfg.primes,
-        maxdim=maxdim,
+        maxdim=cfg.maxdim,
         budget=cfg.budget,
         only=cfg.only,
         corrupt=corrupt,
@@ -381,8 +387,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError("op requires --quiver")
             return cmd_op(cfg, args.op, args.operands, args.vertex, args.m, args.split)
         if args.command == "verify":
-            return cmd_verify(cfg, args.corrupt_fixture, args.jobs, args.skip_slow,
-                              args.maxdim)
+            return cmd_verify(cfg, args.corrupt_fixture, args.jobs, args.skip_slow)
         raise ValueError(f"unknown command {args.command}")
     except BudgetExceededError as e:
         print(f"refused: {e}", file=sys.stderr)

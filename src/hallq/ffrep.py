@@ -12,13 +12,16 @@ representatives. All counts are exact integers.
 Every count is one of two sweeps over point indices. A restriction fiber
 (`_fiber_points`), over a fixed quotient point z and sub point y, is a base
 index made of the digits of z and y plus one digit offset per corner entry;
-the extension and derivation histograms read each fiber point's class from
-`class_of_point`, and the stratified counts decode it for the second sweep.
-That one walks the x-stable graded subspaces of a point (`stable_subspaces`)
-and sums the point indices of the induced sub and quotient representations
-while it checks stability, so a class is one `class_of_index` lookup. What
-depends only on (quiver, dim, beta, p), the per-vertex subspace lists and
-digit weights, is a `SubspaceFrame`, built once per fiber sweep.
+the extension histograms read each fiber point's class from `class_of_point`,
+and the stratified counts decode it for the second sweep. That one walks the
+x-stable graded subspaces of a point (`stable_subspaces`) and sums the point
+indices of the induced sub and quotient representations while it checks
+stability, so a class is one `class_of_index` lookup. What depends only on
+(quiver, dim, beta, p), the per-vertex subspace lists and digit weights, is a
+`SubspaceFrame`, built once per fiber sweep.
+
+A derivation sweeps nothing of its own: it is the restriction at a split with
+one part m*e_i, so its histograms are reshapes of the extension table there.
 """
 
 from __future__ import annotations
@@ -808,46 +811,20 @@ def extension_histogram(
     return {big.classes[k].id: c for k, c in counts.items()}
 
 
-# -- derivation fibers ----------------------------------------------------------
+# -- derivations as slices of restriction ---------------------------------------
 
 
-def _point_class_at(tables: TableCache, dim: DimVector) -> IsoClassId:
-    """The unique class on a one-point representation space (dims concentrated
-    at a single vertex have no arrows inside)."""
-    t = tables.table(dim)
-    if len(t) != 1:
-        raise AssertionError(f"expected a single class at dim {dim}")
-    return t.classes[0].id
+def derive_sub_histogram(extension: dict) -> dict[tuple[IsoClassId, IsoClassId], int]:
+    """(M, N) -> e^M_{point,N} from the extension table (quotient, sub) ->
+    {M: count} at the split (m*e_i, rest). The quotient slot always holds the
+    one class of the one-point space at m*e_i, so the sub slot N keys alone."""
+    return {(M, N): c for (_, N), hist in extension.items() for M, c in hist.items()}
 
 
-def _derive_histogram(
-    tables: TableCache, alpha: DimVector, i: int, m: int, side: str
-) -> dict[tuple[IsoClassId, IsoClassId], int]:
-    """Counts for the restriction with quotient part m*e_i (side "sub") or sub
-    part m*e_i ("quot"): entry (M, N) counts the fiber points over rep(N) in
-    the other part that are isomorphic to M. Empty when m exceeds alpha_i."""
-    mi = tables.quiver.unit(i).scale(m)
-    if not mi <= alpha:
-        return {}
-    point = _point_class_at(tables, mi)
-    out: dict[tuple[IsoClassId, IsoClassId], int] = {}
-    for N in tables.table(alpha - mi).ids():
-        quot, sub = (point, N) if side == "sub" else (N, point)
-        for M, c in extension_histogram(tables, quot, sub).items():
-            out[(M, N)] = c
-    return out
-
-
-def derive_sub_histogram(
-    tables: TableCache, alpha: DimVector, i: int, m: int
-) -> dict[tuple[IsoClassId, IsoClassId], int]:
-    return _derive_histogram(tables, alpha, i, m, "sub")
-
-
-def derive_quot_histogram(
-    tables: TableCache, alpha: DimVector, i: int, m: int
-) -> dict[tuple[IsoClassId, IsoClassId], int]:
-    return _derive_histogram(tables, alpha, i, m, "quot")
+def derive_quot_histogram(extension: dict) -> dict[tuple[IsoClassId, IsoClassId], int]:
+    """(M, N) -> e^M_{N,point} from the extension table at the split
+    (rest, m*e_i), keyed by the quotient slot N."""
+    return {(M, N): c for (N, _), hist in extension.items() for M, c in hist.items()}
 
 
 def _suffix_intersection_dim(basis: Matrix, lead_cols: int, p: int) -> int:
@@ -892,7 +869,8 @@ def stratified_pair_counts(
     rest = nu - mi
     a_t, b_t = tables.table(alpha), tables.table(beta)
     strata: dict[int, dict[IsoClassId, int]] = {}
-    point = tables.table(mi).info(_point_class_at(tables, mi)).representative
+    # quivers have no loops, so the space at m*e_i is one point
+    point = tables.table(mi).classes[0].representative
     rest_t = tables.table(rest)
     frame = SubspaceFrame(Q, nu, beta, p)
     codec = PointCodec(Q, nu, p)

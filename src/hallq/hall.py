@@ -136,8 +136,6 @@ class HallModel:
         self.tables = tables if tables is not None else TableCache(quiver, p, budget)
         self._filt: dict[tuple, dict] = {}
         self._ext: dict[tuple, dict] = {}
-        self._dsub: dict[tuple, dict] = {}
-        self._dquot: dict[tuple, dict] = {}
         # (alpha, beta, twist form) -> (alpha + beta, twist exponent)
         self._gradings: dict[tuple, tuple[DimVector, int]] = {}
 
@@ -173,18 +171,21 @@ class HallModel:
         return got
 
     def derive_sub_table(self, alpha: DimVector, i: int, m: int) -> dict:
-        """(M, N) -> count for derive_sub at alpha, vertex i, multiplicity m."""
-        return self._derive_table(self._dsub, ffrep.derive_sub_histogram, alpha, i, m)
+        """(M, N) -> count for derive_sub at alpha, vertex i, multiplicity m: the
+        extension table at the split (m*e_i, alpha - m*e_i) keyed by the sub
+        slot. Empty when m exceeds alpha_i."""
+        mi = self.quiver.unit(i).scale(m)
+        if not mi <= alpha:
+            return {}
+        return ffrep.derive_sub_histogram(self.extension_table(mi, alpha - mi))
 
     def derive_quot_table(self, alpha: DimVector, i: int, m: int) -> dict:
-        return self._derive_table(self._dquot, ffrep.derive_quot_histogram, alpha, i, m)
-
-    def _derive_table(self, memo: dict, histogram, alpha: DimVector, i: int, m: int) -> dict:
-        key = (alpha.entries, i, m)
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = histogram(self.tables, alpha, i, m)
-        return got
+        """(M, N) -> count for derive_quot: the extension table at the split
+        (alpha - m*e_i, m*e_i) keyed by the quotient slot."""
+        mi = self.quiver.unit(i).scale(m)
+        if not mi <= alpha:
+            return {}
+        return ffrep.derive_quot_histogram(self.extension_table(alpha - mi, mi))
 
     # -- basis helpers ------------------------------------------------------
 
@@ -275,6 +276,12 @@ def geometric_restriction(
         return TensorElement.zero(model.quiver, model.p)
     if alpha + beta != f.dim:
         raise ValueError("split does not sum to the element grading")
+    return TensorElement.make(model.quiver, model.p, split, _restriction_coeffs(model, f, alpha, beta))
+
+
+def _restriction_coeffs(model: HallModel, f: HallElement, alpha: DimVector, beta: DimVector) -> dict:
+    """(N, L) -> coefficient of u_N (x) u_L in the restriction of f at the
+    split (alpha, beta), unsorted."""
     tw = -euler_form(model.quiver, alpha, beta)
     table = model.extension_table(alpha, beta)
     acc: dict[tuple[IsoClassId, IsoClassId], dict[int, Scalar]] = {}
@@ -283,34 +290,26 @@ def geometric_restriction(
             c = hist.get(M)
             if c:
                 add_scaled(acc.setdefault(NL, {}), cf, c, tw)
-    out = {NL: LaurentPoly(d) for NL, d in acc.items()}
-    return TensorElement.make(model.quiver, model.p, (alpha, beta), out)
+    return {NL: LaurentPoly(d) for NL, d in acc.items()}
 
 
 def _derive(model: HallModel, f: HallElement, i: int, m: int, side: str) -> HallElement:
-    """f -> v^tw sum table[(M, N)] * f_M u_N over the derivation count table of
-    the side; zero (not an error) when the grading cannot drop by m*e_i."""
+    """The restriction of f at the split (m*e_i, rest) for side "sub", or
+    (rest, m*e_i) for "quot", keyed by its rest slot. The m*e_i slot holds the
+    one class of a one-point space (quivers have no loops), and the restriction
+    twist -<quotient, sub> is the derivation twist. Zero (not an error) when
+    the grading cannot drop by m*e_i."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     mi = model.quiver.unit(i).scale(m)  # raises for a vertex outside the quiver
     if f.is_zero() or m == 0:
         return f
-    alpha = f.dim
-    if not mi <= alpha:
+    if not mi <= f.dim:
         return HallElement.zero(model.quiver, model.p)
-    rest = alpha - mi
-    if side == "sub":
-        tw, table = -euler_form(model.quiver, mi, rest), model.derive_sub_table(alpha, i, m)
-    else:
-        tw, table = -euler_form(model.quiver, rest, mi), model.derive_quot_table(alpha, i, m)
-    coeffs = f.coeffs()
-    acc: dict[IsoClassId, dict[int, Scalar]] = {}
-    for (M, N), c in table.items():
-        cf = coeffs.get(M)
-        if cf is not None:
-            add_scaled(acc.setdefault(N, {}), cf, c, tw)
-    out = {N: LaurentPoly(d) for N, d in acc.items()}
-    return HallElement.make(model.quiver, model.p, rest, out)
+    rest = f.dim - mi
+    split, slot = ((mi, rest), 1) if side == "sub" else ((rest, mi), 0)
+    res = _restriction_coeffs(model, f, *split)
+    return HallElement.make(model.quiver, model.p, rest, {NL[slot]: c for NL, c in res.items()})
 
 
 def derive_sub(model: HallModel, f: HallElement, i: int, m: int) -> HallElement:

@@ -81,9 +81,6 @@ class LaurentPoly:
     def items(self) -> Iterator[tuple[int, Scalar]]:
         return iter(sorted(self._c.items()))
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._c))
-
     def __bool__(self) -> bool:
         return bool(self._c)
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# geometric_induction is not used here, but perfbench's tracer tests call it as
+# uminus.geometric_induction to check that names bound by import are traced
 from .hall import HallElement, HallModel, geometric_induction, ringel_product, unit_class, unit_element
-from .laurent import LaurentPoly, evaluate_at_sqrt_q, quantum_binomial
+from .laurent import LaurentPoly, quantum_binomial
 from .quiver import DimVector, Quiver, symmetric_form
 
 Word = tuple[int, ...]
@@ -165,23 +167,9 @@ def serre_element(i: int, j: int, Q: Quiver) -> FreeElement:
     return FreeElement.make(Q, out)
 
 
-def evaluate_to_hall(
-    x: FreeElement,
-    model: HallModel,
-    sign: int | None = None,
-    twist: str = "ringel",
-) -> HallElement | dict:
-    """Multiplicative evaluation F_i -> u_{S_i} into the Hall algebra.
-
-    With sign None the result is a formal HallElement (Laurent coefficients).
-    With sign +1 or -1 every coefficient is specialized at v = sign*sqrt(p)
-    and a plain mapping class -> SqrtQScalar is returned. The default bridge
-    is the Euler-form twist; `twist="geometric"` switches to the induction
-    twist.
-    """
-    if twist not in ("ringel", "geometric"):
-        raise ValueError("twist must be 'ringel' or 'geometric'")
-    prod = ringel_product if twist == "ringel" else geometric_induction
+def evaluate_to_hall(x: FreeElement, model: HallModel) -> HallElement:
+    """Multiplicative evaluation F_i -> u_{S_i} into the Hall algebra, bridged
+    by the Euler-form twist (`ringel_product`); coefficients stay formal."""
     Q = model.quiver
     if x.quiver != Q:
         raise ValueError("element over a different quiver")
@@ -192,16 +180,7 @@ def evaluate_to_hall(
     for w, c in x.terms:
         cur = unit_element(model)
         for letter in w:
-            cur = prod(model, cur, unit_class(model, model.simple_class(letter)))
+            cur = ringel_product(model, cur, unit_class(model, model.simple_class(letter)))
         cur = cur.scale(c)
         acc = cur if acc is None else acc + cur
-    if acc is None:
-        acc = HallElement.zero(Q, model.p)
-    if sign is None:
-        return acc
-    out: dict = {}
-    for M, c in acc.terms:
-        val = evaluate_at_sqrt_q(c, model.p, sign)
-        if val:
-            out[M] = val
-    return out
+    return acc if acc is not None else HallElement.zero(Q, model.p)

@@ -74,6 +74,21 @@ def test_op_mul_matches_known_product(cache, capsys):
     assert sorted(t["laurent"] for t in data["terms"]) == ["1*v^1", "1*v^1"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "--quiver", "a2", "--dim", "1,1"),
+    ("op", "mul", "1,0:0", "0,1:0", "--quiver", "a2"),
+])
+@pytest.mark.parametrize("primes", ["3,2", "2,2"])
+def test_single_field_commands_refuse_a_prime_list(cache, capsys, argv, primes):
+    code, out, err = run_cli(capsys, *argv, "-p", primes)
+    assert code == 2
+    assert out == ""
+    assert f"{argv[0]} takes one prime, got {primes}" in err
+    # one prime still works
+    code, out, _ = run_cli(capsys, *argv, "-p", primes[0])
+    assert code == 0 and json.loads(out)["dim"] == [1, 1]
+
+
 def test_op_dsub_m0_echoes_input(cache, capsys):
     code, out, _ = run_cli(capsys, "op", "dsub", "1,1:1", "--vertex", "1", "-m", "0",
                            "--quiver", "a2", "-p", "2")

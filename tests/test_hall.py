@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from hallq.hall import (
     unit_element,
 )
 from hallq.laurent import LaurentPoly, gaussian_binomial_q
-from hallq.quiver import DimVector, builtin_quiver, euler_form, induction_twist
+from hallq.quiver import DimVector, builtin_names, builtin_quiver, euler_form, induction_twist
 
 V = LaurentPoly.v
 
@@ -199,26 +200,58 @@ def test_derive_sub_single_vertex_fiber_count():
         assert got.coeffs() == {s1: V(-1)}
 
 
+# (alpha, i, m) cases per side in the sweep below, pinned so it cannot shrink
+WIDE_CASES = 459
+
+
+def _check_derivations_against_w_counts(side):
+    """Check the derivation table and operator of one side against the
+    subspace oracle `derive_w_counts` on every builtin quiver at p = 2, 3, for
+    m = 1, 2 and every alpha >= m*e_i with entries at most 3 and p^D <= 3^4
+    points, through |O_M| * w_count[N] = G * |O_N| * count[(M, N)], where G
+    counts the subspaces of dimension m (or codimension m) at vertex i.
+    Returns the number of (alpha, i, m) cases checked."""
+    cases = 0
+    for name in builtin_names():
+        for p in (2, 3):
+            m = model(name, p)
+            Q = m.quiver
+            for entries in itertools.product(range(4), repeat=Q.n):
+                alpha = DimVector(entries)
+                if p ** sum(alpha[s] * alpha[t] for s, t in Q.arrows) > 3**4:
+                    continue
+                for i, mm in itertools.product(range(Q.n), (1, 2)):
+                    if mm > alpha[i]:
+                        continue
+                    mi = Q.unit(i).scale(mm)
+                    rest = alpha - mi
+                    big_t, rest_t = m.table(alpha), m.table(rest)
+                    n_gr = int(gaussian_binomial_q(alpha[i], mm).eval_rational(p))
+                    if side == "sub":
+                        tw, table = -euler_form(Q, mi, rest), m.derive_sub_table(alpha, i, mm)
+                    else:
+                        tw, table = -euler_form(Q, rest, mi), m.derive_quot_table(alpha, i, mm)
+                    entries_seen = 0
+                    for M in big_t.ids():
+                        w = derive_w_counts(m.tables, M, i, mm, side)
+                        expected = {}
+                        for N in rest_t.ids():
+                            count, r = divmod(big_t.info(M).orbit_size * w.get(N, 0),
+                                              n_gr * rest_t.info(N).orbit_size)
+                            assert r == 0
+                            if count:
+                                expected[N] = count
+                        assert {N: c for (M2, N), c in table.items() if M2 == M} == expected
+                        entries_seen += len(expected)
+                        got = hall.derivation(side)(m, unit_class(m, M), i, mm)
+                        assert got.coeffs() == {N: V(tw, c) for N, c in expected.items()}
+                    assert len(table) == entries_seen
+                    cases += 1
+    return cases
+
+
 def test_derive_w_count_oracle_conversion():
-    # |O_M| * w_count[N] = (# codim-m subspaces at i) * |O_N| * fiber_count[(M,N)]
-    cases = [("a2", 2, dv(1, 1), 0, 1), ("a2", 3, dv(1, 1), 0, 1),
-             ("single", 3, dv(2), 0, 1), ("a2", 2, dv(2, 1), 0, 1),
-             ("kronecker", 2, dv(1, 1), 1, 1), ("single", 2, dv(3), 0, 2)]
-    for name, p, alpha, i, mm in cases:
-        m = model(name, p)
-        mi = m.quiver.unit(i).scale(mm)
-        if not mi <= alpha:
-            continue
-        sub_t = m.table(alpha - mi)
-        big_t = m.table(alpha)
-        n_gr = int(gaussian_binomial_q(alpha[i], alpha[i] - mm).eval_rational(p))
-        fib = m.derive_sub_table(alpha, i, mm)
-        for M in big_t.ids():
-            w = derive_w_counts(m.tables, M, i, mm, "sub")
-            for N in sub_t.ids():
-                lhs = big_t.info(M).orbit_size * w.get(N, 0)
-                rhs = n_gr * sub_t.info(N).orbit_size * fib.get((M, N), 0)
-                assert lhs == rhs
+    assert _check_derivations_against_w_counts("sub") == WIDE_CASES
 
 
 def test_derive_quot_examples():
@@ -232,19 +265,7 @@ def test_derive_quot_examples():
 
 
 def test_derive_quot_w_count_oracle():
-    for name, p, alpha, i, mm in [("a2", 3, dv(1, 1), 1, 1), ("single", 3, dv(2), 0, 1)]:
-        m = model(name, p)
-        mi = m.quiver.unit(i).scale(mm)
-        quot_t = m.table(alpha - mi)
-        big_t = m.table(alpha)
-        n_gr = int(gaussian_binomial_q(alpha[i], mm).eval_rational(p))
-        fib = m.derive_quot_table(alpha, i, mm)
-        for M in big_t.ids():
-            w = derive_w_counts(m.tables, M, i, mm, "quot")
-            for N in quot_t.ids():
-                lhs = big_t.info(M).orbit_size * w.get(N, 0)
-                rhs = n_gr * quot_t.info(N).orbit_size * fib.get((M, N), 0)
-                assert lhs == rhs
+    assert _check_derivations_against_w_counts("quot") == WIDE_CASES
 
 
 def test_restriction_factors_through_derivations():
