@@ -17,13 +17,13 @@ from pathlib import Path
 from . import hall
 from .ffrep import (
     DEFAULT_POINT_BUDGET,
-    SUPPORTED_PRIMES,
     BudgetExceededError,
     ClassificationTable,
     TableCache,
     group_order,
     quiver_hash,
 )
+from .fpmat import check_prime
 from .hall import HallModel
 from .identities import IDENTITY_FAMILIES, SweepConfig, run_suite
 from .laurent import evaluate_at_sqrt_q
@@ -47,8 +47,7 @@ class RunConfig:
         if self.maxdim <= 0:
             raise ValueError("dimension cap must be positive")
         for p in self.primes:
-            if p not in SUPPORTED_PRIMES:
-                raise ValueError(f"prime {p} not in supported set {SUPPORTED_PRIMES}")
+            check_prime(p)
         if self.only is not None:
             unknown = set(self.only) - set(IDENTITY_FAMILIES)
             if unknown:

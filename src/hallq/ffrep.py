@@ -33,10 +33,8 @@ from operator import mul
 from typing import Callable, Iterator
 
 from . import fpmat
-from .fpmat import Matrix
-from .quiver import DimVector, Quiver
-
-SUPPORTED_PRIMES = (2, 3, 5, 7, 11)
+from .fpmat import Matrix, check_prime
+from .quiver import SPLIT_SLOT, DimVector, Quiver, derivation_split
 
 # smallest primitive root mod p, used to generate GL_1 and the determinant part
 _PRIMITIVE_ROOT = {2: 1, 3: 2, 5: 2, 7: 3, 11: 2}
@@ -46,21 +44,6 @@ DEFAULT_POINT_BUDGET = 10**6
 
 class BudgetExceededError(RuntimeError):
     """Enumeration would exceed the configured point budget."""
-
-
-@dataclass(frozen=True)
-class PrimeField:
-    p: int
-
-    def __post_init__(self):
-        if self.p not in SUPPORTED_PRIMES:
-            raise ValueError(f"p must be one of {SUPPORTED_PRIMES}, got {self.p}")
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(a, self.p - 2, self.p)
 
 
 @dataclass(frozen=True)
@@ -138,7 +121,7 @@ def enumerate_points(
     Q: Quiver, dim: DimVector, p: int, budget: int = DEFAULT_POINT_BUDGET
 ) -> Iterator[Rep]:
     """Every point of E_V(F_p) exactly once, in codec order."""
-    PrimeField(p)
+    check_prime(p)
     codec = PointCodec(Q, dim, p)
     if codec.size > budget:
         raise BudgetExceededError(
@@ -313,7 +296,7 @@ class ClassificationTable:
         p = data["p"]
         if type(p) is not int:
             raise ValueError(f"p must be an int, got {p!r}")
-        PrimeField(p)
+        check_prime(p)
         dim = DimVector(tuple(_json_ints(data["dim"], Q.n, None, "dim")))
         codec = PointCodec(Q, dim, p)
         reps = []
@@ -506,7 +489,7 @@ def classify(
     Only representatives are decoded, for their fingerprints. Aut counts come
     from orbit-stabilizer (|G_V| / orbit size, exact divisibility asserted).
     """
-    PrimeField(p)
+    check_prime(p)
     codec = PointCodec(Q, dim, p)
     n_pts = codec.size
     if n_pts > budget:
@@ -563,7 +546,7 @@ class TableCache:
     def __init__(self, Q: Quiver, p: int, budget: int = DEFAULT_POINT_BUDGET,
                  loader: Callable[[DimVector], ClassificationTable | None] | None = None,
                  saver: Callable[[ClassificationTable], None] | None = None):
-        PrimeField(p)
+        check_prime(p)
         self.quiver = Q
         self.p = p
         self.budget = budget
@@ -827,18 +810,6 @@ def derive_quot_histogram(extension: dict) -> dict[tuple[IsoClassId, IsoClassId]
     return {(M, N): c for (N, _), hist in extension.items() for M, c in hist.items()}
 
 
-def _suffix_intersection_dim(basis: Matrix, lead_cols: int, p: int) -> int:
-    """dim of (row span of basis) meet (span of coordinates past lead_cols).
-
-    The intersection is the kernel of projection onto the leading columns, so
-    its dimension is rank defect of the left block.
-    """
-    if not basis:
-        return 0
-    left = [row[:lead_cols] for row in basis]
-    return len(basis) - fpmat.rank(left, p)
-
-
 def stratified_pair_counts(
     tables: TableCache,
     alpha: DimVector,
@@ -853,44 +824,38 @@ def stratified_pair_counts(
 
     Pairs (x, W) are counted where x runs over the fixed-subspace fiber of the
     derivation at the product grading, W over x-stable subspaces of dimension
-    beta with quotient in A and sub in B. Each pair lands in the stratum
-    indexed by the intersection dimension of W with the fixed subspace at
-    vertex i; strata[t][N] counts pairs over the fiber point rep(N).
+    beta with quotient in A and sub in B. The fiber lies over the points of
+    the `derivation_split` of alpha + beta: the one point at m*e_i and rep(N)
+    for each class N of the rest; strata[t][N] counts the pairs over rep(N).
 
-    side "sub" is the quotient-at-m*e_i flavor, side "quot" the mirror.
+    A pair's stratum t comes from k = dim(W_i meet the fixed sub block at
+    vertex i), the block of coordinates from split[0]_i on. W_i is held as an
+    RREF basis, so k is the number of its rows whose leading 1 lies in that
+    block: t = m - beta_i + k for side "sub" (quotient at m*e_i) and t = m - k
+    for "quot", the mirror.
     """
-    if side not in ("sub", "quot"):
-        raise ValueError("side must be 'sub' or 'quot'")
-    Q, p = tables.quiver, tables.p
-    nu = alpha + beta
-    mi = Q.unit(i).scale(m)
-    if not mi <= nu:
+    split = derivation_split(tables.quiver, alpha + beta, i, m, side)
+    if split is None:
         return {}
-    rest = nu - mi
+    Q, p = tables.quiver, tables.p
+    slot = SPLIT_SLOT[side]
     a_t, b_t = tables.table(alpha), tables.table(beta)
-    strata: dict[int, dict[IsoClassId, int]] = {}
     # quivers have no loops, so the space at m*e_i is one point
-    point = tables.table(mi).classes[0].representative
-    rest_t = tables.table(rest)
-    frame = SubspaceFrame(Q, nu, beta, p)
-    codec = PointCodec(Q, nu, p)
-    # the stratum of W depends only on its basis at vertex i
-    stratum_of: dict[Matrix, int] = {}
+    point = tables.table(split[1 - slot]).classes[0].representative
+    rest_t = tables.table(split[slot])
+    frame = SubspaceFrame(Q, alpha + beta, beta, p)
+    codec = PointCodec(Q, alpha + beta, p)
+    cut = split[0][i]
+    strata: dict[int, dict[IsoClassId, int]] = {}
     for N in rest_t.ids():
-        z = rest_t.info(N).representative
-        quot, sub = (point, z) if side == "sub" else (z, point)
-        for idx in _fiber_points(codec, quot, sub):
+        ends = [point, point]  # the (quotient, sub) points the fiber lies over
+        ends[slot] = rest_t.info(N).representative
+        for idx in _fiber_points(codec, *ends):
             for gs in stable_subspaces(codec.decode(idx), beta, frame):
                 if a_t.class_of_index(gs.quot_index) != A or b_t.class_of_index(gs.sub_index) != B:
                     continue
-                basis = gs.bases[i]
-                t = stratum_of.get(basis)
-                if t is None:
-                    if side == "sub":
-                        t = m - beta[i] + _suffix_intersection_dim(basis, m, p)
-                    else:
-                        t = m - _suffix_intersection_dim(basis, nu[i] - m, p)
-                    stratum_of[basis] = t
-                strata.setdefault(t, {})
-                strata[t][N] = strata[t].get(N, 0) + 1
+                k = sum(row.index(1) >= cut for row in gs.bases[i])
+                t = m - beta[i] + k if side == "sub" else m - k
+                per_class = strata.setdefault(t, {})
+                per_class[N] = per_class.get(N, 0) + 1
     return strata

@@ -12,6 +12,15 @@ from typing import Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
 
+# the primes p for which F_p is supported, everywhere in the package
+SUPPORTED_PRIMES = (2, 3, 5, 7, 11)
+
+
+def check_prime(p: int) -> None:
+    """ValueError unless p is one of `SUPPORTED_PRIMES`."""
+    if p not in SUPPORTED_PRIMES:
+        raise ValueError(f"p must be one of {SUPPORTED_PRIMES}, got {p}")
+
 
 def zeros(rows: int, cols: int) -> Matrix:
     return tuple((0,) * cols for _ in range(rows))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import ffrep
 from .ffrep import ClassificationTable, IsoClassId, TableCache
 from .laurent import LaurentPoly, Scalar, add_scaled, gaussian_binomial_q, quantum_binomial
-from .quiver import DimVector, Quiver, euler_form, induction_twist
+from .quiver import SPLIT_SLOT, DimVector, Quiver, derivation_split, euler_form, induction_twist
 
 
 def _as_poly(x) -> LaurentPoly:
@@ -172,20 +172,16 @@ class HallModel:
 
     def derive_sub_table(self, alpha: DimVector, i: int, m: int) -> dict:
         """(M, N) -> count for derive_sub at alpha, vertex i, multiplicity m: the
-        extension table at the split (m*e_i, alpha - m*e_i) keyed by the sub
-        slot. Empty when m exceeds alpha_i."""
-        mi = self.quiver.unit(i).scale(m)
-        if not mi <= alpha:
-            return {}
-        return ffrep.derive_sub_histogram(self.extension_table(mi, alpha - mi))
+        extension table at its derivation split keyed by the sub slot. Empty
+        when m exceeds alpha_i."""
+        split = derivation_split(self.quiver, alpha, i, m, "sub")
+        return {} if split is None else ffrep.derive_sub_histogram(self.extension_table(*split))
 
     def derive_quot_table(self, alpha: DimVector, i: int, m: int) -> dict:
-        """(M, N) -> count for derive_quot: the extension table at the split
-        (alpha - m*e_i, m*e_i) keyed by the quotient slot."""
-        mi = self.quiver.unit(i).scale(m)
-        if not mi <= alpha:
-            return {}
-        return ffrep.derive_quot_histogram(self.extension_table(alpha - mi, mi))
+        """(M, N) -> count for derive_quot: the extension table at its
+        derivation split keyed by the quotient slot."""
+        split = derivation_split(self.quiver, alpha, i, m, "quot")
+        return {} if split is None else ffrep.derive_quot_histogram(self.extension_table(*split))
 
     # -- basis helpers ------------------------------------------------------
 
@@ -294,22 +290,20 @@ def _restriction_coeffs(model: HallModel, f: HallElement, alpha: DimVector, beta
 
 
 def _derive(model: HallModel, f: HallElement, i: int, m: int, side: str) -> HallElement:
-    """The restriction of f at the split (m*e_i, rest) for side "sub", or
-    (rest, m*e_i) for "quot", keyed by its rest slot. The m*e_i slot holds the
-    one class of a one-point space (quivers have no loops), and the restriction
-    twist -<quotient, sub> is the derivation twist. Zero (not an error) when
-    the grading cannot drop by m*e_i."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    mi = model.quiver.unit(i).scale(m)  # raises for a vertex outside the quiver
+    """The restriction of f at its `derivation_split`, keyed by the rest slot.
+    The m*e_i slot holds the one class of a one-point space (quivers have no
+    loops), and the restriction twist -<quotient, sub> is the derivation
+    twist. Zero (not an error) when the grading cannot drop by m*e_i."""
+    Q = model.quiver
+    # validates m and the vertex, also for a zero f
+    split = derivation_split(Q, Q.zero_dim() if f.dim is None else f.dim, i, m, side)
     if f.is_zero() or m == 0:
         return f
-    if not mi <= f.dim:
-        return HallElement.zero(model.quiver, model.p)
-    rest = f.dim - mi
-    split, slot = ((mi, rest), 1) if side == "sub" else ((rest, mi), 0)
+    if split is None:
+        return HallElement.zero(Q, model.p)
+    slot = SPLIT_SLOT[side]
     res = _restriction_coeffs(model, f, *split)
-    return HallElement.make(model.quiver, model.p, rest, {NL[slot]: c for NL, c in res.items()})
+    return HallElement.make(Q, model.p, split[slot], {NL[slot]: c for NL, c in res.items()})
 
 
 def derive_sub(model: HallModel, f: HallElement, i: int, m: int) -> HallElement:
@@ -331,15 +325,11 @@ def derivation(side: str):
 def _stratified(model: HallModel, A: IsoClassId, B: IsoClassId, i: int, m: int, side: str) -> dict[int, HallElement]:
     Q = model.quiver
     alpha, beta = DimVector(A.dim), DimVector(B.dim)
-    nu = alpha + beta
-    mi = Q.unit(i).scale(m)
-    if not mi <= nu:
+    split = derivation_split(Q, alpha + beta, i, m, side)
+    if split is None:
         return {}
-    rest = nu - mi
-    if side == "sub":
-        exp = induction_twist(Q, alpha, beta) - euler_form(Q, mi, rest)
-    else:
-        exp = induction_twist(Q, alpha, beta) - euler_form(Q, rest, mi)
+    rest = split[SPLIT_SLOT[side]]
+    exp = induction_twist(Q, alpha, beta) - euler_form(Q, *split)
     counts = ffrep.stratified_pair_counts(model.tables, alpha, beta, A, B, i, m, side)
     out = {}
     for t, per_class in counts.items():

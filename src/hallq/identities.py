@@ -824,6 +824,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        if len(set(self.primes)) != len(self.primes):
+            raise ValueError(f"primes must not repeat, got {self.primes}")
         self.jobs = min(self.jobs, os.cpu_count() or 1)
 
 

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
 
-Scalar = Union[int, Fraction]
+from .fpmat import check_prime
 
-_SUPPORTED_PRIMES = (2, 3, 5, 7, 11)
+Scalar = Union[int, Fraction]
 
 
 class ExactDivisionError(ArithmeticError):
@@ -145,18 +145,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers of a general Laurent polynomial")
-        out = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
         if o is None:
@@ -255,10 +243,6 @@ class LaurentPoly:
         return f"LaurentPoly({self.render()})"
 
 
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.one()
-
-
 def add_scaled(acc: dict[int, Scalar], f: LaurentPoly, scale: Scalar = 1, shift: int = 0) -> None:
     """acc += scale * v^shift * f, on a plain exponent -> coefficient dict.
 
@@ -340,11 +324,6 @@ def bar_involution(f: LaurentPoly) -> LaurentPoly:
 # -- specialization ring Q[sqrt(q)] ------------------------------------------
 
 
-def _check_prime(q: int) -> None:
-    if q not in _SUPPORTED_PRIMES:
-        raise ValueError(f"q must be a prime in {_SUPPORTED_PRIMES}, got {q}")
-
-
 @dataclass(frozen=True)
 class SqrtQScalar:
     """Element even + odd*sqrt(q) of Q[sqrt(q)], with exact rational parts."""
@@ -355,7 +334,7 @@ class SqrtQScalar:
 
     @staticmethod
     def of(even: Scalar, odd: Scalar, q: int) -> "SqrtQScalar":
-        _check_prime(q)
+        check_prime(q)
         return SqrtQScalar(_frac(even), _frac(odd), q)
 
     @staticmethod
@@ -417,7 +396,7 @@ def evaluate_at_sqrt_q(f: LaurentPoly, q: int, sign: int) -> SqrtQScalar:
     over the common denominator q^k0, so integer coefficients stay integers
     until the one division at the end.
     """
-    _check_prime(q)
+    check_prime(q)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     c = f._c

@@ -221,6 +221,31 @@ def stratum_data(
     return lo, hi, strata
 
 
+# the slot of a (quotient, sub) split that holds the rest of a derivation:
+# derive_sub puts the quotient at m*e_i and keeps the sub, derive_quot the mirror
+SPLIT_SLOT = {"quot": 0, "sub": 1}
+
+
+def derivation_split(
+    Q: Quiver, dim: DimVector, i: int, m: int, side: str
+) -> tuple[DimVector, DimVector] | None:
+    """The (quotient, sub) split at which a derivation of side "sub" or "quot"
+    restricts: (m*e_i, dim - m*e_i) for "sub", (dim - m*e_i, m*e_i) for
+    "quot", so the rest sits at `SPLIT_SLOT[side]`. The restriction twist
+    -<quotient, sub> is the derivation twist. None when dim cannot drop by
+    m*e_i."""
+    if side not in SPLIT_SLOT:
+        raise ValueError("side must be 'sub' or 'quot'")
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    mi = Q.unit(i).scale(m)
+    if not mi <= dim:
+        return None
+    split = [mi, mi]
+    split[SPLIT_SLOT[side]] = dim - mi
+    return split[0], split[1]
+
+
 # -- built-in quivers used by the verification sweep --------------------------
 
 _BUILTIN = {

@@ -343,3 +343,11 @@ def test_verify_jobs_below_one_exits_two(cache, capsys, jobs):
     assert code == 2
     assert "jobs" in err
     assert out == ""
+
+
+def test_verify_refuses_a_repeated_prime(cache, capsys):
+    # a repeated prime would run every check once per copy
+    code, out, err = run_cli(capsys, "verify", "--only", "serre_generators", "--quiver", "a2",
+                             "-p", "2,2", "--format", "json")
+    assert code == 2
+    assert out == "" and "primes must not repeat" in err

@@ -5,6 +5,7 @@ import pytest
 
 from hallq import fpmat
 from hallq.ffrep import (
+    _PRIMITIVE_ROOT,
     DEFAULT_POINT_BUDGET,
     BudgetExceededError,
     ClassificationTable,
@@ -507,6 +508,17 @@ def test_class_count_is_kostant_partition_function():
         name = next(n for n in DYNKIN_ROOTS if builtin_quiver(n) == Q)
         assert len(classify(Q, dim, p)) == kostant_partition(DYNKIN_ROOTS[name], dim.entries), (
             name, dim, p)
+
+
+def test_primitive_roots_cover_exactly_the_supported_primes():
+    assert tuple(_PRIMITIVE_ROOT) == fpmat.SUPPORTED_PRIMES
+    for p, g in _PRIMITIVE_ROOT.items():
+        assert len({pow(g, k, p) for k in range(p - 1)}) == p - 1
+    for bad in (1, 4, 13):
+        with pytest.raises(ValueError):
+            fpmat.check_prime(bad)
+        with pytest.raises(ValueError):
+            TableCache(A2, bad)
 
 
 def test_classify_default_budget_refuses_before_allocating():

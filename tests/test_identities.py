@@ -233,6 +233,12 @@ def test_suite_corrupt_mode_fails():
     assert any(r.status == "fail" and r.witness for r in reports)
 
 
+@pytest.mark.parametrize("primes", [(2, 2), (2, 3, 2)])
+def test_sweep_config_refuses_a_repeated_prime(primes):
+    with pytest.raises(ValueError, match="repeat"):
+        SweepConfig(quivers=("a2",), primes=primes, maxdim=2, only=("serre_generators",))
+
+
 def test_jobs_parallel_matches_serial():
     cfg = SweepConfig(quivers=("a2",), primes=(2,), maxdim=2,
                       only=("serre_generators",))

@@ -6,6 +6,7 @@ from hallq.quiver import (
     DimVector,
     Quiver,
     builtin_quiver,
+    derivation_split,
     euler_form,
     induction_twist,
     stratum_data,
@@ -103,6 +104,32 @@ def test_stratum_data_empty_range():
     lo, hi, strata = stratum_data(A2, dv(1, 0), dv(0, 0), 1, 1)
     assert (lo, hi) == (1, 0)
     assert strata == []
+
+
+def test_derivation_split_orders_the_rest_by_side():
+    a3 = builtin_quiver("a3")
+    nu = dv(2, 1, 3)
+    assert derivation_split(a3, nu, 0, 1, "sub") == (dv(1, 0, 0), dv(1, 1, 3))
+    assert derivation_split(a3, nu, 0, 1, "quot") == (dv(1, 1, 3), dv(1, 0, 0))
+    assert derivation_split(a3, nu, 2, 3, "sub") == (dv(0, 0, 3), dv(2, 1, 0))
+    assert derivation_split(a3, nu, 2, 3, "quot") == (dv(2, 1, 0), dv(0, 0, 3))
+    # m = 0 splits off nothing
+    assert derivation_split(a3, nu, 1, 0, "sub") == (dv(0, 0, 0), nu)
+    assert derivation_split(a3, nu, 1, 0, "quot") == (nu, dv(0, 0, 0))
+    # None when the grading cannot drop by m*e_i
+    for side in ("sub", "quot"):
+        assert derivation_split(a3, nu, 1, 2, side) is None
+        assert derivation_split(A2, dv(0, 0), 0, 1, side) is None
+    for bad_side in ("", "left", "SUB", None):
+        with pytest.raises(ValueError):
+            derivation_split(a3, nu, 0, 1, bad_side)
+    for vertex in (3, 7, -1):
+        for side in ("sub", "quot"):
+            for m in (0, 1):
+                with pytest.raises(ValueError):
+                    derivation_split(a3, nu, vertex, m, side)
+    with pytest.raises(ValueError):
+        derivation_split(a3, nu, 0, -1, "sub")
 
 
 def test_stratum_membership_bounds():
