@@ -326,18 +326,21 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--quiver", help="quiver file path or builtin name")
         sp.add_argument("-p", "--primes", default="2", help="prime or comma list")
-        sp.add_argument("--sign", choices=["+", "-", "auto"], default="auto")
         sp.add_argument("--budget", type=int, default=DEFAULT_POINT_BUDGET)
         sp.add_argument("--format", dest="fmt", choices=["json", "csv", "pretty"],
                         default="json")
-        sp.add_argument("--no-cache", action="store_true")
 
+    # classify and op read classification tables through the on-disk cache
     c = sub.add_parser("classify", help="classify E_V(F_p) into isomorphism classes")
     common(c)
+    c.add_argument("--no-cache", action="store_true")
     c.add_argument("--dim", required=True, help="dimension vector, comma list")
 
     o = sub.add_parser("op", help="apply a Hall operator to basis classes")
     common(o)
+    o.add_argument("--no-cache", action="store_true")
+    o.add_argument("--sign", choices=["+", "-", "auto"], default="auto",
+                   help="specialize scalars at v = +-sqrt(p); auto keeps them formal")
     o.add_argument("op", choices=["mul", "res", "dsub", "dquot", "pair"])
     o.add_argument("operands", nargs="+", help="class names dim:index")
     o.add_argument("--vertex", help="vertex name or index for derivations")
@@ -369,12 +372,12 @@ def main(argv: list[str] | None = None) -> int:
         cfg = RunConfig(
             quiver=quiver,
             primes=_parse_primes(args.primes),
-            sign=args.sign,
+            sign=getattr(args, "sign", "auto"),
             budget=args.budget,
             maxdim=getattr(args, "maxdim", 4),
             fmt=args.fmt,
             only=only,
-            use_cache=not args.no_cache,
+            use_cache=not getattr(args, "no_cache", False),
         )
         if args.command == "classify":
             if cfg.quiver is None:

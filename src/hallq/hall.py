@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import ffrep
 from .ffrep import ClassificationTable, IsoClassId, TableCache
-from .laurent import LaurentPoly, Scalar, add_scaled, gaussian_binomial_q, quantum_binomial
+from .laurent import LaurentPoly, Scalar, add_scaled
 from .quiver import SPLIT_SLOT, DimVector, Quiver, derivation_split, euler_form, induction_twist
 
 
@@ -363,33 +363,6 @@ def pairing(model: HallModel, f: HallElement, g: HallElement) -> LaurentPoly:
         if cg:
             add_scaled(acc, cf * cg, Fraction(1, t.info(M).aut_count))
     return LaurentPoly(acc)
-
-
-def divided_power_class_relation(model: HallModel, i: int, t: int, s: int) -> dict:
-    """Compare L_{t i} * L_{s i} with the Gaussian binomial multiple of L_{(t+s)i}.
-
-    Returns the computed product coefficient, the quantum binomial, and their
-    formal ratio data; the ratio against the binomial is not a monomial in v
-    until specialization, so both pieces are reported for the identity suite
-    to pin the bridging monomial per convention.
-    """
-    m = t + s
-    prod = geometric_induction(model, constant_class(model, i, t), constant_class(model, i, s))
-    cid = model.table(model.quiver.unit(i).scale(m)).classes[0].id
-    coeff = prod.coeffs().get(cid, LaurentPoly.zero())
-    expected = quantum_binomial(m, t)
-    gauss = gaussian_binomial_q(m, t).eval_rational(model.p)
-    return {
-        "i": i,
-        "t": t,
-        "s": s,
-        "product_coeff": coeff,
-        "binomial": expected,
-        "gauss_count": gauss,
-        "twist_exponent": induction_twist(
-            model.quiver, model.quiver.unit(i).scale(t), model.quiver.unit(i).scale(s)
-        ),
-    }
 
 
 # -- serialization -------------------------------------------------------------

@@ -140,6 +140,14 @@ _COUNT = object()
 _CHECKED = {"checked": _COUNT}
 
 
+def _failure(model: HallModel, left: dict, right: dict, witness: dict,
+             names: tuple[str, str] = ("lhs", "rhs"), details: dict = _CHECKED) -> tuple:
+    """The (witness, details) of a failing comparison of two specialized
+    sides: `witness` with the sides rendered under `names`."""
+    return {**witness, names[0]: _render_spec(model, left),
+            names[1]: _render_spec(model, right)}, details
+
+
 def _check(identity: str, params: dict, convention: str | None, comparisons,
            status: str = "pass") -> Report:
     """Run one check and report it.
@@ -342,11 +350,8 @@ def verify_green_compatibility(
             for B in model.table(beta).ids():
                 lhs, rhs = green_both_sides(model, A, B, alpha_p, beta_p, corrupt)
                 sl, sr = spec_hall(lhs, p, convention), spec_hall(rhs, p, convention)
-                yield None if sl == sr else ({
-                    "pair": _labels(model, A, B),
-                    "lhs": _render_spec(model, sl),
-                    "rhs": _render_spec(model, sr),
-                }, _CHECKED)
+                yield None if sl == sr else _failure(model, sl, sr,
+                                                     {"pair": _labels(model, A, B)})
 
     return _check("green", params, convention.label, comparisons())
 
@@ -398,12 +403,8 @@ def verify_derivation_product_rule(
                                  for t, scalar, piece in terms]
                     sr = _sum_specs(_spec_term(scalar, piece, p, convention)
                                     for _, scalar, piece in terms)
-                    yield None if sl == sr else ({
-                        "side": side,
-                        "pair": _labels(model, A, B),
-                        "lhs": _render_spec(model, sl),
-                        "rhs": _render_spec(model, sr),
-                    }, _CHECKED)
+                    yield None if sl == sr else _failure(
+                        model, sl, sr, {"side": side, "pair": _labels(model, A, B)})
 
     return _check("derivation_product_rule", params, convention.label, comparisons())
 
@@ -450,12 +451,10 @@ def verify_stratification(
                         expected = _spec_term(scalar, piece, p, convention)
                         got = strata.get(t)
                         sl = spec_hall(got, p, convention) if got is not None else {}
-                        yield None if sl == expected else ({
-                            "side": side, "t": t,
-                            "pair": _labels(model, A, B),
-                            "stratum": _render_spec(model, sl),
-                            "expected": _render_spec(model, expected),
-                        }, _CHECKED)
+                        yield None if sl == expected else _failure(
+                            model, sl, expected,
+                            {"side": side, "t": t, "pair": _labels(model, A, B)},
+                            ("stratum", "expected"))
 
     return _check("stratification", params, convention.label, comparisons())
 
@@ -494,8 +493,7 @@ def verify_serre_generators(
     def comparisons():
         odd, even = serre_generator_sides(model, i, j, corrupt)
         so, se = spec_hall(odd, p, convention), spec_hall(even, p, convention)
-        yield None if so == se else (
-            {"odd": _render_spec(model, so), "even": _render_spec(model, se)}, {})
+        yield None if so == se else _failure(model, so, se, {}, ("odd", "even"), {})
         return {"terms": 2 + 1 - symmetric_form(Q, Q.unit(i), Q.unit(j))}
 
     return _check("serre_generators", params, convention.label, comparisons())
@@ -544,12 +542,9 @@ def verify_serre_derivations(
                 chains = [_divided_eps_chain(model, f, i, j, m, n_top - m, convention, flavor)
                           for m in range(n_top + 1)]
                 odd, even = _sum_specs(chains[1::2]), _sum_specs(chains[0::2])
-                yield None if odd == even else ({
-                    "flavor": flavor,
-                    "class": model.table(testdim).label(M),
-                    "odd": _render_spec(model, odd),
-                    "even": _render_spec(model, even),
-                }, _CHECKED)
+                yield None if odd == even else _failure(
+                    model, odd, even,
+                    {"flavor": flavor, "class": model.table(testdim).label(M)}, ("odd", "even"))
 
     return _check("serre_derivations", params, convention.label, comparisons())
 
@@ -694,13 +689,6 @@ def verify_operator_relations(
               "maxother": maxother}
     exp = LaurentPoly.v(-symmetric_form(Q, alpha, Q.unit(i)))
 
-    def differ(item, A, B, lhs, rhs):
-        sl, sr = spec_hall(lhs, p, convention), spec_hall(rhs, p, convention)
-        return None if sl == sr else ({
-            "item": item, "pair": _labels(model, A, B),
-            "lhs": _render_spec(model, sl), "rhs": _render_spec(model, sr),
-        }, {})
-
     def comparisons():
         ind = hall.geometric_induction
         for A in model.table(alpha).ids():
@@ -719,11 +707,17 @@ def verify_operator_relations(
                     # (3) left derivation against left multiplication
                     lhs = hall.derive_sub(model, ind(model, fa, fb), i, 1)
                     rhs = ind(model, fa, hall.derive_sub(model, fb, i, 1)).scale(exp)
-                    yield differ(3, A, B, lhs, rhs + ind(model, dsub_a, fb))
+                    sl = spec_hall(lhs, p, convention)
+                    sr = spec_hall(rhs + ind(model, dsub_a, fb), p, convention)
+                    yield None if sl == sr else _failure(
+                        model, sl, sr, {"item": 3, "pair": _labels(model, A, B)}, details={})
                     # (4) right derivation against right multiplication
                     lhs = hall.derive_quot(model, ind(model, fb, fa), i, 1)
                     rhs = ind(model, hall.derive_quot(model, fb, i, 1), fa).scale(exp)
-                    yield differ(4, A, B, lhs, rhs + ind(model, fb, dquot_a))
+                    sl = spec_hall(lhs, p, convention)
+                    sr = spec_hall(rhs + ind(model, fb, dquot_a), p, convention)
+                    yield None if sl == sr else _failure(
+                        model, sl, sr, {"item": 4, "pair": _labels(model, A, B)}, details={})
         return {**_CHECKED, "item2": "delegated to serre_derivations"}
 
     return _check("operator_relations", params, convention.label, comparisons())
@@ -770,6 +764,19 @@ _PROBES = (
 )
 
 
+_MODEL_POOL: dict[tuple, HallModel] = {}
+
+
+def _pooled_model(text: str, p: int, budget: int = DEFAULT_POINT_BUDGET) -> HallModel:
+    """The one model of a (quiver text, p, budget) in this process, shared by
+    the probes, the suite's jobs and the polynomiality harness."""
+    key = (text, p, budget)
+    m = _MODEL_POOL.get(key)
+    if m is None:
+        m = _MODEL_POOL[key] = HallModel(Quiver.from_text(text), p, budget)
+    return m
+
+
 def pin_convention_table(primes: tuple[int, ...] = (2, 3)) -> dict:
     """Empirically determine which conventions validate each identity family.
 
@@ -778,19 +785,12 @@ def pin_convention_table(primes: tuple[int, ...] = (2, 3)) -> dict:
     validates at every prime. Associativity is convention-free (formal).
     """
     table: dict = {"associativity": {"pinned": "formal", "validating": {}, "consistent": True}}
-    # one model per (quiver, p), shared by every probe and convention of this call
-    models: dict[tuple[str, int], HallModel] = {}
-
-    def model(qname: str, p: int) -> HallModel:
-        if (qname, p) not in models:
-            models[qname, p] = HallModel(builtin_quiver(qname), p)
-        return models[qname, p]
-
     for family in sorted({f for f, _, _ in _PROBES}):
-        probes = [(qname, check) for f, qname, check in _PROBES if f == family]
+        probes = [(builtin_quiver(qname).to_text(), check)
+                  for f, qname, check in _PROBES if f == family]
         per_prime = {
             p: [c.label for c in CONVENTIONS
-                if all(check(model(qname, p), c).passed for qname, check in probes)]
+                if all(check(_pooled_model(text, p), c).passed for text, check in probes)]
             for p in primes
         }
         common = set.intersection(*(set(v) for v in per_prime.values()))
@@ -824,34 +824,14 @@ class SweepConfig:
     def __post_init__(self):
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        if not self.primes:
+            raise ValueError("primes must not be empty")
         if len(set(self.primes)) != len(self.primes):
             raise ValueError(f"primes must not repeat, got {self.primes}")
         self.jobs = min(self.jobs, os.cpu_count() or 1)
 
 
-IDENTITY_FAMILIES = (
-    "associativity",
-    "green",
-    "derivation_product_rule",
-    "stratification",
-    "serre_generators",
-    "serre_derivations",
-    "pairing_adjunction",
-    "operator_relations",
-    "uminus_serre",
-    "polynomiality",
-)
-
-_MODEL_POOL: dict[tuple, HallModel] = {}
-
-
-def _pooled_model(text: str, p: int, budget: int) -> HallModel:
-    key = (text, p, budget)
-    m = _MODEL_POOL.get(key)
-    if m is None:
-        m = HallModel(Quiver.from_text(text), p, budget)
-        _MODEL_POOL[key] = m
-    return m
+IDENTITY_FAMILIES = (*DEFAULT_PINS, "polynomiality")
 
 
 def verify_green_sweep(model: HallModel, nu: DimVector, convention: Convention,
@@ -958,101 +938,73 @@ def experiment_reports(primes: tuple[int, ...]) -> list[Report]:
 
 
 def _suite_specs(config: SweepConfig) -> list[tuple]:
-    """Declarative job list; each entry is (family, quiver_name, quiver_text, p, kwargs)."""
+    """Declarative job list; each entry is (family, check name, quiver text, p,
+    the check's keyword arguments). Polynomiality is one job on no quiver,
+    its check a function of `polyfit`."""
     if config.quiver_texts is not None:
-        quivers = list(config.quiver_texts)
+        texts = [text for _, text in config.quiver_texts]
     else:
-        quivers = [(n, builtin_quiver(n).to_text()) for n in config.quivers]
+        texts = [builtin_quiver(n).to_text() for n in config.quivers]
+    corrupt = {"corrupt": config.corrupt}
     specs: list[tuple] = []
-    for name, text in quivers:
+    for text in texts:
         Q = Quiver.from_text(text)
         md = config.single_maxdim if Q.n == 1 else config.maxdim
+        strat_cap = min(md, 3) if len(Q.arrows) > 1 else md
         for p in config.primes:
-            specs.append(("associativity", name, text, p, {"maxdim": md}))
-            for total in range(1, md + 1):
-                for nu in _dims_up_to(Q, total):
-                    if nu.total == total:
-                        specs.append(("green", name, text, p, {"nu": nu.entries}))
+            jobs = [("associativity", "verify_associativity", {"maxdim": md, **corrupt})]
+            jobs += [("green", "verify_green_sweep", {"nu": nu, **corrupt})
+                     for total in range(1, md + 1)
+                     for nu in _dims_up_to(Q, total) if nu.total == total]
             for i in range(Q.n):
                 for m in (1, 2):
-                    specs.append(("derivation_product_rule", name, text, p,
-                                  {"i": i, "m": m, "maxtotal": md}))
-                    strat_cap = min(md, 3) if len(Q.arrows) > 1 else md
-                    specs.append(("stratification", name, text, p,
-                                  {"i": i, "m": m, "maxtotal": strat_cap}))
-                specs.append(("operator_relations", name, text, p,
-                              {"i": i, "alpha": Q.unit(i).entries, "maxother": 2}))
-                for m in (1, 2):
-                    specs.append(("pairing_adjunction", name, text, p,
-                                  {"i": i, "m": m, "alpha": Q.unit((i + 1) % Q.n).entries}))
+                    jobs.append(("derivation_product_rule", "verify_rule_sweep",
+                                 {"i": i, "m": m, "maxtotal": md, **corrupt}))
+                    jobs.append(("stratification", "verify_stratification_sweep",
+                                 {"i": i, "m": m, "maxtotal": strat_cap}))
+                jobs.append(("operator_relations", "verify_operator_relations",
+                             {"i": i, "alpha": Q.unit(i), "maxother": 2}))
+                jobs += [("pairing_adjunction", "verify_pairing_adjunction",
+                          {"i": i, "m": m, "alpha": Q.unit((i + 1) % Q.n)}) for m in (1, 2)]
             if Q.n >= 2:
-                specs.append(("pairing_general", name, text, p,
-                              {"alpha": Q.unit(0).entries, "beta": Q.unit(1).entries}))
-                for i in range(Q.n):
-                    for j in range(Q.n):
-                        if i == j:
-                            continue
-                        specs.append(("serre_generators", name, text, p, {"i": i, "j": j}))
-                        n_top = 1 - symmetric_form(Q, Q.unit(i), Q.unit(j))
-                        testdim = Q.unit(i).scale(n_top) + Q.unit(j)
-                        specs.append(("serre_derivations", name, text, p,
-                                      {"i": i, "j": j, "testdim": testdim.entries}))
-                        specs.append(("uminus_serre", name, text, p, {"i": i, "j": j}))
-    specs.append(("polynomiality", None, None, None, {"full": not config.skip_slow,
-                                                      "budget": config.budget}))
+                jobs.append(("pairing_adjunction", "verify_pairing_general",
+                             {"alpha": Q.unit(0), "beta": Q.unit(1)}))
+                for i, j in product(range(Q.n), repeat=2):
+                    if i == j:
+                        continue
+                    n_top = 1 - symmetric_form(Q, Q.unit(i), Q.unit(j))
+                    jobs += [
+                        ("serre_generators", "verify_serre_generators",
+                         {"i": i, "j": j, **corrupt}),
+                        ("serre_derivations", "verify_serre_derivations",
+                         {"i": i, "j": j, "testdim": Q.unit(i).scale(n_top) + Q.unit(j)}),
+                        ("uminus_serre", "verify_uminus_serre", {"i": i, "j": j}),
+                    ]
+            specs += [(family, check, text, p, kw) for family, check, kw in jobs]
+    specs.append(("polynomiality", "verify_polynomiality", None, None,
+                  {"full": not config.skip_slow, "budget": config.budget}))
     if config.only is not None:
-        keep = set(config.only)
-        specs = [s for s in specs if _family_of(s[0]) in keep]
+        specs = [s for s in specs if s[0] in config.only]
     return specs
 
 
-def _family_of(kind: str) -> str:
-    return "pairing_adjunction" if kind == "pairing_general" else kind
+def run_spec(spec: tuple, budget: int, pins: dict) -> list[Report]:
+    """Run one job of `_suite_specs` on the pooled model of its space. The
+    check is looked up by name when the job runs, so a re-bound check is the
+    one that runs."""
+    family, check, text, p, kw = spec
+    if family == "polynomiality":
+        from . import polyfit
 
-
-# job kind -> (model, convention, corrupt, kwargs) -> Report; the checks are
-# looked up when a job runs
-_JOBS = {
-    "associativity": lambda model, conv, corrupt, kw: verify_associativity(
-        model, kw["maxdim"], corrupt=corrupt),
-    "green": lambda model, conv, corrupt, kw: verify_green_sweep(
-        model, DimVector(kw["nu"]), conv, corrupt=corrupt),
-    "derivation_product_rule": lambda model, conv, corrupt, kw: verify_rule_sweep(
-        model, kw["i"], kw["m"], kw["maxtotal"], conv, corrupt=corrupt),
-    "stratification": lambda model, conv, corrupt, kw: verify_stratification_sweep(
-        model, kw["i"], kw["m"], kw["maxtotal"], conv),
-    "serre_generators": lambda model, conv, corrupt, kw: verify_serre_generators(
-        model, kw["i"], kw["j"], conv, corrupt=corrupt),
-    "serre_derivations": lambda model, conv, corrupt, kw: verify_serre_derivations(
-        model, kw["i"], kw["j"], DimVector(kw["testdim"]), conv),
-    "pairing_adjunction": lambda model, conv, corrupt, kw: verify_pairing_adjunction(
-        model, kw["i"], kw["m"], DimVector(kw["alpha"]), conv),
-    "pairing_general": lambda model, conv, corrupt, kw: verify_pairing_general(
-        model, DimVector(kw["alpha"]), DimVector(kw["beta"]), conv),
-    "operator_relations": lambda model, conv, corrupt, kw: verify_operator_relations(
-        model, kw["i"], DimVector(kw["alpha"]), kw["maxother"], conv),
-    "uminus_serre": lambda model, conv, corrupt, kw: verify_uminus_serre(
-        model, kw["i"], kw["j"], conv),
-}
-
-
-def run_spec(spec: tuple, budget: int, corrupt: bool, pins: dict) -> list[Report]:
-    kind, name, text, p, kw = spec
-    if kind == "polynomiality":
-        from .polyfit import verify_polynomiality
-
-        return verify_polynomiality(budget=kw["budget"], full=kw["full"])
-    job = _JOBS.get(kind)
-    if job is None:
-        raise ValueError(f"unknown job kind {kind}")
-    family = _family_of(kind)
-    conv_label = pins.get(family, {}).get("pinned") or DEFAULT_PINS[family]
-    return [job(_pooled_model(text, p, budget), CONVENTION_BY_LABEL.get(conv_label), corrupt, kw)]
+        return getattr(polyfit, check)(**kw)
+    conv = CONVENTION_BY_LABEL.get(pins.get(family, {}).get("pinned") or DEFAULT_PINS[family])
+    if conv is not None:  # None for a formal check
+        kw = {**kw, "convention": conv}
+    return [globals()[check](_pooled_model(text, p, budget), **kw)]
 
 
 def _spec_worker(args):
-    spec, budget, corrupt, pins = args
-    return [r.to_json() for r in run_spec(spec, budget, corrupt, pins)]
+    return [r.to_json() for r in run_spec(*args)]
 
 
 def run_suite(config: SweepConfig) -> list[Report]:
@@ -1073,12 +1025,12 @@ def run_suite(config: SweepConfig) -> list[Report]:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            args = [(s, config.budget, config.corrupt, pins) for s in specs]
+            args = [(s, config.budget, pins) for s in specs]
             for chunk in pool.map(_spec_worker, args):
                 reports.extend(Report(**data) for data in chunk)
     else:
         for s in specs:
-            reports.extend(run_spec(s, config.budget, config.corrupt, pins))
+            reports.extend(run_spec(s, config.budget, pins))
     if config.only is None:
         reports.extend(experiment_reports(config.primes))
     return reports

@@ -23,6 +23,7 @@ from .identities import (
     _add_green_stratum,
     _check,
     _green_strata,
+    _pooled_model,
 )
 from .laurent import LaurentPoly
 from .quiver import DimVector, builtin_quiver, euler_form, induction_twist, symmetric_form
@@ -113,11 +114,8 @@ _SERIES_INSTANCES = [
 
 
 def _collect(qname: str, fn, args, p: int, budget: int) -> dict[str, int]:
-    model = HallModel(builtin_quiver(qname), p, budget)
-    conv_args = []
-    for a in args:
-        conv_args.append(DimVector(a) if isinstance(a, tuple) else a)
-    return fn(model, *conv_args)
+    model = _pooled_model(builtin_quiver(qname).to_text(), p, budget)
+    return fn(model, *(DimVector(a) if isinstance(a, tuple) else a for a in args))
 
 
 def _series_comparisons(qname: str, fn, args, primes, holdout: int, budget: int,
@@ -203,7 +201,7 @@ def green_sides_fit(
         lhs_vals: dict[str, dict[int, Fraction]] = {}
         rhs_vals: dict[tuple[int, str], dict[int, Fraction]] = {}
         for p in primes:
-            model = HallModel(Q, p, budget)
+            model = _pooled_model(Q.to_text(), p, budget)
             for A in model.table(a).ids():
                 for B in model.table(b).ids():
                     fa, fb = hall.unit_class(model, A), hall.unit_class(model, B)
@@ -253,14 +251,14 @@ def green_sides_fit(
 def verify_holdout_identities(holdout: int = 7, budget: int = DEFAULT_POINT_BUDGET) -> list[Report]:
     """Re-run three identity checks at the held-out prime directly."""
     conv = CONVENTION_BY_LABEL["-1/sqrt(q)"]
-    out = []
-    m = HallModel(builtin_quiver("single"), holdout, budget)
-    one = DimVector((1,))
-    two = DimVector((2,))
-    out.append(identities.verify_green_compatibility(m, one, one, one, one, conv))
-    out.append(identities.verify_derivation_product_rule(m, 0, 2, two, two, conv))
-    m2 = HallModel(builtin_quiver("a2"), holdout, budget)
-    out.append(identities.verify_serre_generators(m2, 0, 1, conv))
+    m = _pooled_model(builtin_quiver("single").to_text(), holdout, budget)
+    one, two = DimVector((1,)), DimVector((2,))
+    out = [
+        identities.verify_green_compatibility(m, one, one, one, one, conv),
+        identities.verify_derivation_product_rule(m, 0, 2, two, two, conv),
+        identities.verify_serre_generators(
+            _pooled_model(builtin_quiver("a2").to_text(), holdout, budget), 0, 1, conv),
+    ]
     for r in out:
         r.params["holdout"] = holdout
     return out

@@ -345,6 +345,20 @@ def test_verify_jobs_below_one_exits_two(cache, capsys, jobs):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--only", "serre_generators", "--quiver", "a2", "--no-cache"),
+    ("verify", "--only", "serre_generators", "--quiver", "a2", "--sign", "+"),
+    ("classify", "--quiver", "a2", "--dim", "1,1", "--sign", "+"),
+])
+def test_flags_a_command_does_not_read_exit_two(cache, capsys, argv):
+    # verify builds its models without the table cache, and classify prints
+    # no scalars, so neither takes the flag
+    with pytest.raises(SystemExit) as stop:
+        main(list(argv))
+    assert stop.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_verify_refuses_a_repeated_prime(cache, capsys):
     # a repeated prime would run every check once per copy
     code, out, err = run_cli(capsys, "verify", "--only", "serre_generators", "--quiver", "a2",

@@ -11,7 +11,6 @@ from hallq.hall import (
     constant_class,
     derive_quot,
     derive_sub,
-    divided_power_class_relation,
     element_to_json,
     geometric_induction,
     geometric_restriction,
@@ -22,7 +21,7 @@ from hallq.hall import (
     unit_class,
     unit_element,
 )
-from hallq.laurent import LaurentPoly, gaussian_binomial_q
+from hallq.laurent import LaurentPoly, gaussian_binomial_q, quantum_binomial
 from hallq.quiver import DimVector, builtin_names, builtin_quiver, euler_form, induction_twist
 
 V = LaurentPoly.v
@@ -39,6 +38,21 @@ def model(name, p) -> HallModel:
 
 def dv(*e):
     return DimVector(tuple(e))
+
+
+def divided_power_class_relation(model, i, t, s):
+    """Compare L_{t i} * L_{s i} with the Gaussian binomial multiple of
+    L_{(t+s)i}: the coefficient of the one class at (t+s)i in the product, the
+    quantum binomial, and the Gaussian binomial counted at q = p. The ratio of
+    the first two is a monomial only after specialization."""
+    m = t + s
+    prod = geometric_induction(model, constant_class(model, i, t), constant_class(model, i, s))
+    cid = model.table(model.quiver.unit(i).scale(m)).classes[0].id
+    return {
+        "product_coeff": prod.coeffs().get(cid, LaurentPoly.zero()),
+        "binomial": quantum_binomial(m, t),
+        "gauss_count": gaussian_binomial_q(m, t).eval_rational(model.p),
+    }
 
 
 def derive_w_counts(tables, M, i, m, side):

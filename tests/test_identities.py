@@ -1,8 +1,10 @@
 import json
+from collections import Counter
 
 import pytest
 
-from hallq import hall, identities
+from hallq import hall, identities, polyfit
+from hallq.ffrep import DEFAULT_POINT_BUDGET
 from hallq.hall import HallModel, unit_class
 from hallq.identities import (
     CONVENTION_BY_LABEL,
@@ -233,10 +235,31 @@ def test_suite_corrupt_mode_fails():
     assert any(r.status == "fail" and r.witness for r in reports)
 
 
-@pytest.mark.parametrize("primes", [(2, 2), (2, 3, 2)])
+@pytest.mark.parametrize("primes", [(2, 2), (2, 3, 2), ()])
 def test_sweep_config_refuses_a_repeated_prime(primes):
-    with pytest.raises(ValueError, match="repeat"):
+    # no prime at all is refused too: the convention table needs one
+    with pytest.raises(ValueError, match="repeat" if primes else "empty"):
         SweepConfig(quivers=("a2",), primes=primes, maxdim=2, only=("serre_generators",))
+
+
+def test_each_space_gets_one_model(monkeypatch):
+    # the convention probes, the suite's jobs and the polynomiality harness
+    # share one model per (quiver text, p, budget)
+    built = Counter()
+    original = HallModel.__init__
+
+    def counting_init(self, quiver, p, budget=DEFAULT_POINT_BUDGET, tables=None):
+        built[quiver.to_text(), p, budget] += 1
+        original(self, quiver, p, budget, tables)
+
+    monkeypatch.setattr(identities, "_MODEL_POOL", {})
+    monkeypatch.setattr(HallModel, "__init__", counting_init)
+    pin_convention_table((2, 3))
+    run_suite(SweepConfig(quivers=("a2", "single"), primes=(2, 3), maxdim=2, single_maxdim=2,
+                          only=("green", "serre_generators")))
+    polyfit.verify_polynomiality()
+    assert len(built) > 4
+    assert [key for key, n in built.items() if n > 1] == []
 
 
 def test_jobs_parallel_matches_serial():
@@ -254,7 +277,7 @@ def test_jobs_parallel_matches_serial():
 
 
 def test_divided_power_class_relation_bridge_is_prime_independent():
-    from hallq.hall import divided_power_class_relation
+    from test_hall import divided_power_class_relation
 
     for t, s in ((1, 1), (1, 2), (0, 2), (3, 0)):
         for conv in (GEOM, RINGEL):
