@@ -11,7 +11,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import hall
@@ -23,35 +22,10 @@ from .ffrep import (
     group_order,
     quiver_hash,
 )
-from .fpmat import check_prime
 from .hall import HallModel
-from .identities import IDENTITY_FAMILIES, SweepConfig, run_suite
+from .identities import SweepConfig, run_suite
 from .laurent import evaluate_at_sqrt_q
 from .quiver import DimVector, Quiver, builtin_names, builtin_quiver
-
-
-@dataclass
-class RunConfig:
-    quiver: Quiver | None
-    primes: tuple[int, ...]
-    sign: str  # "+", "-", "auto"
-    budget: int
-    maxdim: int
-    fmt: str
-    only: tuple[str, ...] | None
-    use_cache: bool = True
-
-    def __post_init__(self):
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
-        if self.maxdim <= 0:
-            raise ValueError("dimension cap must be positive")
-        for p in self.primes:
-            check_prime(p)
-        if self.only is not None:
-            unknown = set(self.only) - set(IDENTITY_FAMILIES)
-            if unknown:
-                raise ValueError(f"unknown identity ids: {sorted(unknown)}")
 
 
 def cache_dir() -> Path:
@@ -125,13 +99,6 @@ def _parse_primes(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
-def _one_prime(cfg: RunConfig, command: str) -> int:
-    """The prime of a command that works over one field; a list is refused."""
-    if len(cfg.primes) != 1:
-        raise ValueError(f"{command} takes one prime, got {','.join(map(str, cfg.primes))}")
-    return cfg.primes[0]
-
-
 # -- classify ------------------------------------------------------------------
 
 
@@ -156,21 +123,18 @@ def _table_payload(table: ClassificationTable) -> dict:
     }
 
 
-def cmd_classify(cfg: RunConfig, dim: DimVector, out=None) -> int:
+def cmd_classify(tables: TableCache, dim: DimVector, fmt: str, out=None) -> int:
     out = out if out is not None else sys.stdout
-    Q = cfg.quiver
-    p = _one_prime(cfg, "classify")
-    tables = cached_table_cache(Q, p, cfg.budget, cfg.use_cache)
     table = tables.table(dim)
     payload = _table_payload(table)
-    if cfg.fmt == "json":
+    if fmt == "json":
         out.write(json.dumps(payload, sort_keys=True) + "\n")
-    elif cfg.fmt == "csv":
+    elif fmt == "csv":
         out.write("label,orbit_size,aut_count\n")
         for c in payload["classes"]:
             out.write(f"{c['label']},{c['orbit_size']},{c['aut_count']}\n")
     else:
-        out.write(f"classes at dim {dim} over F_{p}: {len(payload['classes'])}\n")
+        out.write(f"classes at dim {dim} over F_{tables.p}: {len(payload['classes'])}\n")
         for c in payload["classes"]:
             out.write(
                 f"  {c['label']}  orbit={c['orbit_size']}  aut={c['aut_count']}\n"
@@ -181,79 +145,49 @@ def cmd_classify(cfg: RunConfig, dim: DimVector, out=None) -> int:
 # -- op ------------------------------------------------------------------------
 
 
-def _render_scalar_json(c, p: int, sign: str):
-    if sign == "auto":
-        return {"laurent": c.render()}
-    s = 1 if sign == "+" else -1
-    val = evaluate_at_sqrt_q(c, p, s)
-    return {"even": str(val.even), "odd": str(val.odd)}
-
-
-def _element_payload(model: HallModel, f, sign: str) -> dict:
-    if f.is_zero():
-        return {"dim": None, "terms": []}
-    table = model.table(f.dim)
-    return {
-        "dim": list(f.dim.entries),
-        "terms": [
-            {"class": table.label(M), **_render_scalar_json(c, model.p, sign)}
-            for M, c in f.terms
-        ],
-    }
-
-
-def _tensor_payload(model: HallModel, f, sign: str) -> dict:
-    if f.is_zero():
-        return {"dims": None, "terms": []}
-    ta, tb = model.table(f.dims[0]), model.table(f.dims[1])
-    return {
-        "dims": [list(f.dims[0].entries), list(f.dims[1].entries)],
-        "terms": [
-            {"class": [ta.label(N), tb.label(L)], **_render_scalar_json(c, model.p, sign)}
-            for (N, L), c in f.terms
-        ],
-    }
-
-
 def _vertex_index(Q: Quiver, arg: str) -> int:
     if arg in Q.vertices:
         return Q.vertex_index(arg)
     return int(arg)
 
 
-def cmd_op(cfg: RunConfig, op: str, operands: list[str], vertex: str | None,
-           m: int, split: str | None, out=None) -> int:
+def cmd_op(model: HallModel, op: str, operands: list[str], vertex: str | None, m: int,
+           split: str | None, sign: str, fmt: str, out=None) -> int:
     out = out if out is not None else sys.stdout
-    Q = cfg.quiver
-    p = _one_prime(cfg, "op")
-    model = HallModel(Q, p, cfg.budget, tables=cached_table_cache(Q, p, cfg.budget, cfg.use_cache))
+    Q = model.quiver
+    if sign == "auto":
+        scalar = hall.formal_scalar
+    else:
+        def scalar(c):  # the value at v = +-sqrt(p)
+            val = evaluate_at_sqrt_q(c, model.p, 1 if sign == "+" else -1)
+            return {"even": str(val.even), "odd": str(val.odd)}
     elems = [hall.unit_class(model, model.class_by_label(lbl)) for lbl in operands]
     if op == "mul":
         if len(elems) != 2:
             raise ValueError("mul takes exactly two class operands")
         result = hall.geometric_induction(model, elems[0], elems[1])
-        payload = _element_payload(model, result, cfg.sign)
     elif op == "res":
         if len(elems) != 1 or split is None:
             raise ValueError("res takes one operand and --split")
         alpha = DimVector.from_csv(split, Q.n)
         beta = elems[0].dim - alpha
         result = hall.geometric_restriction(model, elems[0], (alpha, beta))
-        payload = _tensor_payload(model, result, cfg.sign)
     elif op in ("dsub", "dquot"):
         if len(elems) != 1 or vertex is None:
             raise ValueError(f"{op} takes one operand, --vertex and -m")
         i = _vertex_index(Q, vertex)
         result = hall.derivation(op[1:])(model, elems[0], i, m)
-        payload = _element_payload(model, result, cfg.sign)
     elif op == "pair":
         if len(elems) != 2:
             raise ValueError("pair takes exactly two class operands")
         result = hall.pairing(model, elems[0], elems[1])
-        payload = {"pairing": _render_scalar_json(result, p, cfg.sign)}
     else:
         raise ValueError(f"unknown op {op!r}")
-    if cfg.fmt == "pretty" and "terms" in payload:
+    if op == "pair":
+        payload = {"pairing": scalar(result)}
+    else:
+        payload = hall.element_to_json(model, result, scalar)
+    if fmt == "pretty" and "terms" in payload:
         for t in payload["terms"]:
             out.write(f"{t.get('laurent', (t.get('even'), t.get('odd')))} * u[{t['class']}]\n")
         if not payload["terms"]:
@@ -284,34 +218,20 @@ def _summary_table(reports) -> str:
     return "\n".join(lines)
 
 
-def cmd_verify(cfg: RunConfig, corrupt: bool, jobs: int, skip_slow: bool, out=None) -> int:
+def cmd_verify(sweep: SweepConfig, fmt: str, out=None) -> int:
     out = out if out is not None else sys.stdout
-    if cfg.quiver is not None:
-        texts = (("user", cfg.quiver.to_text()),)
-    else:
-        texts = None
-    sweep = SweepConfig(
-        primes=cfg.primes,
-        maxdim=cfg.maxdim,
-        budget=cfg.budget,
-        only=cfg.only,
-        corrupt=corrupt,
-        skip_slow=skip_slow,
-        jobs=jobs,
-        quiver_texts=texts,
-    )
     reports = run_suite(sweep)
-    if cfg.fmt == "csv":
+    if fmt == "csv":
         out.write("identity,status,convention,elapsed,params\n")
         for r in reports:
             params = json.dumps(r.params, sort_keys=True).replace('"', '""')
             out.write(
                 f'{r.identity},{r.status},{r.convention or ""},{r.elapsed:.6f},"{params}"\n'
             )
-    elif cfg.fmt == "json":
+    elif fmt == "json":
         for r in reports:
             out.write(json.dumps(r.to_json(), sort_keys=True) + "\n")
-    if cfg.fmt != "csv":
+    if fmt != "csv":
         out.write(_summary_table(reports) + "\n")
     return 1 if any(r.status == "fail" for r in reports) else 0
 
@@ -366,31 +286,29 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         quiver = resolve_quiver(args.quiver) if args.quiver else None
-        only = None
-        if args.command == "verify" and args.only:
-            only = tuple(args.only.split(","))
-        cfg = RunConfig(
-            quiver=quiver,
-            primes=_parse_primes(args.primes),
-            sign=getattr(args, "sign", "auto"),
-            budget=args.budget,
-            maxdim=getattr(args, "maxdim", 4),
-            fmt=args.fmt,
-            only=only,
-            use_cache=not getattr(args, "no_cache", False),
-        )
-        if args.command == "classify":
-            if cfg.quiver is None:
-                raise ValueError("classify requires --quiver")
-            dim = DimVector.from_csv(args.dim, cfg.quiver.n)
-            return cmd_classify(cfg, dim)
-        if args.command == "op":
-            if cfg.quiver is None:
-                raise ValueError("op requires --quiver")
-            return cmd_op(cfg, args.op, args.operands, args.vertex, args.m, args.split)
+        primes = _parse_primes(args.primes)
         if args.command == "verify":
-            return cmd_verify(cfg, args.corrupt_fixture, args.jobs, args.skip_slow)
-        raise ValueError(f"unknown command {args.command}")
+            sweep = SweepConfig(
+                **({"quivers": (quiver,)} if quiver else {}),
+                primes=primes,
+                maxdim=args.maxdim,
+                budget=args.budget,
+                only=None if args.only is None else tuple(args.only.split(",")),
+                corrupt=args.corrupt_fixture,
+                skip_slow=args.skip_slow,
+                jobs=args.jobs,
+            )
+            return cmd_verify(sweep, args.fmt)
+        # classify and op work over one field, through the table cache
+        if quiver is None:
+            raise ValueError(f"{args.command} requires --quiver")
+        if len(primes) != 1:
+            raise ValueError(f"{args.command} takes one prime, got {','.join(map(str, primes))}")
+        tables = cached_table_cache(quiver, primes[0], args.budget, not args.no_cache)
+        if args.command == "classify":
+            return cmd_classify(tables, DimVector.from_csv(args.dim, quiver.n), args.fmt)
+        return cmd_op(HallModel(quiver, primes[0], tables=tables), args.op, args.operands,
+                      args.vertex, args.m, args.split, args.sign, args.fmt)
     except BudgetExceededError as e:
         print(f"refused: {e}", file=sys.stderr)
         return 2

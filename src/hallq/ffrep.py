@@ -547,6 +547,8 @@ class TableCache:
                  loader: Callable[[DimVector], ClassificationTable | None] | None = None,
                  saver: Callable[[ClassificationTable], None] | None = None):
         check_prime(p)
+        if budget < 1:
+            raise ValueError(f"budget must be at least 1, got {budget}")
         self.quiver = Q
         self.p = p
         self.budget = budget

@@ -368,13 +368,25 @@ def pairing(model: HallModel, f: HallElement, g: HallElement) -> LaurentPoly:
 # -- serialization -------------------------------------------------------------
 
 
-def element_to_json(model: HallModel, f: HallElement) -> dict:
+def formal_scalar(c: LaurentPoly) -> dict:
+    """A coefficient as JSON, kept formal in v."""
+    return {"laurent": c.render()}
+
+
+def element_to_json(model: HallModel, f: HallElement | TensorElement,
+                    scalar=formal_scalar) -> dict:
+    """A Hall or tensor element as JSON: its grading, and one term per class
+    (a label, or a pair of labels for a tensor) with the coefficient rendered
+    by `scalar`."""
+    if isinstance(f, TensorElement):
+        if f.is_zero():
+            return {"dims": None, "terms": []}
+        ta, tb = (model.table(d) for d in f.dims)
+        return {"dims": [list(d.entries) for d in f.dims],
+                "terms": [{"class": [ta.label(N), tb.label(L)], **scalar(c)}
+                          for (N, L), c in f.terms]}
     if f.is_zero():
         return {"dim": None, "terms": []}
     table = model.table(f.dim)
-    return {
-        "dim": list(f.dim.entries),
-        "terms": [
-            {"class": table.label(M), "laurent": c.render()} for M, c in f.terms
-        ],
-    }
+    return {"dim": list(f.dim.entries),
+            "terms": [{"class": table.label(M), **scalar(c)} for M, c in f.terms]}

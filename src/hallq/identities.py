@@ -25,6 +25,7 @@ from itertools import product
 
 from . import hall, uminus
 from .ffrep import DEFAULT_POINT_BUDGET, IsoClassId
+from .fpmat import check_prime
 from .hall import HallElement, HallModel, TensorElement
 from .laurent import (
     LaurentPoly,
@@ -35,7 +36,7 @@ from .laurent import (
     quantum_binomial,
     quantum_factorial,
 )
-from .quiver import DimVector, Quiver, builtin_quiver, stratum_data, symmetric_form
+from .quiver import DimVector, Quiver, builtin_names, builtin_quiver, stratum_data, symmetric_form
 
 
 @dataclass(frozen=True)
@@ -777,7 +778,8 @@ def _pooled_model(text: str, p: int, budget: int = DEFAULT_POINT_BUDGET) -> Hall
     return m
 
 
-def pin_convention_table(primes: tuple[int, ...] = (2, 3)) -> dict:
+def pin_convention_table(primes: tuple[int, ...] = (2, 3),
+                         budget: int = DEFAULT_POINT_BUDGET) -> dict:
     """Empirically determine which conventions validate each identity family.
 
     Returns {family: {"pinned": label or None, "validating": {p: [labels]},
@@ -790,7 +792,7 @@ def pin_convention_table(primes: tuple[int, ...] = (2, 3)) -> dict:
                   for f, qname, check in _PROBES if f == family]
         per_prime = {
             p: [c.label for c in CONVENTIONS
-                if all(check(_pooled_model(text, p), c).passed for text, check in probes)]
+                if all(check(_pooled_model(text, p, budget), c).passed for text, check in probes)]
             for p in primes
         }
         common = set.intersection(*(set(v) for v in per_prime.values()))
@@ -806,11 +808,15 @@ def pin_convention_table(primes: tuple[int, ...] = (2, 3)) -> dict:
 # -- suite runner ------------------------------------------------------------------
 
 
+IDENTITY_FAMILIES = (*DEFAULT_PINS, "polynomiality")
+
+
 @dataclass
 class SweepConfig:
-    """What the verification run covers; defaults follow the standard sweep."""
+    """What the verification run covers; defaults follow the standard sweep.
+    Construction validates the run, so a bad one is refused before any work."""
 
-    quivers: tuple[str, ...] = ("a2", "a3", "kronecker", "disconnected", "single")
+    quivers: tuple[str | Quiver, ...] = ("a2", "a3", "kronecker", "disconnected", "single")
     primes: tuple[int, ...] = (2, 3)
     maxdim: int = 4
     single_maxdim: int = 5
@@ -819,7 +825,6 @@ class SweepConfig:
     corrupt: bool = False
     skip_slow: bool = False
     jobs: int = 1  # capped at os.cpu_count(); below 1 is refused
-    quiver_texts: tuple[tuple[str, str], ...] | None = None  # (name, text) overrides
 
     def __post_init__(self):
         if self.jobs < 1:
@@ -828,10 +833,18 @@ class SweepConfig:
             raise ValueError("primes must not be empty")
         if len(set(self.primes)) != len(self.primes):
             raise ValueError(f"primes must not repeat, got {self.primes}")
+        for p in self.primes:
+            check_prime(p)
+        if min(self.maxdim, self.single_maxdim) < 1:
+            raise ValueError(f"maxdim and single_maxdim must be at least 1, "
+                             f"got {self.maxdim} and {self.single_maxdim}")
+        unknown = {q for q in self.quivers if not isinstance(q, Quiver)} - set(builtin_names())
+        if unknown:
+            raise ValueError(f"unknown builtin quivers: {sorted(unknown)}")
+        unknown = set(self.only or ()) - set(IDENTITY_FAMILIES)
+        if unknown:
+            raise ValueError(f"unknown identity ids: {sorted(unknown)}")
         self.jobs = min(self.jobs, os.cpu_count() or 1)
-
-
-IDENTITY_FAMILIES = (*DEFAULT_PINS, "polynomiality")
 
 
 def verify_green_sweep(model: HallModel, nu: DimVector, convention: Convention,
@@ -892,7 +905,7 @@ def verify_stratification_sweep(model: HallModel, i: int, m: int, maxtotal: int,
     return _sweep("stratification", params, convention.label, reports())
 
 
-def experiment_reports(primes: tuple[int, ...]) -> list[Report]:
+def experiment_reports(primes: tuple[int, ...], budget: int = DEFAULT_POINT_BUDGET) -> list[Report]:
     """Observations recorded alongside the suite, never failing it: the
     same-vertex commutation of the two symbolic derivations, and the monomial
     bridge between iterated one-step derivations and the single m-step one.
@@ -914,7 +927,7 @@ def experiment_reports(primes: tuple[int, ...]) -> list[Report]:
         observed = True
         m = 2
         for p in primes:
-            model = _pooled_model(Q.to_text(), p, DEFAULT_POINT_BUDGET)
+            model = _pooled_model(Q.to_text(), p, budget)
             for dim in (DimVector((2, 1)), DimVector((2, 2))):
                 for M in model.table(dim).ids():
                     f = hall.unit_class(model, M)
@@ -941,10 +954,8 @@ def _suite_specs(config: SweepConfig) -> list[tuple]:
     """Declarative job list; each entry is (family, check name, quiver text, p,
     the check's keyword arguments). Polynomiality is one job on no quiver,
     its check a function of `polyfit`."""
-    if config.quiver_texts is not None:
-        texts = [text for _, text in config.quiver_texts]
-    else:
-        texts = [builtin_quiver(n).to_text() for n in config.quivers]
+    texts = [(q if isinstance(q, Quiver) else builtin_quiver(q)).to_text()
+             for q in config.quivers]
     corrupt = {"corrupt": config.corrupt}
     specs: list[tuple] = []
     for text in texts:
@@ -1013,7 +1024,7 @@ def run_suite(config: SweepConfig) -> list[Report]:
     pins: dict = {}
 
     def convention_table():
-        pins.update(pin_convention_table(config.primes))
+        pins.update(pin_convention_table(config.primes, config.budget))
         inconsistent = [k for k, v in pins.items() if not v.get("consistent", True)]
         yield ({"inconsistent": inconsistent}, pins) if inconsistent else None
         return pins
@@ -1032,5 +1043,5 @@ def run_suite(config: SweepConfig) -> list[Report]:
         for s in specs:
             reports.extend(run_spec(s, config.budget, pins))
     if config.only is None:
-        reports.extend(experiment_reports(config.primes))
+        reports.extend(experiment_reports(config.primes, config.budget))
     return reports

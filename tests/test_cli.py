@@ -3,8 +3,9 @@ import os
 
 import pytest
 
-from hallq.cli import RunConfig, main
-from hallq.ffrep import ClassificationTable, classify
+from hallq.cli import main
+from hallq.ffrep import ClassificationTable, TableCache, classify
+from hallq.identities import SweepConfig
 from hallq.quiver import DimVector, builtin_quiver
 
 
@@ -148,6 +149,25 @@ def test_verify_rejects_unknown_identity(cache, capsys):
     assert "unknown identity" in err
 
 
+def test_verify_refuses_an_empty_only(cache, capsys):
+    # an empty --only names the family "", not every family
+    code, out, err = run_cli(capsys, "verify", "--only", "", "--quiver", "single", "-p", "2",
+                             "--skip-slow")
+    assert code == 2
+    assert out == "" and "unknown identity ids: ['']" in err
+
+
+def test_verify_budget_refusal_builds_no_default_model(cache, capsys, monkeypatch):
+    from hallq import identities
+    from hallq.ffrep import DEFAULT_POINT_BUDGET
+
+    monkeypatch.setattr(identities, "_MODEL_POOL", {})
+    code, out, err = run_cli(capsys, "verify", "--all", "-p", "2", "--budget", "3")
+    assert code == 2
+    assert out == "" and "refused" in err and "budget is 3" in err
+    assert all(budget != DEFAULT_POINT_BUDGET for _, _, budget in identities._MODEL_POOL)
+
+
 def test_verify_corrupt_fixture_exits_one(cache, capsys):
     code, out, _ = run_cli(capsys, "verify", "--only", "associativity", "--quiver", "a2",
                            "-p", "2", "--maxdim", "2", "--corrupt-fixture")
@@ -176,14 +196,37 @@ def test_verify_output_deterministic(cache, capsys):
     assert strip(out1) == strip(out2)
 
 
-def test_run_config_validation():
-    q = builtin_quiver("a2")
-    with pytest.raises(ValueError):
-        RunConfig(q, (4,), "auto", 10**6, 4, "json", None)
-    with pytest.raises(ValueError):
-        RunConfig(q, (2,), "auto", 0, 4, "json", None)
-    with pytest.raises(ValueError):
-        RunConfig(q, (2,), "auto", 10**6, 4, "json", ("bogus",))
+SWEEP_CONFIG_REFUSALS = {
+    "prime_4": ({"primes": (4,)}, "p must be one of"),
+    "bogus_family": ({"only": ("bogus",)}, "unknown identity ids"),
+    "maxdim_0": ({"maxdim": 0}, "maxdim"),
+    "single_maxdim_0": ({"single_maxdim": 0}, "maxdim"),
+    "unknown_quiver": ({"quivers": ("nonsense",)}, "unknown builtin quivers"),
+}
+
+
+@pytest.mark.parametrize("kwargs, message", SWEEP_CONFIG_REFUSALS.values(),
+                         ids=SWEEP_CONFIG_REFUSALS.keys())
+def test_sweep_config_validation(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        SweepConfig(**kwargs)
+
+
+def test_table_cache_refuses_a_budget_below_one():
+    with pytest.raises(ValueError, match="budget"):
+        TableCache(builtin_quiver("a2"), 2, 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--only", "serre_generators", "--quiver", "a2", "-p", "4"),
+    ("verify", "--only", "serre_generators", "--quiver", "a2", "--maxdim", "0"),
+    ("classify", "--quiver", "a2", "--dim", "1,1", "--budget", "0"),
+    ("op", "mul", "1,0:0", "0,1:0", "--quiver", "a2", "--budget", "0"),
+], ids=["verify_prime_4", "verify_maxdim_0", "classify_budget_0", "op_budget_0"])
+def test_invalid_run_exits_two(cache, capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
 
 
 def test_csv_format(cache, capsys):

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from hallq import hall, identities, polyfit
-from hallq.ffrep import DEFAULT_POINT_BUDGET
+from hallq.ffrep import DEFAULT_POINT_BUDGET, BudgetExceededError
 from hallq.hall import HallModel, unit_class
 from hallq.identities import (
     CONVENTION_BY_LABEL,
@@ -260,6 +260,22 @@ def test_each_space_gets_one_model(monkeypatch):
     polyfit.verify_polynomiality()
     assert len(built) > 4
     assert [key for key, n in built.items() if n > 1] == []
+
+
+def test_the_run_budget_reaches_every_model(monkeypatch):
+    # the convention probes, the jobs, polynomiality and the experiments all
+    # build their models at the run's budget
+    monkeypatch.setattr(identities, "_MODEL_POOL", {})
+    run_suite(SweepConfig(quivers=("a2",), primes=(2,), maxdim=2, single_maxdim=2,
+                          skip_slow=True, budget=10**5))
+    assert identities._MODEL_POOL
+    assert {budget for _, _, budget in identities._MODEL_POOL} == {10**5}
+
+    # a budget too small for the probes is refused before any default model
+    monkeypatch.setattr(identities, "_MODEL_POOL", {})
+    with pytest.raises(BudgetExceededError):
+        run_suite(SweepConfig(quivers=("a2",), primes=(2,), budget=3, only=("green",)))
+    assert all(budget != DEFAULT_POINT_BUDGET for _, _, budget in identities._MODEL_POOL)
 
 
 def test_jobs_parallel_matches_serial():
