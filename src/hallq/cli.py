@@ -289,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
         primes = _parse_primes(args.primes)
         if args.command == "verify":
             sweep = SweepConfig(
-                **({"quivers": (quiver,)} if quiver else {}),
+                quivers=(quiver,) if quiver else SweepConfig.quivers,
                 primes=primes,
                 maxdim=args.maxdim,
                 budget=args.budget,
