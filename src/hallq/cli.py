@@ -1,7 +1,8 @@
 """Command-line surface: classify representation spaces, apply Hall operators,
 and run the identity verification suite.
 
-Exit codes: 0 success, 1 verification failure, 2 refusal or usage error.
+Exit codes: 0 success, 1 verification failure, 2 refusal or usage error,
+3 stdout closed by its reader before all output was written.
 """
 
 from __future__ import annotations
@@ -281,40 +282,50 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _run(args) -> int:
+    quiver = resolve_quiver(args.quiver) if args.quiver else None
+    primes = _parse_primes(args.primes)
+    if args.command == "verify":
+        sweep = SweepConfig(
+            quivers=(quiver,) if quiver else SweepConfig.quivers,
+            primes=primes,
+            maxdim=args.maxdim,
+            budget=args.budget,
+            only=None if args.only is None else tuple(args.only.split(",")),
+            corrupt=args.corrupt_fixture,
+            skip_slow=args.skip_slow,
+            jobs=args.jobs,
+        )
+        return cmd_verify(sweep, args.fmt)
+    # classify and op work over one field, through the table cache
+    if quiver is None:
+        raise ValueError(f"{args.command} requires --quiver")
+    if len(primes) != 1:
+        raise ValueError(f"{args.command} takes one prime, got {','.join(map(str, primes))}")
+    tables = cached_table_cache(quiver, primes[0], args.budget, not args.no_cache)
+    if args.command == "classify":
+        return cmd_classify(tables, DimVector.from_csv(args.dim, quiver.n), args.fmt)
+    return cmd_op(HallModel(quiver, primes[0], tables=tables), args.op, args.operands,
+                  args.vertex, args.m, args.split, args.sign, args.fmt)
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        quiver = resolve_quiver(args.quiver) if args.quiver else None
-        primes = _parse_primes(args.primes)
-        if args.command == "verify":
-            sweep = SweepConfig(
-                quivers=(quiver,) if quiver else SweepConfig.quivers,
-                primes=primes,
-                maxdim=args.maxdim,
-                budget=args.budget,
-                only=None if args.only is None else tuple(args.only.split(",")),
-                corrupt=args.corrupt_fixture,
-                skip_slow=args.skip_slow,
-                jobs=args.jobs,
-            )
-            return cmd_verify(sweep, args.fmt)
-        # classify and op work over one field, through the table cache
-        if quiver is None:
-            raise ValueError(f"{args.command} requires --quiver")
-        if len(primes) != 1:
-            raise ValueError(f"{args.command} takes one prime, got {','.join(map(str, primes))}")
-        tables = cached_table_cache(quiver, primes[0], args.budget, not args.no_cache)
-        if args.command == "classify":
-            return cmd_classify(tables, DimVector.from_csv(args.dim, quiver.n), args.fmt)
-        return cmd_op(HallModel(quiver, primes[0], tables=tables), args.op, args.operands,
-                      args.vertex, args.m, args.split, args.sign, args.fmt)
+        code = _run(args)
+        sys.stdout.flush()  # so a closed stdout shows here, not at interpreter exit
+        return code
     except BudgetExceededError as e:
         print(f"refused: {e}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone (`| head`): what is still buffered goes to
+        # devnull, so the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 3
 
 
 if __name__ == "__main__":

@@ -197,6 +197,13 @@ class IsoClassId:
     fingerprint: tuple[int, ...]
     tiebreak: int
 
+    def __post_init__(self):
+        # ids key every count table and Hall element, so hash once
+        object.__setattr__(self, "_hash", hash((self.dim, self.fingerprint, self.tiebreak)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def __str__(self) -> str:
         f = ".".join(str(k) for k in self.fingerprint)
         return f"[{','.join(str(d) for d in self.dim)}|{f}|{self.tiebreak}]"

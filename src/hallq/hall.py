@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from . import ffrep
 from .ffrep import ClassificationTable, IsoClassId, TableCache
@@ -28,8 +29,18 @@ def _as_poly(x) -> LaurentPoly:
     raise TypeError(f"cannot use {type(x)} as a coefficient")
 
 
+class _Terms:
+    """What Hall and tensor elements share: a tuple of (key, coefficient) terms."""
+
+    def coeffs(self) -> dict:
+        return dict(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+
 @dataclass(frozen=True)
-class HallElement:
+class HallElement(_Terms):
     """Finitely supported combination of basis classes u_M at one grading.
 
     `dim` is None only for the zero element produced by an out-of-range
@@ -43,29 +54,23 @@ class HallElement:
 
     @staticmethod
     def make(quiver: Quiver, p: int, dim: DimVector | None, coeffs: dict[IsoClassId, LaurentPoly]) -> "HallElement":
-        clean = {M: c for M, c in coeffs.items() if c}
-        for M in clean:
-            if dim is None or M.dim != dim.entries:
-                raise ValueError("class grading does not match element grading")
-        items = tuple(sorted(clean.items(), key=lambda kv: kv[0]))
+        if any(c and (dim is None or M.dim != dim.entries) for M, c in coeffs.items()):
+            raise ValueError("class grading does not match element grading")
+        return HallElement._of(quiver, p, dim, coeffs)
+
+    @staticmethod
+    def _of(quiver: Quiver, p: int, dim: DimVector | None, coeffs: dict[IsoClassId, LaurentPoly]) -> "HallElement":
+        """`make` without its grading check, for classes known to lie at dim."""
+        items = tuple(sorted((kv for kv in coeffs.items() if kv[1]), key=itemgetter(0)))
         return HallElement(quiver, p, dim, items)
 
     @staticmethod
     def zero(quiver: Quiver, p: int, dim: DimVector | None = None) -> "HallElement":
         return HallElement(quiver, p, dim, ())
 
-    def coeffs(self) -> dict[IsoClassId, LaurentPoly]:
-        return dict(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _compat(self, other: "HallElement") -> None:
+    def __add__(self, other: "HallElement") -> "HallElement":
         if self.quiver != other.quiver or self.p != other.p:
             raise ValueError("elements over different contexts")
-
-    def __add__(self, other: "HallElement") -> "HallElement":
-        self._compat(other)
         if self.is_zero():
             return other
         if other.is_zero():
@@ -75,16 +80,14 @@ class HallElement:
         c = self.coeffs()
         for M, x in other.terms:
             c[M] = c.get(M, LaurentPoly.zero()) + x
-        return HallElement.make(self.quiver, self.p, self.dim, c)
+        return HallElement._of(self.quiver, self.p, self.dim, c)
 
     def __sub__(self, other: "HallElement") -> "HallElement":
         return self + other.scale(-1)
 
     def scale(self, s) -> "HallElement":
         sp = _as_poly(s)
-        return HallElement.make(
-            self.quiver, self.p, self.dim, {M: sp * c for M, c in self.terms}
-        )
+        return HallElement._of(self.quiver, self.p, self.dim, {M: sp * c for M, c in self.terms})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HallElement):
@@ -97,7 +100,7 @@ class HallElement:
 
 
 @dataclass(frozen=True)
-class TensorElement:
+class TensorElement(_Terms):
     """Element of the tensor square, graded by an ordered pair of dims."""
 
     quiver: Quiver
@@ -107,19 +110,12 @@ class TensorElement:
 
     @staticmethod
     def make(quiver, p, dims, coeffs: dict[tuple[IsoClassId, IsoClassId], LaurentPoly]) -> "TensorElement":
-        clean = {k: c for k, c in coeffs.items() if c}
-        items = tuple(sorted(clean.items(), key=lambda kv: kv[0]))
+        items = tuple(sorted((kv for kv in coeffs.items() if kv[1]), key=itemgetter(0)))
         return TensorElement(quiver, p, dims, items)
 
     @staticmethod
     def zero(quiver, p, dims=None) -> "TensorElement":
         return TensorElement(quiver, p, dims, ())
-
-    def coeffs(self) -> dict[tuple[IsoClassId, IsoClassId], LaurentPoly]:
-        return dict(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def scale(self, s) -> "TensorElement":
         sp = _as_poly(s)
@@ -127,7 +123,8 @@ class TensorElement:
 
 
 class HallModel:
-    """Classification tables plus memoized count tables for one (quiver, p)."""
+    """Classification tables plus memoized count tables for one (quiver, p),
+    and memos, dying with the model, of unit classes, twists and splits."""
 
     def __init__(self, quiver: Quiver, p: int, budget: int = ffrep.DEFAULT_POINT_BUDGET,
                  tables: TableCache | None = None):
@@ -136,11 +133,28 @@ class HallModel:
         self.tables = tables if tables is not None else TableCache(quiver, p, budget)
         self._filt: dict[tuple, dict] = {}
         self._ext: dict[tuple, dict] = {}
-        # (alpha, beta, twist form) -> (alpha + beta, twist exponent)
-        self._gradings: dict[tuple, tuple[DimVector, int]] = {}
+        self._units: dict[IsoClassId, HallElement] = {}
+        self._gradings: dict[tuple, tuple[DimVector, int, int]] = {}
+        self._splits: dict[tuple, tuple[DimVector, DimVector] | None] = {}
 
     def table(self, dim: DimVector) -> ClassificationTable:
         return self.tables.table(dim)
+
+    def grading(self, alpha: DimVector, beta: DimVector) -> tuple[DimVector, int, int]:
+        """(alpha + beta, induction_twist, euler_form) at (alpha, beta)."""
+        key = (alpha.entries, beta.entries)
+        if key not in self._gradings:
+            Q = self.quiver
+            self._gradings[key] = (alpha + beta, induction_twist(Q, alpha, beta), euler_form(Q, alpha, beta))
+        return self._gradings[key]
+
+    def split(self, dim: DimVector, i: int, m: int, side: str) -> tuple[DimVector, DimVector] | None:
+        """`derivation_split` of dim; its parts are their tables' dims, not new vectors."""
+        key = (dim.entries, i, m, side)
+        if key not in self._splits:
+            split = derivation_split(self.quiver, dim, i, m, side)
+            self._splits[key] = split and tuple(self.table(d).dim for d in split)
+        return self._splits[key]
 
     # -- count tables -------------------------------------------------------
 
@@ -171,16 +185,15 @@ class HallModel:
         return got
 
     def derive_sub_table(self, alpha: DimVector, i: int, m: int) -> dict:
-        """(M, N) -> count for derive_sub at alpha, vertex i, multiplicity m: the
-        extension table at its derivation split keyed by the sub slot. Empty
-        when m exceeds alpha_i."""
-        split = derivation_split(self.quiver, alpha, i, m, "sub")
+        """(M, N) -> count for derive_sub at alpha, vertex i, multiplicity m: the extension
+        table at its derivation split keyed by the sub slot; empty when m exceeds alpha_i."""
+        split = self.split(alpha, i, m, "sub")
         return {} if split is None else ffrep.derive_sub_histogram(self.extension_table(*split))
 
     def derive_quot_table(self, alpha: DimVector, i: int, m: int) -> dict:
         """(M, N) -> count for derive_quot: the extension table at its
         derivation split keyed by the quotient slot."""
-        split = derivation_split(self.quiver, alpha, i, m, "quot")
+        split = self.split(alpha, i, m, "quot")
         return {} if split is None else ffrep.derive_quot_histogram(self.extension_table(*split))
 
     # -- basis helpers ------------------------------------------------------
@@ -188,11 +201,10 @@ class HallModel:
     def class_by_label(self, label: str) -> IsoClassId:
         """Resolve a `dim:index` name against the classification order."""
         dim_part, _, idx_part = label.rpartition(":")
-        dim = DimVector.from_csv(dim_part, self.quiver.n)
-        t = self.table(dim)
+        t = self.table(DimVector.from_csv(dim_part, self.quiver.n))
         k = int(idx_part)
         if not (0 <= k < len(t)):
-            raise KeyError(f"class index {k} out of range at dim {dim}")
+            raise KeyError(f"class index {k} out of range at dim {t.dim}")
         return t.classes[k].id
 
     def simple_class(self, vertex: int) -> IsoClassId:
@@ -200,9 +212,11 @@ class HallModel:
 
 
 def unit_class(model: HallModel, M: IsoClassId) -> HallElement:
-    dim = DimVector(M.dim)
-    model.table(dim).index_of(M)  # raises on unknown id
-    return HallElement.make(model.quiver, model.p, dim, {M: LaurentPoly.one()})
+    if M not in model._units:
+        table = model.table(DimVector(M.dim))
+        table.index_of(M)  # raises on unknown id
+        model._units[M] = HallElement._of(model.quiver, model.p, table.dim, {M: LaurentPoly.one()})
+    return model._units[M]
 
 
 def constant_class(model: HallModel, i: int, m: int) -> HallElement:
@@ -211,34 +225,30 @@ def constant_class(model: HallModel, i: int, m: int) -> HallElement:
         raise ValueError("m must be nonnegative")
     dim = model.quiver.unit(i).scale(m)
     cid = model.table(dim).classes[0].id
-    return HallElement.make(model.quiver, model.p, dim, {cid: LaurentPoly.one()})
+    return HallElement._of(model.quiver, model.p, dim, {cid: LaurentPoly.one()})
 
 
 def unit_element(model: HallModel) -> HallElement:
     dim = model.quiver.zero_dim()
     cid = model.table(dim).classes[0].id
-    return HallElement.make(model.quiver, model.p, dim, {cid: LaurentPoly.one()})
+    return HallElement._of(model.quiver, model.p, dim, {cid: LaurentPoly.one()})
 
 
-def _induction(model: HallModel, f: HallElement, g: HallElement, exponent) -> HallElement:
+def _induction(model: HallModel, f: HallElement, g: HallElement, ringel: bool) -> HallElement:
     if f.quiver != g.quiver or f.p != g.p:
         raise ValueError("operands over different contexts")
     if f.is_zero() or g.is_zero():
         return HallElement.zero(model.quiver, model.p)
-    alpha, beta = f.dim, g.dim
-    table = model.filtration_table(alpha, beta)
-    key = (alpha.entries, beta.entries, exponent)
-    grading = model._gradings.get(key)
-    if grading is None:
-        grading = model._gradings[key] = (alpha + beta, exponent(model.quiver, alpha, beta))
-    nu, tw = grading
+    table = model.filtration_table(f.dim, g.dim)
+    nu, geometric_tw, ringel_tw = model.grading(f.dim, g.dim)
+    tw = ringel_tw if ringel else geometric_tw
     if len(f.terms) == len(g.terms) == 1:
         (N, cf), (L, cg) = f.terms[0], g.terms[0]
         if cf.is_one() and cg.is_one():
             # u_N * u_L: one monomial per class, straight from the histogram
             hist = table.get((N, L), {})
-            return HallElement.make(model.quiver, model.p, nu,
-                                    {M: LaurentPoly.v(tw, count) for M, count in hist.items()})
+            return HallElement._of(model.quiver, model.p, nu,
+                                   {M: LaurentPoly.v(tw, count) for M, count in hist.items()})
     acc: dict[IsoClassId, dict[int, Scalar]] = {}
     for N, cf in f.terms:
         for L, cg in g.terms:
@@ -248,23 +258,20 @@ def _induction(model: HallModel, f: HallElement, g: HallElement, exponent) -> Ha
             c = cf * cg
             for M, count in hist.items():
                 add_scaled(acc.setdefault(M, {}), c, count, tw)
-    out = {M: LaurentPoly(d) for M, d in acc.items()}
-    return HallElement.make(model.quiver, model.p, nu, out)
+    return HallElement._of(model.quiver, model.p, nu, {M: LaurentPoly(d) for M, d in acc.items()})
 
 
 def geometric_induction(model: HallModel, f: HallElement, g: HallElement) -> HallElement:
     """u_N * u_L = v^{m_{alpha,beta}} sum_M F^M_{N,L} u_M, extended bilinearly."""
-    return _induction(model, f, g, induction_twist)
+    return _induction(model, f, g, ringel=False)
 
 
 def ringel_product(model: HallModel, f: HallElement, g: HallElement) -> HallElement:
     """Classical twist variant: exponent <alpha,beta> instead of m_{alpha,beta}."""
-    return _induction(model, f, g, euler_form)
+    return _induction(model, f, g, ringel=True)
 
 
-def geometric_restriction(
-    model: HallModel, f: HallElement, split: tuple[DimVector, DimVector]
-) -> TensorElement:
+def geometric_restriction(model: HallModel, f: HallElement, split: tuple[DimVector, DimVector]) -> TensorElement:
     """Res(u_M) = v^{-<alpha,beta>} sum e^M_{N,L} u_N (x) u_L at the given split
     (alpha the quotient slot, beta the sub slot)."""
     alpha, beta = split
@@ -276,9 +283,8 @@ def geometric_restriction(
 
 
 def _restriction_coeffs(model: HallModel, f: HallElement, alpha: DimVector, beta: DimVector) -> dict:
-    """(N, L) -> coefficient of u_N (x) u_L in the restriction of f at the
-    split (alpha, beta), unsorted."""
-    tw = -euler_form(model.quiver, alpha, beta)
+    """(N, L) -> coefficient of u_N (x) u_L in Res f at (alpha, beta), unsorted."""
+    tw = -model.grading(alpha, beta)[2]
     table = model.extension_table(alpha, beta)
     acc: dict[tuple[IsoClassId, IsoClassId], dict[int, Scalar]] = {}
     for M, cf in f.terms:
@@ -290,25 +296,23 @@ def _restriction_coeffs(model: HallModel, f: HallElement, alpha: DimVector, beta
 
 
 def _derive(model: HallModel, f: HallElement, i: int, m: int, side: str) -> HallElement:
-    """The restriction of f at its `derivation_split`, keyed by the rest slot.
-    The m*e_i slot holds the one class of a one-point space (quivers have no
-    loops), and the restriction twist -<quotient, sub> is the derivation
-    twist. Zero (not an error) when the grading cannot drop by m*e_i."""
+    """Res f at its `derivation_split`, keyed by the rest slot: the m*e_i slot
+    holds the one class of a one-point space (quivers have no loops), and the
+    twist -<quotient, sub> is the derivation twist. Zero if f cannot drop by m*e_i."""
     Q = model.quiver
     # validates m and the vertex, also for a zero f
-    split = derivation_split(Q, Q.zero_dim() if f.dim is None else f.dim, i, m, side)
+    split = model.split(Q.zero_dim() if f.dim is None else f.dim, i, m, side)
     if f.is_zero() or m == 0:
         return f
     if split is None:
         return HallElement.zero(Q, model.p)
     slot = SPLIT_SLOT[side]
     res = _restriction_coeffs(model, f, *split)
-    return HallElement.make(Q, model.p, split[slot], {NL[slot]: c for NL, c in res.items()})
+    return HallElement._of(Q, model.p, split[slot], {NL[slot]: c for NL, c in res.items()})
 
 
 def derive_sub(model: HallModel, f: HallElement, i: int, m: int) -> HallElement:
-    """Derivation with quotient concentrated at vertex i with multiplicity m;
-    returns zero (not an error) when the grading cannot drop by m*e_i."""
+    """Derivation with quotient m*e_i; zero (not an error) if f cannot drop by m*e_i."""
     return _derive(model, f, i, m, "sub")
 
 
@@ -323,20 +327,16 @@ def derivation(side: str):
 
 
 def _stratified(model: HallModel, A: IsoClassId, B: IsoClassId, i: int, m: int, side: str) -> dict[int, HallElement]:
-    Q = model.quiver
     alpha, beta = DimVector(A.dim), DimVector(B.dim)
-    split = derivation_split(Q, alpha + beta, i, m, side)
+    nu, tw, _ = model.grading(alpha, beta)
+    split = model.split(nu, i, m, side)
     if split is None:
         return {}
-    rest = split[SPLIT_SLOT[side]]
-    exp = induction_twist(Q, alpha, beta) - euler_form(Q, *split)
+    exp = tw - model.grading(*split)[2]
     counts = ffrep.stratified_pair_counts(model.tables, alpha, beta, A, B, i, m, side)
-    out = {}
-    for t, per_class in counts.items():
-        out[t] = HallElement.make(
-            Q, model.p, rest, {N: LaurentPoly.v(exp, c) for N, c in per_class.items()}
-        )
-    return out
+    return {t: HallElement._of(model.quiver, model.p, split[SPLIT_SLOT[side]],
+                               {N: LaurentPoly.v(exp, c) for N, c in per_class.items()})
+            for t, per_class in counts.items()}
 
 
 def stratified_derive_sub(model: HallModel, A: IsoClassId, B: IsoClassId, i: int, m: int) -> dict[int, HallElement]:

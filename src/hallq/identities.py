@@ -250,9 +250,10 @@ def verify_associativity(model: HallModel, maxdim: int = 4, corrupt: bool = Fals
 # -- Green compatibility ---------------------------------------------------------
 
 
-def _green_strata(alpha: DimVector, beta: DimVector, alpha_p: DimVector, beta_p: DimVector):
-    """The index set of (a1, a2, b1, b2) with a1+a2 = alpha, b1+b2 = beta,
-    a1+b1 = alpha', a2+b2 = beta'."""
+def _green_strata(Q: Quiver, alpha: DimVector, beta: DimVector, alpha_p: DimVector,
+                  beta_p: DimVector) -> list[tuple[tuple[DimVector, ...], int]]:
+    """The strata (a1, a2, b1, b2) with a1+a2 = alpha, b1+b2 = beta,
+    a1+b1 = alpha', a2+b2 = beta', each with its Green twist -(a2, b1)."""
     out = []
     for entries in product(*(range(e + 1) for e in alpha.entries)):
         a1 = DimVector(entries)
@@ -262,7 +263,8 @@ def _green_strata(alpha: DimVector, beta: DimVector, alpha_p: DimVector, beta_p:
         b1 = DimVector(b1e)
         if not b1 <= beta:
             continue
-        out.append((a1, alpha - a1, b1, beta - b1))
+        a2 = alpha - a1
+        out.append(((a1, a2, b1, beta - b1), -symmetric_form(Q, a2, b1)))
     return out
 
 
@@ -313,17 +315,21 @@ def green_both_sides(
 ) -> tuple[TensorElement, TensorElement]:
     """Left side Res(Ind), right side the sum over the compatibility strata,
     each twisted by v^{-(a2, b1)}."""
-    Q = model.quiver
-    alpha, beta = DimVector(A.dim), DimVector(B.dim)
+    strata = _green_strata(model.quiver, DimVector(A.dim), DimVector(B.dim), alpha_p, beta_p)
+    return _green_sides(model, A, B, (alpha_p, beta_p), strata, corrupt)
+
+
+def _green_sides(model: HallModel, A: IsoClassId, B: IsoClassId, split: tuple[DimVector, DimVector],
+                 strata: list, corrupt: bool) -> tuple[TensorElement, TensorElement]:
+    """`green_both_sides` at `split`, given the `_green_strata` of the
+    gradings, which a check over many class pairs computes once."""
     fa, fb = hall.unit_class(model, A), hall.unit_class(model, B)
-    lhs = hall.geometric_restriction(model, hall.geometric_induction(model, fa, fb), (alpha_p, beta_p))
+    lhs = hall.geometric_restriction(model, hall.geometric_induction(model, fa, fb), split)
     acc: dict[tuple[IsoClassId, IsoClassId], dict[int, Scalar]] = {}
     products: dict[tuple[IsoClassId, IsoClassId], HallElement] = {}
-    for stratum in _green_strata(alpha, beta, alpha_p, beta_p):
-        exp = -symmetric_form(Q, stratum[1], stratum[2])
+    for stratum, exp in strata:
         _add_green_stratum(model, acc, products, fa, fb, stratum, exp + 1 if corrupt else exp)
-    rhs = TensorElement.make(Q, model.p, (alpha_p, beta_p),
-                             {k: LaurentPoly(d) for k, d in acc.items()})
+    rhs = TensorElement.make(model.quiver, model.p, split, {k: LaurentPoly(d) for k, d in acc.items()})
     return lhs, rhs
 
 
@@ -347,9 +353,13 @@ def verify_green_compatibility(
         raise ValueError("splits must share the total grading")
 
     def comparisons():
+        # the strata depend on the gradings alone: once per check, not per pair.
+        # Not on the model: a sweep checks each grading once, and pooled models
+        # live for the whole run, so a memo there would only hold memory
+        strata = _green_strata(Q, alpha, beta, alpha_p, beta_p)
         for A in model.table(alpha).ids():
             for B in model.table(beta).ids():
-                lhs, rhs = green_both_sides(model, A, B, alpha_p, beta_p, corrupt)
+                lhs, rhs = _green_sides(model, A, B, (alpha_p, beta_p), strata, corrupt)
                 sl, sr = spec_hall(lhs, p, convention), spec_hall(rhs, p, convention)
                 yield None if sl == sr else _failure(model, sl, sr,
                                                      {"pair": _labels(model, A, B)})
@@ -365,21 +375,28 @@ def product_rule_sides(
 ) -> tuple[HallElement, list[tuple[int, LaurentPoly, HallElement]]]:
     """Left side: derivation of the product. Right side: the indexed terms
     (t, scalar f_{m,t} v^{-P}, derived-product element), not yet summed."""
-    Q = model.quiver
-    alpha, beta = DimVector(A.dim), DimVector(B.dim)
+    scalars = _rule_scalars(model.quiver, DimVector(A.dim), DimVector(B.dim), i, m, side)
+    return _rule_sides(model, A, B, i, m, side, scalars)
+
+
+def _rule_scalars(Q: Quiver, alpha: DimVector, beta: DimVector, i: int, m: int,
+                  side: str) -> list[tuple[int, LaurentPoly]]:
+    """(t, f_{m,t} v^{-P}) per stratum t of `stratum_data`: P is P_t for side
+    "sub" and P'_t for "quot"."""
+    return [(t, quantum_binomial(m, t) * LaurentPoly.v(-pt if side == "sub" else -ppt))
+            for t, pt, ppt in stratum_data(Q, alpha, beta, i, m)[2]]
+
+
+def _rule_sides(model: HallModel, A: IsoClassId, B: IsoClassId, i: int, m: int, side: str,
+                scalars: list) -> tuple[HallElement, list[tuple[int, LaurentPoly, HallElement]]]:
+    """`product_rule_sides` given the `_rule_scalars` of the gradings, which a
+    check over many class pairs computes once."""
     fa, fb = hall.unit_class(model, A), hall.unit_class(model, B)
     derive = hall.derivation(side)
     lhs = derive(model, hall.geometric_induction(model, fa, fb), i, m)
-    lo, hi, strata = stratum_data(Q, alpha, beta, i, m)
-    terms = []
-    for t, pt, ppt in strata:
-        exp = -pt if side == "sub" else -ppt
-        scalar = quantum_binomial(m, t) * LaurentPoly.v(exp)
-        piece = hall.geometric_induction(
-            model, derive(model, fa, i, t), derive(model, fb, i, m - t)
-        )
-        terms.append((t, scalar, piece))
-    return lhs, terms
+    return lhs, [(t, scalar, hall.geometric_induction(model, derive(model, fa, i, t),
+                                                      derive(model, fb, i, m - t)))
+                 for t, scalar in scalars]
 
 
 def verify_derivation_product_rule(
@@ -395,9 +412,10 @@ def verify_derivation_product_rule(
 
     def comparisons():
         for side in ("sub", "quot"):
+            scalars = _rule_scalars(model.quiver, alpha, beta, i, m, side)
             for A in model.table(alpha).ids():
                 for B in model.table(beta).ids():
-                    lhs, terms = product_rule_sides(model, A, B, i, m, side)
+                    lhs, terms = _rule_sides(model, A, B, i, m, side, scalars)
                     sl = spec_hall(lhs, p, convention)
                     if corrupt:
                         terms = [(t, scalar * LaurentPoly.v(1), piece)
@@ -429,6 +447,7 @@ def verify_stratification(
 
     def comparisons():
         for side in ("sub", "quot"):
+            scalars = _rule_scalars(Q, alpha, beta, i, m, side)
             for A in model.table(alpha).ids():
                 for B in model.table(beta).ids():
                     if side == "sub":
@@ -438,7 +457,7 @@ def verify_stratification(
                     if any(t < lo or t > hi for t in strata):
                         yield {"reason": "stratum index out of range",
                                "got": sorted(strata)}, {}
-                    total, terms = product_rule_sides(model, A, B, i, m, side)
+                    total, terms = _rule_sides(model, A, B, i, m, side, scalars)
                     acc = HallElement.zero(Q, p)
                     for t in sorted(strata):
                         acc = acc + strata[t]

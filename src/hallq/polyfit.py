@@ -26,7 +26,7 @@ from .identities import (
     _pooled_model,
 )
 from .laurent import LaurentPoly
-from .quiver import DimVector, builtin_quiver, euler_form, induction_twist, symmetric_form
+from .quiver import DimVector, builtin_quiver, euler_form, induction_twist
 
 
 class SeriesLabelError(RuntimeError):
@@ -184,13 +184,13 @@ def green_sides_fit(
     ap, bp = DimVector(alpha_p), DimVector(beta_p)
     Q = builtin_quiver(qname)
     e_lhs = induction_twist(Q, a, b) - euler_form(Q, ap, bp)
-    strata = _green_strata(a, b, ap, bp)
+    strata = _green_strata(Q, a, b, ap, bp)
     # the exponent of every count in a stratum: its Green twist v^{-(a2, b1)}
     # plus the twists of the restrictions and products
     exps = []
-    for a1, a2, b1, b2 in strata:
+    for (a1, a2, b1, b2), green in strata:
         exps.append(
-            -symmetric_form(Q, a2, b1)
+            green
             - euler_form(Q, a1, a2)
             - euler_form(Q, b1, b2)
             + induction_twist(Q, a1, b1)
@@ -213,9 +213,8 @@ def green_sides_fit(
                         key = f"{pair}>{_xlabel(model, N)};{_xlabel(model, L)}"
                         lhs_vals.setdefault(key, {})[p] = _monomial_count(c, e_lhs)
                     products: dict = {}
-                    for si, stratum in enumerate(strata):
+                    for si, (stratum, exp) in enumerate(strata):
                         acc: dict = {}
-                        exp = -symmetric_form(Q, stratum[1], stratum[2])
                         _add_green_stratum(model, acc, products, fa, fb, stratum, exp)
                         for (N, L), d in acc.items():
                             c = LaurentPoly(d)

@@ -108,7 +108,11 @@ class Quiver:
 
 @dataclass(frozen=True)
 class DimVector:
-    """Componentwise nonnegative integer vector indexed by quiver vertices."""
+    """Componentwise nonnegative integer vector indexed by quiver vertices.
+
+    Entries are checked where a negative one can arise: construction, `from_csv`,
+    `__sub__` and `scale` by a negative factor. Sums and nonnegative multiples
+    of valid vectors are built unchecked."""
 
     entries: tuple[int, ...]
 
@@ -116,9 +120,15 @@ class DimVector:
         if any(e < 0 for e in self.entries):
             raise ValueError(f"negative entry in dimension vector {self.entries}")
 
+    @staticmethod
+    def _unchecked(entries: tuple[int, ...]) -> "DimVector":
+        d = object.__new__(DimVector)
+        object.__setattr__(d, "entries", entries)
+        return d
+
     def __add__(self, other: "DimVector") -> "DimVector":
         self._match(other)
-        return DimVector(tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return DimVector._unchecked(tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "DimVector") -> "DimVector":
         """Componentwise difference; only defined when it stays nonnegative."""
@@ -126,7 +136,8 @@ class DimVector:
         return DimVector(tuple(a - b for a, b in zip(self.entries, other.entries)))
 
     def scale(self, m: int) -> "DimVector":
-        return DimVector(tuple(m * a for a in self.entries))
+        entries = tuple(m * a for a in self.entries)
+        return DimVector(entries) if m < 0 else DimVector._unchecked(entries)
 
     def __le__(self, other: "DimVector") -> bool:
         self._match(other)

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -408,3 +411,28 @@ def test_verify_refuses_a_repeated_prime(cache, capsys):
                              "-p", "2,2", "--format", "json")
     assert code == 2
     assert out == "" and "primes must not repeat" in err
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_closed_stdout_exits_three_without_a_traceback(tmp_path, unbuffered):
+    """`hallq verify ... | head -c 10`: the reader closes the pipe after the
+    first bytes, and the run ends with exit code 3 and a quiet stderr, with
+    stdout block buffered or not."""
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("needs a pipe whose size can be set")
+    read_end, write_end = os.pipe()
+    # the smallest pipe: the 14 kB of reports outgrow it, so the run is still
+    # writing when the reader goes, however it buffers stdout
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+           "HALLQ_CACHE_DIR": str(tmp_path), "PYTHONUNBUFFERED": unbuffered}
+    argv = [sys.executable, "-m", "hallq.cli", "verify", "--all", "--quiver", "a2", "-p", "2",
+            "--skip-slow", "--format", "json"]
+    with subprocess.Popen(argv, stdout=write_end, stderr=subprocess.PIPE, env=env) as proc:
+        os.close(write_end)
+        assert os.read(read_end, 10)
+        os.close(read_end)
+        _, err = proc.communicate(timeout=300)
+    assert proc.returncode == 3
+    assert "Traceback" not in err.decode() and "Error" not in err.decode()

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from itertools import combinations, product
 
@@ -294,6 +295,21 @@ def test_classification_table_json_round_trip():
     t2 = ClassificationTable.from_json(data)
     assert t2.to_json() == data
     assert [c.id for c in t2.classes] == [c.id for c in t.classes]
+
+
+def test_class_ids_keep_equality_hash_and_order_through_json():
+    ids, reloaded = [], []
+    for dim in (dv(1, 1), dv(2, 1), dv(1, 2)):
+        t = classify(A2, dim, 3)
+        ids += t.ids()
+        reloaded += ClassificationTable.from_json(json.loads(json.dumps(t.to_json()))).ids()
+    assert all(a is not b for a, b in zip(ids, reloaded))
+    assert reloaded == ids
+    assert [hash(c) for c in reloaded] == [hash(c) for c in ids]
+    assert {c: k for k, c in enumerate(reloaded)} == {c: k for k, c in enumerate(ids)}
+    # ids sort by their fields, as (dim, fingerprint, tiebreak) tuples
+    by_fields = sorted(ids, key=lambda c: (c.dim, c.fingerprint, c.tiebreak))
+    assert sorted(reversed(reloaded)) == sorted(ids) == by_fields
 
 
 @pytest.mark.parametrize("corrupt", [

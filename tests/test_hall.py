@@ -22,7 +22,14 @@ from hallq.hall import (
     unit_element,
 )
 from hallq.laurent import LaurentPoly, gaussian_binomial_q, quantum_binomial
-from hallq.quiver import DimVector, builtin_names, builtin_quiver, euler_form, induction_twist
+from hallq.quiver import (
+    DimVector,
+    builtin_names,
+    builtin_quiver,
+    derivation_split,
+    euler_form,
+    induction_twist,
+)
 
 V = LaurentPoly.v
 
@@ -120,6 +127,36 @@ def test_twist_relation_geometric_vs_ringel():
                     assert g == r.scale(V(cross))
 
 
+@pytest.mark.parametrize("name", ["a2", "a3", "kronecker"])
+def test_memoized_twists_and_splits_match_a_fresh_computation(name):
+    """On a fresh model, after both products and the restriction of every
+    class pair of every grading pair up to total 4, the memoized twists equal
+    the forms computed afresh, and the two products still differ by
+    v^{m - <,>}: a memo that mixed up its forms would break one or the other."""
+    m = HallModel(builtin_quiver(name), 2)
+    Q = m.quiver
+    dims = [DimVector(e) for e in itertools.product(range(5), repeat=Q.n) if sum(e) <= 4]
+    for alpha, beta in itertools.product(dims, repeat=2):
+        if alpha.total + beta.total > 4:
+            continue
+        shift = V(induction_twist(Q, alpha, beta) - euler_form(Q, alpha, beta))
+        for N in m.table(alpha).ids():
+            for L in m.table(beta).ids():
+                fn, fl = unit_class(m, N), unit_class(m, L)
+                g = geometric_induction(m, fn, fl)
+                assert ringel_product(m, fn, fl).scale(shift) == g
+                geometric_restriction(m, g, (alpha, beta))
+        assert m.grading(alpha, beta) == (alpha + beta, induction_twist(Q, alpha, beta),
+                                          euler_form(Q, alpha, beta))
+    # the split memo is keyed by its side as well: derive both ways, then compare
+    for dim, i, mm in itertools.product(dims, range(Q.n), (1, 2)):
+        for M in m.table(dim).ids():
+            derive_sub(m, unit_class(m, M), i, mm)
+            derive_quot(m, unit_class(m, M), i, mm)
+        for side in ("sub", "quot"):
+            assert m.split(dim, i, mm, side) == derivation_split(Q, dim, i, mm, side)
+
+
 def test_induction_unit():
     m = model("a2", 2)
     s1, _, _, pp = a2_classes(m)
@@ -145,6 +182,16 @@ def test_unit_class_unknown_id_raises():
     bogus = IsoClassId((1, 1), (99, 99, 99, 99, 99), 0)
     with pytest.raises(KeyError):
         unit_class(m2, bogus)
+    # with every class of a grading memoized, an id of another model whose
+    # class this model does not have is still refused
+    own = m2.table(dv(1, 1)).ids()
+    for M in own:
+        assert unit_class(m2, M) is unit_class(m2, M)
+    foreign = [M for M in model("kronecker", 2).table(dv(1, 1)).ids() if M not in own]
+    assert foreign
+    for M in foreign:
+        with pytest.raises(KeyError):
+            unit_class(m2, M)
 
 
 def test_geometric_restriction_a2():

@@ -156,6 +156,14 @@ def test_dim_vector_ops():
     assert DimVector.from_csv("1,2,0", 3) == dv(1, 2, 0)
     with pytest.raises(ValueError):
         DimVector.from_csv("1,2", 3)
+    # sums and nonnegative multiples are built unchecked; every way to a
+    # negative entry is still refused
+    assert dv(1, 2).scale(0) == dv(0, 0) and dv(1, 2).scale(3) == dv(3, 6)
+    assert dv(0, 0).scale(-1) == dv(0, 0)
+    for make in (lambda: DimVector((-1,)), lambda: DimVector.from_csv("-1,0", 2),
+                 lambda: dv(1, 2) - dv(0, 3), lambda: dv(0, 1).scale(-1)):
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_unit_is_refused_outside_the_vertices():
