@@ -297,8 +297,15 @@ class ClassificationTable:
         of p or dim, a representative of the wrong shape, with entries
         outside F_p or not the minimal point of its class, counts that are
         not ints, class ids or a class order other than the ones `classify`
-        derives from the representatives, and a point -> class list that
-        disagrees with the classes."""
+        derives from the representatives, a point -> class list that
+        disagrees with the classes, and a quiver, class list, class entry or
+        point -> class list that is missing or of the wrong JSON type."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a table must be a JSON object, got {type(data).__name__}")
+        expected = {"quiver": str, "classes": list, "class_of_point": list}
+        bad = [k for k, t in expected.items() if not isinstance(data.get(k), t)]
+        if bad or not all(isinstance(c, dict) for c in data["classes"]):
+            raise ValueError(f"missing or of the wrong JSON type: {bad or 'a class entry'}")
         Q = Quiver.from_text(data["quiver"])
         p = data["p"]
         if type(p) is not int:

@@ -11,7 +11,7 @@ derivation exponents equal to minus the relevant Euler forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import itemgetter
 
@@ -30,13 +30,27 @@ def _as_poly(x) -> LaurentPoly:
 
 
 class _Terms:
-    """What Hall and tensor elements share: a tuple of (key, coefficient) terms."""
+    """What Hall, tensor and free elements share: a tuple of (key, coefficient)
+    terms, nonzero and sorted by key."""
+
+    @staticmethod
+    def _canonical(coeffs: dict) -> tuple:
+        """The terms of a key -> coefficient dict: nonzero coefficients, sorted by key."""
+        return tuple(sorted((kv for kv in coeffs.items() if kv[1]), key=itemgetter(0)))
 
     def coeffs(self) -> dict:
         return dict(self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def scale(self, s):
+        """The element times s, a LaurentPoly, int or Fraction."""
+        sp = _as_poly(s)
+        return replace(self, terms=self._canonical({k: sp * c for k, c in self.terms}))
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
 
 
 @dataclass(frozen=True)
@@ -61,8 +75,7 @@ class HallElement(_Terms):
     @staticmethod
     def _of(quiver: Quiver, p: int, dim: DimVector | None, coeffs: dict[IsoClassId, LaurentPoly]) -> "HallElement":
         """`make` without its grading check, for classes known to lie at dim."""
-        items = tuple(sorted((kv for kv in coeffs.items() if kv[1]), key=itemgetter(0)))
-        return HallElement(quiver, p, dim, items)
+        return HallElement(quiver, p, dim, HallElement._canonical(coeffs))
 
     @staticmethod
     def zero(quiver: Quiver, p: int, dim: DimVector | None = None) -> "HallElement":
@@ -81,13 +94,6 @@ class HallElement(_Terms):
         for M, x in other.terms:
             c[M] = c.get(M, LaurentPoly.zero()) + x
         return HallElement._of(self.quiver, self.p, self.dim, c)
-
-    def __sub__(self, other: "HallElement") -> "HallElement":
-        return self + other.scale(-1)
-
-    def scale(self, s) -> "HallElement":
-        sp = _as_poly(s)
-        return HallElement._of(self.quiver, self.p, self.dim, {M: sp * c for M, c in self.terms})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HallElement):
@@ -110,16 +116,11 @@ class TensorElement(_Terms):
 
     @staticmethod
     def make(quiver, p, dims, coeffs: dict[tuple[IsoClassId, IsoClassId], LaurentPoly]) -> "TensorElement":
-        items = tuple(sorted((kv for kv in coeffs.items() if kv[1]), key=itemgetter(0)))
-        return TensorElement(quiver, p, dims, items)
+        return TensorElement(quiver, p, dims, TensorElement._canonical(coeffs))
 
     @staticmethod
     def zero(quiver, p, dims=None) -> "TensorElement":
         return TensorElement(quiver, p, dims, ())
-
-    def scale(self, s) -> "TensorElement":
-        sp = _as_poly(s)
-        return TensorElement.make(self.quiver, self.p, self.dims, {k: sp * c for k, c in self.terms})
 
 
 class HallModel:

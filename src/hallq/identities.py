@@ -195,6 +195,12 @@ def _sweep(identity: str, params: dict, convention: str, reports) -> Report:
                   time.perf_counter() - t0)
 
 
+def _params(model: HallModel, **kw) -> dict:
+    """A report's params: the quiver text, p, then `kw` with each DimVector as a list."""
+    return {"quiver": model.quiver.to_text(), "p": model.p,
+            **{k: list(v.entries) if isinstance(v, DimVector) else v for k, v in kw.items()}}
+
+
 def _dims_up_to(Q: Quiver, total: int) -> list[DimVector]:
     out = []
     for entries in product(range(total + 1), repeat=Q.n):
@@ -217,8 +223,8 @@ def _splits_of(nu: DimVector) -> list[tuple[DimVector, DimVector]]:
 def verify_associativity(model: HallModel, maxdim: int = 4, corrupt: bool = False) -> Report:
     """(u_A * u_B) * u_C = u_A * (u_B * u_C), all basis triples with total
     grading at most maxdim, both twist conventions, compared formally."""
-    Q, p = model.quiver, model.p
-    params = {"quiver": Q.to_text(), "p": p, "maxdim": maxdim, "corrupt": corrupt}
+    Q = model.quiver
+    params = _params(model, maxdim=maxdim, corrupt=corrupt)
 
     def comparisons():
         for prod_fn, twist_name in ((hall.geometric_induction, "geometric"),
@@ -255,16 +261,9 @@ def _green_strata(Q: Quiver, alpha: DimVector, beta: DimVector, alpha_p: DimVect
     """The strata (a1, a2, b1, b2) with a1+a2 = alpha, b1+b2 = beta,
     a1+b1 = alpha', a2+b2 = beta', each with its Green twist -(a2, b1)."""
     out = []
-    for entries in product(*(range(e + 1) for e in alpha.entries)):
-        a1 = DimVector(entries)
-        b1e = tuple(x - y for x, y in zip(alpha_p.entries, a1.entries))
-        if any(e < 0 for e in b1e):
-            continue
-        b1 = DimVector(b1e)
-        if not b1 <= beta:
-            continue
-        a2 = alpha - a1
-        out.append(((a1, a2, b1, beta - b1), -symmetric_form(Q, a2, b1)))
+    for a1, a2 in _splits_of(alpha):
+        if a1 <= alpha_p and (b1 := alpha_p - a1) <= beta:
+            out.append(((a1, a2, b1, beta - b1), -symmetric_form(Q, a2, b1)))
     return out
 
 
@@ -305,24 +304,12 @@ def _add_green_stratum(
                     add_scaled(acc.setdefault((N, L), {}), left_base * cl, 1, exp)
 
 
-def green_both_sides(
-    model: HallModel,
-    A: IsoClassId,
-    B: IsoClassId,
-    alpha_p: DimVector,
-    beta_p: DimVector,
-    corrupt: bool = False,
-) -> tuple[TensorElement, TensorElement]:
-    """Left side Res(Ind), right side the sum over the compatibility strata,
-    each twisted by v^{-(a2, b1)}."""
-    strata = _green_strata(model.quiver, DimVector(A.dim), DimVector(B.dim), alpha_p, beta_p)
-    return _green_sides(model, A, B, (alpha_p, beta_p), strata, corrupt)
-
-
 def _green_sides(model: HallModel, A: IsoClassId, B: IsoClassId, split: tuple[DimVector, DimVector],
                  strata: list, corrupt: bool) -> tuple[TensorElement, TensorElement]:
-    """`green_both_sides` at `split`, given the `_green_strata` of the
-    gradings, which a check over many class pairs computes once."""
+    """Both Green sides at `split`: left Res(Ind), right the sum over the
+    compatibility strata, each twisted by v^{-(a2, b1)}. `strata` are the
+    `_green_strata` of the gradings, which a check over many class pairs
+    computes once."""
     fa, fb = hall.unit_class(model, A), hall.unit_class(model, B)
     lhs = hall.geometric_restriction(model, hall.geometric_induction(model, fa, fb), split)
     acc: dict[tuple[IsoClassId, IsoClassId], dict[int, Scalar]] = {}
@@ -343,12 +330,8 @@ def verify_green_compatibility(
     corrupt: bool = False,
 ) -> Report:
     Q, p = model.quiver, model.p
-    params = {
-        "quiver": Q.to_text(), "p": p,
-        "alpha": list(alpha.entries), "beta": list(beta.entries),
-        "alpha_p": list(alpha_p.entries), "beta_p": list(beta_p.entries),
-        "corrupt": corrupt,
-    }
+    params = _params(model, alpha=alpha, beta=beta, alpha_p=alpha_p, beta_p=beta_p,
+                     corrupt=corrupt)
     if alpha + beta != alpha_p + beta_p:
         raise ValueError("splits must share the total grading")
 
@@ -370,15 +353,6 @@ def verify_green_compatibility(
 # -- derivation product rules ----------------------------------------------------
 
 
-def product_rule_sides(
-    model: HallModel, A: IsoClassId, B: IsoClassId, i: int, m: int, side: str
-) -> tuple[HallElement, list[tuple[int, LaurentPoly, HallElement]]]:
-    """Left side: derivation of the product. Right side: the indexed terms
-    (t, scalar f_{m,t} v^{-P}, derived-product element), not yet summed."""
-    scalars = _rule_scalars(model.quiver, DimVector(A.dim), DimVector(B.dim), i, m, side)
-    return _rule_sides(model, A, B, i, m, side, scalars)
-
-
 def _rule_scalars(Q: Quiver, alpha: DimVector, beta: DimVector, i: int, m: int,
                   side: str) -> list[tuple[int, LaurentPoly]]:
     """(t, f_{m,t} v^{-P}) per stratum t of `stratum_data`: P is P_t for side
@@ -389,8 +363,10 @@ def _rule_scalars(Q: Quiver, alpha: DimVector, beta: DimVector, i: int, m: int,
 
 def _rule_sides(model: HallModel, A: IsoClassId, B: IsoClassId, i: int, m: int, side: str,
                 scalars: list) -> tuple[HallElement, list[tuple[int, LaurentPoly, HallElement]]]:
-    """`product_rule_sides` given the `_rule_scalars` of the gradings, which a
-    check over many class pairs computes once."""
+    """Left side: derivation of the product. Right side: the indexed terms
+    (t, scalar f_{m,t} v^{-P}, derived-product element), not yet summed.
+    `scalars` are the `_rule_scalars` of the gradings, which a check over many
+    class pairs computes once."""
     fa, fb = hall.unit_class(model, A), hall.unit_class(model, B)
     derive = hall.derivation(side)
     lhs = derive(model, hall.geometric_induction(model, fa, fb), i, m)
@@ -405,10 +381,7 @@ def verify_derivation_product_rule(
 ) -> Report:
     """Both flavors of the derivation-of-a-product formula, coefficientwise."""
     p = model.p
-    params = {
-        "quiver": model.quiver.to_text(), "p": p, "i": i, "m": m,
-        "alpha": list(alpha.entries), "beta": list(beta.entries), "corrupt": corrupt,
-    }
+    params = _params(model, i=i, m=m, alpha=alpha, beta=beta, corrupt=corrupt)
 
     def comparisons():
         for side in ("sub", "quot"):
@@ -439,10 +412,7 @@ def verify_stratification(
     the strata sum to the product rule's left side, and stratum t equals
     its right-hand term."""
     Q, p = model.quiver, model.p
-    params = {
-        "quiver": Q.to_text(), "p": p, "i": i, "m": m,
-        "alpha": list(alpha.entries), "beta": list(beta.entries),
-    }
+    params = _params(model, i=i, m=m, alpha=alpha, beta=beta)
     lo, hi, _ = stratum_data(Q, alpha, beta, i, m)
 
     def comparisons():
@@ -506,7 +476,7 @@ def verify_serre_generators(
     model: HallModel, i: int, j: int, convention: Convention, corrupt: bool = False
 ) -> Report:
     Q, p = model.quiver, model.p
-    params = {"quiver": Q.to_text(), "p": p, "i": i, "j": j, "corrupt": corrupt}
+    params = _params(model, i=i, j=j, corrupt=corrupt)
     if i == j:
         raise ValueError("serre check needs distinct vertices")
 
@@ -546,10 +516,8 @@ def verify_serre_derivations(
 ) -> Report:
     """Odd-m sum equals even-m sum of the divided derivation composites, on
     every basis class at the test grading, for both derivation flavors."""
-    Q, p = model.quiver, model.p
-    params = {
-        "quiver": Q.to_text(), "p": p, "i": i, "j": j, "testdim": list(testdim.entries),
-    }
+    Q = model.quiver
+    params = _params(model, i=i, j=j, testdim=testdim)
     n_top = 1 - symmetric_form(Q, Q.unit(i), Q.unit(j))
     need = Q.unit(i).scale(n_top) + Q.unit(j)
     if not need <= testdim:
@@ -600,9 +568,7 @@ def verify_pairing_adjunction(
     sqrt(q), constant across pairs (and flavors mirror with the right product).
     """
     Q, p = model.quiver, model.p
-    params = {
-        "quiver": Q.to_text(), "p": p, "i": i, "m": m, "alpha": list(alpha.entries),
-    }
+    params = _params(model, i=i, m=m, alpha=alpha)
     big = alpha + Q.unit(i).scale(m)
 
     def comparisons():
@@ -655,9 +621,8 @@ def verify_pairing_general(
 ) -> Report:
     """{A*B, C} against {A (x) B, Res C}: zero sets must agree and the ratio
     must be a single signed q-power depending only on the split."""
-    Q, p = model.quiver, model.p
-    params = {"quiver": Q.to_text(), "p": p,
-              "alpha": list(alpha.entries), "beta": list(beta.entries)}
+    p = model.p
+    params = _params(model, alpha=alpha, beta=beta)
     nu = alpha + beta
 
     def comparisons():
@@ -705,16 +670,18 @@ def verify_operator_relations(
     derivation operators; the divided Serre law is delegated to
     verify_serre_derivations."""
     Q, p = model.quiver, model.p
-    params = {"quiver": Q.to_text(), "p": p, "i": i, "alpha": list(alpha.entries),
-              "maxother": maxother}
+    params = _params(model, i=i, alpha=alpha, maxother=maxother)
     exp = LaurentPoly.v(-symmetric_form(Q, alpha, Q.unit(i)))
 
     def comparisons():
         ind = hall.geometric_induction
+
+        def mul(side, x, y):  # left multiplication for "sub", right for its mirror
+            return ind(model, x, y) if side == "sub" else ind(model, y, x)
+
         for A in model.table(alpha).ids():
             fa = hall.unit_class(model, A)
-            dsub_a = hall.derive_sub(model, fa, i, 1)
-            dquot_a = hall.derive_quot(model, fa, i, 1)
+            derived_a = {side: hall.derivation(side)(model, fa, i, 1) for side in ("sub", "quot")}
             for db in _dims_up_to(Q, maxother):
                 for B in model.table(db).ids():
                     fb = hall.unit_class(model, B)
@@ -724,20 +691,16 @@ def verify_operator_relations(
                         l1 = ind(model, fa, ind(model, fb, fc))
                         r1 = ind(model, ind(model, fa, fb), fc)
                         yield None if l1 == r1 else ({"item": 1}, {})
-                    # (3) left derivation against left multiplication
-                    lhs = hall.derive_sub(model, ind(model, fa, fb), i, 1)
-                    rhs = ind(model, fa, hall.derive_sub(model, fb, i, 1)).scale(exp)
-                    sl = spec_hall(lhs, p, convention)
-                    sr = spec_hall(rhs + ind(model, dsub_a, fb), p, convention)
-                    yield None if sl == sr else _failure(
-                        model, sl, sr, {"item": 3, "pair": _labels(model, A, B)}, details={})
-                    # (4) right derivation against right multiplication
-                    lhs = hall.derive_quot(model, ind(model, fb, fa), i, 1)
-                    rhs = ind(model, hall.derive_quot(model, fb, i, 1), fa).scale(exp)
-                    sl = spec_hall(lhs, p, convention)
-                    sr = spec_hall(rhs + ind(model, fb, dquot_a), p, convention)
-                    yield None if sl == sr else _failure(
-                        model, sl, sr, {"item": 4, "pair": _labels(model, A, B)}, details={})
+                    # (3) left derivation against left multiplication, (4) the right mirror
+                    for item, side in ((3, "sub"), (4, "quot")):
+                        derive = hall.derivation(side)
+                        lhs = derive(model, mul(side, fa, fb), i, 1)
+                        rhs = mul(side, fa, derive(model, fb, i, 1)).scale(exp)
+                        sl = spec_hall(lhs, p, convention)
+                        sr = spec_hall(rhs + mul(side, derived_a[side], fb), p, convention)
+                        yield None if sl == sr else _failure(
+                            model, sl, sr, {"item": item, "pair": _labels(model, A, B)},
+                            details={})
         return {**_CHECKED, "item2": "delegated to serre_derivations"}
 
     return _check("operator_relations", params, convention.label, comparisons())
@@ -750,7 +713,7 @@ def verify_uminus_serre(model: HallModel, i: int, j: int, convention: Convention
     """serre_element evaluates to zero in the Hall algebra under the Euler-form
     twist at the pinned convention."""
     p = model.p
-    params = {"quiver": model.quiver.to_text(), "p": p, "i": i, "j": j, "twist": "ringel"}
+    params = _params(model, i=i, j=j, twist="ringel")
 
     def comparisons():
         s = uminus.serre_element(i, j, model.quiver)
@@ -869,15 +832,14 @@ class SweepConfig:
 def verify_green_sweep(model: HallModel, nu: DimVector, convention: Convention,
                        corrupt: bool = False) -> Report:
     """All split pairs of one total grading, aggregated."""
-    params = {"quiver": model.quiver.to_text(), "p": model.p, "nu": list(nu.entries),
-              "corrupt": corrupt}
+    params = _params(model, nu=nu, corrupt=corrupt)
 
     def reports():
         for alpha, beta in _splits_of(nu):
             for alpha_p, beta_p in _splits_of(nu):
                 r = verify_green_compatibility(model, alpha, beta, alpha_p, beta_p,
                                                convention, corrupt)
-                r.params["nu"] = list(nu.entries)  # a failing report names its sweep
+                r.params["nu"] = params["nu"]  # a failing report names its sweep
                 yield r
 
     return _sweep("green", params, convention.label, reports())
@@ -895,8 +857,7 @@ def _rule_pairs(Q: Quiver, i: int, m: int, maxtotal: int) -> list[tuple[DimVecto
 
 def verify_rule_sweep(model: HallModel, i: int, m: int, maxtotal: int,
                       convention: Convention, corrupt: bool = False) -> Report:
-    params = {"quiver": model.quiver.to_text(), "p": model.p, "i": i, "m": m,
-              "maxtotal": maxtotal, "corrupt": corrupt}
+    params = _params(model, i=i, m=m, maxtotal=maxtotal, corrupt=corrupt)
     reports = (verify_derivation_product_rule(model, i, m, alpha, beta, convention, corrupt)
                for alpha, beta in _rule_pairs(model.quiver, i, m, maxtotal))
     return _sweep("derivation_product_rule", params, convention.label, reports)
@@ -907,7 +868,7 @@ def verify_stratification_sweep(model: HallModel, i: int, m: int, maxtotal: int,
     """All (alpha, beta) with a genuinely multi-stratum range a < b, plus one
     degenerate case for coverage."""
     Q = model.quiver
-    params = {"quiver": Q.to_text(), "p": model.p, "i": i, "m": m, "maxtotal": maxtotal}
+    params = _params(model, i=i, m=m, maxtotal=maxtotal)
 
     def reports():
         seen_degenerate = False

@@ -29,6 +29,12 @@ from .laurent import LaurentPoly
 from .quiver import DimVector, builtin_quiver, euler_form, induction_twist
 
 
+# counts are fitted through PRIMES and checked at HOLDOUT; a fit above MAX_DEGREE in q fails
+PRIMES = (2, 3, 5)
+HOLDOUT = 7
+MAX_DEGREE = 2
+
+
 class SeriesLabelError(RuntimeError):
     """Raised when classes cannot be matched across primes."""
 
@@ -118,21 +124,20 @@ def _collect(qname: str, fn, args, p: int, budget: int) -> dict[str, int]:
     return fn(model, *(DimVector(a) if isinstance(a, tuple) else a for a in args))
 
 
-def _series_comparisons(qname: str, fn, args, primes, holdout: int, budget: int,
-                        max_degree: int):
-    """One comparison per count of the series: its fit through `primes`
-    against the count at the held-out prime."""
+def _series_comparisons(qname: str, fn, args, budget: int):
+    """One comparison per count of the series: its fit through PRIMES
+    against the count at HOLDOUT."""
     try:
-        per_prime = {p: _collect(qname, fn, args, p, budget) for p in primes}
-        held = _collect(qname, fn, args, holdout, budget)
+        per_prime = {p: _collect(qname, fn, args, p, budget) for p in PRIMES}
+        held = _collect(qname, fn, args, HOLDOUT, budget)
     except SeriesLabelError as e:
         yield {"reason": str(e)}, {}
     for label in sorted(set(held).union(*per_prime.values())):
-        poly = lagrange_fit([(p, per_prime[p].get(label, 0)) for p in primes])
-        if poly and poly.degree > max_degree:
+        poly = lagrange_fit([(p, per_prime[p].get(label, 0)) for p in PRIMES])
+        if poly and poly.degree > MAX_DEGREE:
             yield {"label": label, "reason": "fit degree exceeds bound",
                    "fit": poly.render("q")}, {}
-        predicted = poly.eval_rational(holdout) if poly else Fraction(0)
+        predicted = poly.eval_rational(HOLDOUT) if poly else Fraction(0)
         actual = held.get(label, 0)
         yield None if predicted == actual else ({
             "label": label, "fit": poly.render("q"),
@@ -141,17 +146,12 @@ def _series_comparisons(qname: str, fn, args, primes, holdout: int, budget: int,
     return {"series": _COUNT}
 
 
-def verify_count_series(
-    primes: tuple[int, ...] = (2, 3, 5),
-    holdout: int = 7,
-    budget: int = DEFAULT_POINT_BUDGET,
-    max_degree: int = 2,
-) -> list[Report]:
-    """Fit every curated count series at `primes` and reproduce the held-out
+def verify_count_series(budget: int = DEFAULT_POINT_BUDGET) -> list[Report]:
+    """Fit every curated count series at PRIMES and reproduce the held-out
     prime exactly. One report per instance."""
     return [
-        _check("polynomiality", {"instance": name, "primes": list(primes), "holdout": holdout},
-               None, _series_comparisons(qname, fn, args, primes, holdout, budget, max_degree))
+        _check("polynomiality", {"instance": name, "primes": list(PRIMES), "holdout": HOLDOUT},
+               None, _series_comparisons(qname, fn, args, budget))
         for name, qname, fn, args in _SERIES_INSTANCES
     ]
 
@@ -172,14 +172,13 @@ def green_sides_fit(
     beta: tuple,
     alpha_p: tuple,
     beta_p: tuple,
-    primes: tuple[int, ...] = (2, 3, 5),
     budget: int = DEFAULT_POINT_BUDGET,
 ) -> Report:
     """Fit the raw integer counts of both sides of the compatibility identity
     and check the fitted polynomials agree after the exact q-power bookkeeping
     of the twists (v^2 = 1/q direction)."""
     params = {"instance": f"green-fit-{qname}", "alpha": list(alpha), "beta": list(beta),
-              "alpha_p": list(alpha_p), "beta_p": list(beta_p), "primes": list(primes)}
+              "alpha_p": list(alpha_p), "beta_p": list(beta_p), "primes": list(PRIMES)}
     a, b = DimVector(alpha), DimVector(beta)
     ap, bp = DimVector(alpha_p), DimVector(beta_p)
     Q = builtin_quiver(qname)
@@ -200,7 +199,7 @@ def green_sides_fit(
     def comparisons():
         lhs_vals: dict[str, dict[int, Fraction]] = {}
         rhs_vals: dict[tuple[int, str], dict[int, Fraction]] = {}
-        for p in primes:
+        for p in PRIMES:
             model = _pooled_model(Q.to_text(), p, budget)
             for A in model.table(a).ids():
                 for B in model.table(b).ids():
@@ -225,7 +224,7 @@ def green_sides_fit(
 
         # a count absent at some prime is zero there
         lhs_fit = {
-            k: lagrange_fit([(p, vals.get(p, Fraction(0))) for p in primes])
+            k: lagrange_fit([(p, vals.get(p, Fraction(0))) for p in PRIMES])
             for k, vals in lhs_vals.items()
         }
         rhs_fit: dict[str, LaurentPoly] = {}
@@ -234,7 +233,7 @@ def green_sides_fit(
             diff = e_lhs - exps[si]
             if diff % 2:
                 yield {"reason": "odd twist mismatch between the sides"}, {}
-            fit = lagrange_fit([(p, vals.get(p, Fraction(0))) for p in primes])
+            fit = lagrange_fit([(p, vals.get(p, Fraction(0))) for p in PRIMES])
             shifted = LaurentPoly.v(diff // 2) * fit
             rhs_fit[key] = rhs_fit.get(key, LaurentPoly.zero()) + shifted
         zero = LaurentPoly.zero()
@@ -247,34 +246,29 @@ def green_sides_fit(
     return _check("polynomiality", params, None, comparisons())
 
 
-def verify_holdout_identities(holdout: int = 7, budget: int = DEFAULT_POINT_BUDGET) -> list[Report]:
+def verify_holdout_identities(budget: int = DEFAULT_POINT_BUDGET) -> list[Report]:
     """Re-run three identity checks at the held-out prime directly."""
     conv = CONVENTION_BY_LABEL["-1/sqrt(q)"]
-    m = _pooled_model(builtin_quiver("single").to_text(), holdout, budget)
+    m = _pooled_model(builtin_quiver("single").to_text(), HOLDOUT, budget)
     one, two = DimVector((1,)), DimVector((2,))
     out = [
         identities.verify_green_compatibility(m, one, one, one, one, conv),
         identities.verify_derivation_product_rule(m, 0, 2, two, two, conv),
         identities.verify_serre_generators(
-            _pooled_model(builtin_quiver("a2").to_text(), holdout, budget), 0, 1, conv),
+            _pooled_model(builtin_quiver("a2").to_text(), HOLDOUT, budget), 0, 1, conv),
     ]
     for r in out:
-        r.params["holdout"] = holdout
+        r.params["holdout"] = HOLDOUT
     return out
 
 
-def verify_polynomiality(
-    primes: tuple[int, ...] = (2, 3, 5),
-    holdout: int = 7,
-    budget: int = DEFAULT_POINT_BUDGET,
-    full: bool = True,
-) -> list[Report]:
+def verify_polynomiality(budget: int = DEFAULT_POINT_BUDGET, full: bool = True) -> list[Report]:
     """Criterion harness: count-series fits, both-sides fits, and held-out
     identity reruns. `full=False` keeps only the count-series subset."""
-    reports = verify_count_series(primes, holdout, budget)
+    reports = verify_count_series(budget)
     if full:
-        reports.append(green_sides_fit("single", (1,), (1,), (1,), (1,), primes, budget))
-        reports.append(green_sides_fit("a2", (1, 0), (0, 1), (0, 1), (1, 0), primes, budget))
-        reports.append(green_sides_fit("a2", (1, 0), (1, 1), (1, 1), (1, 0), primes, budget))
-        reports.extend(verify_holdout_identities(holdout, budget))
+        reports.append(green_sides_fit("single", (1,), (1,), (1,), (1,), budget))
+        reports.append(green_sides_fit("a2", (1, 0), (0, 1), (0, 1), (1, 0), budget))
+        reports.append(green_sides_fit("a2", (1, 0), (1, 1), (1, 1), (1, 0), budget))
+        reports.extend(verify_holdout_identities(budget))
     return reports

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 # geometric_induction is not used here, but perfbench's tracer tests call it as
 # uminus.geometric_induction to check that names bound by import are traced
-from .hall import HallElement, HallModel, geometric_induction, ringel_product, unit_class, unit_element
+from .hall import HallElement, HallModel, _Terms, geometric_induction, ringel_product, unit_class, unit_element
 from .laurent import LaurentPoly, quantum_binomial
 from .quiver import DimVector, Quiver, symmetric_form
 
@@ -29,17 +29,17 @@ def word_degree(Q: Quiver, w: Word) -> DimVector:
 
 
 @dataclass(frozen=True)
-class FreeElement:
+class FreeElement(_Terms):
     quiver: Quiver
     terms: tuple[tuple[Word, LaurentPoly], ...]
 
     @staticmethod
     def make(Q: Quiver, coeffs: dict[Word, LaurentPoly]) -> "FreeElement":
-        clean = {w: c for w, c in coeffs.items() if c}
-        for w in clean:
+        terms = FreeElement._canonical(coeffs)
+        for w, _ in terms:
             if any(not (0 <= v < Q.n) for v in w):
                 raise ValueError(f"word {w} uses letters outside the vertex set")
-        return FreeElement(Q, tuple(sorted(clean.items())))
+        return FreeElement(Q, terms)
 
     @staticmethod
     def zero(Q: Quiver) -> "FreeElement":
@@ -55,12 +55,6 @@ class FreeElement:
             raise ValueError("vertex index out of range")
         return FreeElement.make(Q, {(i,): LaurentPoly.one()})
 
-    def coeffs(self) -> dict[Word, LaurentPoly]:
-        return dict(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other: "FreeElement") -> "FreeElement":
         if self.quiver != other.quiver:
             raise ValueError("elements over different quivers")
@@ -68,18 +62,6 @@ class FreeElement:
         for w, x in other.terms:
             c[w] = c.get(w, LaurentPoly.zero()) + x
         return FreeElement.make(self.quiver, c)
-
-    def __sub__(self, other: "FreeElement") -> "FreeElement":
-        return self + other.scale(-1)
-
-    def scale(self, s) -> "FreeElement":
-        sp = s if isinstance(s, LaurentPoly) else LaurentPoly.const(s)
-        return FreeElement.make(self.quiver, {w: sp * c for w, c in self.terms})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FreeElement):
-            return NotImplemented
-        return self.quiver == other.quiver and self.terms == other.terms
 
     def to_json(self) -> dict:
         return {"terms": [{"word": list(w), "laurent": c.render()} for w, c in self.terms]}

@@ -234,7 +234,7 @@ def test_criterion_08_symbolic_layer():
 
 
 def test_criterion_09_multi_prime_polynomiality():
-    reports = verify_polynomiality(primes=(2, 3, 5), holdout=7)
+    reports = verify_polynomiality()
     bad = [r for r in reports if not r.passed]
     if bad:
         announce(9, False, f"polynomiality failed: {bad[0].params} {bad[0].witness}")

@@ -260,8 +260,17 @@ def _swap_representatives(d):
     a["representative"], b["representative"] = b["representative"], a["representative"]
 
 
-# each corruption (in place) turns the JSON of a2 (2,1) at p=3 into a table
-# that no classification produces; the cache loader must treat each as a miss
+def _corrupted(data, corrupt):
+    """The JSON after `corrupt`: a function edits it in place, a JSON text
+    replaces it whole."""
+    if isinstance(corrupt, str):
+        return json.loads(corrupt)
+    corrupt(data)
+    return data
+
+
+# each corruption turns the JSON of a2 (2,1) at p=3 into a table that no
+# classification produces; the cache loader must treat each as a miss
 BAD_TABLE_JSON = {
     "truncated_representative": _truncate_representative,
     "p_as_string": lambda d: d.update(p=str(d["p"])),
@@ -278,15 +287,23 @@ BAD_TABLE_JSON = {
         orbit_size=str(d["classes"][0]["orbit_size"])),
     "aut_count_as_float": lambda d: d["classes"][0].update(
         aut_count=float(d["classes"][0]["aut_count"])),
+    # valid JSON of the wrong shape
+    "top_level_list": "[]",
+    "top_level_null": "null",
+    "top_level_string": '"x"',
+    "quiver_only_an_int": '{"quiver": 5}',
+    "quiver_as_list": lambda d: d.update(quiver=[1]),
+    "classes_as_int": lambda d: d.update(classes=5),
+    "class_entry_as_string": lambda d: d.update(classes=["x"]),
+    "class_of_point_as_int": lambda d: d.update(class_of_point=7),
 }
 
 
 @pytest.mark.parametrize("corrupt", BAD_TABLE_JSON.values(), ids=BAD_TABLE_JSON.keys())
 def test_classification_table_from_json_rejects_bad_classes(corrupt):
     data = classify(builtin_quiver("a2"), DimVector((2, 1)), 3).to_json()
-    corrupt(data)
     with pytest.raises(ValueError):
-        ClassificationTable.from_json(data)
+        ClassificationTable.from_json(_corrupted(data, corrupt))
 
 
 def _table_of(quiver, dim, p):
@@ -321,9 +338,7 @@ def test_bad_cache_file_is_a_miss_and_is_overwritten(cache, capsys, corrupt):
     if corrupt is None:
         path.write_text(good[: len(good) // 2])
     else:
-        data = json.loads(good)
-        corrupt(data)
-        path.write_text(json.dumps(data, sort_keys=True))
+        path.write_text(json.dumps(_corrupted(json.loads(good), corrupt), sort_keys=True))
     code, again, _ = run_cli(capsys, *args)
     assert code == 0
     assert again == fresh

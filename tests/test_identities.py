@@ -279,17 +279,17 @@ def test_the_run_budget_reaches_every_model(monkeypatch):
 
 
 def test_jobs_parallel_matches_serial():
-    cfg = SweepConfig(quivers=("a2",), primes=(2,), maxdim=2,
-                      only=("serre_generators",))
-    serial = run_suite(cfg)
-    cfg2 = SweepConfig(quivers=("a2",), primes=(2,), maxdim=2,
-                       only=("serre_generators",), jobs=2)
-    parallel = run_suite(cfg2)
-
     def key(rs):
         return sorted(json.dumps({**r.to_json(), "elapsed": 0}, sort_keys=True) for r in rs)
 
-    assert key(serial) == key(parallel)
+    # a passing slice, and a failing one whose reports and witnesses cross
+    # the workers' JSON round trip
+    for corrupt, only in ((False, ("serre_generators",)), (True, ("associativity", "green"))):
+        cfg = dict(quivers=("a2",), primes=(2,), maxdim=2, skip_slow=True,
+                   only=only, corrupt=corrupt)
+        serial = run_suite(SweepConfig(**cfg))
+        assert any(not r.passed for r in serial) == corrupt
+        assert key(serial) == key(run_suite(SweepConfig(**cfg, jobs=2)))
 
 
 def test_divided_power_class_relation_bridge_is_prime_independent():

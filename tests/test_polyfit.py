@@ -31,7 +31,7 @@ def test_filtration_series_labels_are_prime_independent():
 
 
 def test_count_series_holdout():
-    reports = verify_count_series(primes=(2, 3, 5), holdout=7)
+    reports = verify_count_series()
     assert reports and all(r.passed for r in reports)
 
 
@@ -41,7 +41,7 @@ def test_green_sides_fit_single_vertex():
 
 
 def test_holdout_identities_run_at_seven():
-    reports = verify_holdout_identities(7)
+    reports = verify_holdout_identities()
     assert len(reports) == 3
     assert all(r.passed for r in reports)
     assert all(r.params["holdout"] == 7 for r in reports)
