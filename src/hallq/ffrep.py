@@ -13,7 +13,8 @@ Every count is one of two sweeps over point indices. A restriction fiber
 (`_fiber_points`), over a fixed quotient point z and sub point y, is a base
 index made of the digits of z and y plus one digit offset per corner entry;
 the extension histograms read each fiber point's class from `class_of_point`,
-and the stratified counts decode it for the second sweep. That one walks the
+and the stratified counts pass its matrices to the second sweep, for every
+class pair of the split at once. That one walks the
 x-stable graded subspaces of a point (`stable_subspaces`) and sums the point
 indices of the induced sub and quotient representations while it checks
 stability, so a class is one `class_of_index` lookup. What depends only on
@@ -102,7 +103,8 @@ class PointCodec:
                     mult *= p
         return idx
 
-    def decode(self, idx: int) -> Rep:
+    def matrices(self, idx: int) -> tuple[Matrix, ...]:
+        """The arrow matrices of point idx, without building a `Rep`."""
         p = self.p
         mats = []
         for rows, cols in self.shapes:
@@ -114,7 +116,10 @@ class PointCodec:
                     row.append(d)
                 m.append(tuple(row))
             mats.append(tuple(m))
-        return Rep(self.quiver, p, self.dim, tuple(mats))
+        return tuple(mats)
+
+    def decode(self, idx: int) -> Rep:
+        return Rep(self.quiver, self.p, self.dim, self.matrices(idx))
 
 
 def enumerate_points(
@@ -670,18 +675,26 @@ def stable_subspaces(
     """
     if not beta <= x.dim:
         return
-    p = x.p
     if frame is None:
-        frame = SubspaceFrame(x.quiver, x.dim, beta, p)
-    elif frame.key != (x.quiver, x.dim, beta, p):
+        frame = SubspaceFrame(x.quiver, x.dim, beta, x.p)
+    elif frame.key != (x.quiver, x.dim, beta, x.p):
         raise ValueError("subspace frame was built for another space")
+    for picks, si, qi in _stable_walk(x.matrices, frame):
+        yield GradedSubspace(tuple(u[1] for u in picks), si, qi, frame)
+
+
+def _stable_walk(mats: tuple[Matrix, ...], frame: SubspaceFrame) -> Iterator[tuple[list, int, int]]:
+    """The walk of `stable_subspaces` over the arrow matrices of one point of
+    the frame's space: yields (picks, sub index, quotient index), where picks
+    holds the chosen subspace tuple of each vertex. picks is one list, changed
+    in place as the walk goes on, so a caller reads it before the next step."""
+    Q, _, _, p = frame.key
     subspaces, arrows_at = frame.subspaces, frame.arrows_at
     n = len(subspaces)
     if n == 0:  # a quiver without vertices: the zero space is its own subspace
-        yield GradedSubspace((), 0, 0, frame)
+        yield [], 0, 0
         return
-    mats = x.matrices
-    columns: list[list] = [[None] * len(subspaces[s]) for s, _ in x.quiver.arrows]
+    columns: list[list] = [[None] * len(subspaces[s]) for s, _ in Q.arrows]
     picks: list = [None] * n
     sums = [(0, 0)] * n  # index sums of the arrows checked below each vertex
     # one subspace iterator per chosen vertex; going deeper leaves the loop
@@ -707,7 +720,7 @@ def stable_subspaces(
                     sums[v + 1] = (si, qi)
                     stack.append(iter(subspaces[v + 1]))
                     break
-                yield GradedSubspace(tuple(u[1] for u in picks), si, qi, frame)
+                yield picks, si, qi
         else:
             stack.pop()
 
@@ -827,28 +840,29 @@ def derive_quot_histogram(extension: dict) -> dict[tuple[IsoClassId, IsoClassId]
 
 
 def stratified_pair_counts(
-    tables: TableCache,
-    alpha: DimVector,
-    beta: DimVector,
-    A: IsoClassId,
-    B: IsoClassId,
-    i: int,
-    m: int,
-    side: str,
-) -> dict[int, dict[IsoClassId, int]]:
-    """Per-stratum fiber counts for the derivation of an induction product.
+    tables: TableCache, alpha: DimVector, beta: DimVector, i: int, m: int, side: str
+) -> dict[tuple[IsoClassId, IsoClassId], tuple]:
+    """Per-stratum fiber counts for the derivation of an induction product,
+    for every class pair at once: (A, B) -> (t, N, count, t, N, count, ...),
+    one flat tuple of entries per pair, read back by `stratum_entries`.
 
     Pairs (x, W) are counted where x runs over the fixed-subspace fiber of the
     derivation at the product grading, W over x-stable subspaces of dimension
-    beta with quotient in A and sub in B. The fiber lies over the points of
-    the `derivation_split` of alpha + beta: the one point at m*e_i and rep(N)
-    for each class N of the rest; strata[t][N] counts the pairs over rep(N).
+    beta, with quotient class A at alpha and sub class B at beta. The fiber
+    lies over the points of the `derivation_split` of alpha + beta: the one
+    point at m*e_i and rep(N) for each class N of the rest. An entry (t, N,
+    count) counts the (x, W) of one class pair over rep(N) in stratum t; a
+    pair that no (x, W) reaches is absent. A pair's entries are grouped by t
+    in the order its walk first meets each stratum, and by N in class order
+    within a stratum, as a walk for that pair alone would meet them.
 
-    A pair's stratum t comes from k = dim(W_i meet the fixed sub block at
-    vertex i), the block of coordinates from split[0]_i on. W_i is held as an
-    RREF basis, so k is the number of its rows whose leading 1 lies in that
-    block: t = m - beta_i + k for side "sub" (quotient at m*e_i) and t = m - k
-    for "quot", the mirror.
+    The walk does not depend on (A, B), so one walk fills every pair, and
+    each fiber point's matrices go to the stable-subspace walk without a
+    `Rep`. A pair's stratum t comes from k = dim(W_i meet the fixed sub block
+    at vertex i), the block of coordinates from split[0]_i on. W_i is held as
+    an RREF basis, so k is the number of its pivots in that block: t = m -
+    beta_i + k for side "sub" (quotient at m*e_i) and t = m - k for "quot",
+    the mirror.
     """
     split = derivation_split(tables.quiver, alpha + beta, i, m, side)
     if split is None:
@@ -862,16 +876,29 @@ def stratified_pair_counts(
     frame = SubspaceFrame(Q, alpha + beta, beta, p)
     codec = PointCodec(Q, alpha + beta, p)
     cut = split[0][i]
-    strata: dict[int, dict[IsoClassId, int]] = {}
-    for N in rest_t.ids():
+    # a subspace's stratum depends on its choice at vertex i alone: k counts
+    # that choice's pivots in the fixed sub block
+    ks = (sum(c >= cut for c in w[2]) for w in frame.subspaces[i])
+    stratum = [m - beta[i] + k if side == "sub" else m - k for k in ks]
+    a_of, b_of = a_t._class_of_point, b_t._class_of_point
+    counts: dict[tuple[int, int, int, int], int] = {}  # (A, B, t, N) as class indices
+    for n, rest in enumerate(rest_t.classes):
         ends = [point, point]  # the (quotient, sub) points the fiber lies over
-        ends[slot] = rest_t.info(N).representative
+        ends[slot] = rest.representative
         for idx in _fiber_points(codec, *ends):
-            for gs in stable_subspaces(codec.decode(idx), beta, frame):
-                if a_t.class_of_index(gs.quot_index) != A or b_t.class_of_index(gs.sub_index) != B:
-                    continue
-                k = sum(row.index(1) >= cut for row in gs.bases[i])
-                t = m - beta[i] + k if side == "sub" else m - k
-                per_class = strata.setdefault(t, {})
-                per_class[N] = per_class.get(N, 0) + 1
-    return strata
+            for picks, si, qi in _stable_walk(codec.matrices(idx), frame):
+                key = (a_of[qi], b_of[si], stratum[picks[i][0]], n)
+                counts[key] = counts.get(key, 0) + 1
+    by_pair: dict[tuple[int, int], dict[int, list]] = {}
+    for (a, b, t, n), c in counts.items():
+        by_pair.setdefault((a, b), {}).setdefault(t, []).extend((t, rest_t.classes[n].id, c))
+    # flat, not one tuple per entry: a `HallModel` keeps these for its
+    # lifetime, and the entry tuples cost about 1 MB of peak RSS in a count sweep
+    return {(a_t.classes[a].id, b_t.classes[b].id): tuple(x for per_t in strata.values() for x in per_t)
+            for (a, b), strata in by_pair.items()}
+
+
+def stratum_entries(flat: tuple) -> Iterator[tuple[int, IsoClassId, int]]:
+    """The (t, N, count) entries of one pair's flat tuple from `stratified_pair_counts`."""
+    it = iter(flat)
+    return zip(it, it, it)

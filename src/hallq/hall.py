@@ -124,8 +124,10 @@ class TensorElement(_Terms):
 
 
 class HallModel:
-    """Classification tables plus memoized count tables for one (quiver, p),
-    and memos, dying with the model, of unit classes, twists and splits."""
+    """Classification tables plus memoized count tables for one (quiver, p):
+    filtration, extension and stratified, each filled for every class pair of
+    its key by one sweep. Memos of unit classes, twists and splits sit next
+    to them; all of them die with the model."""
 
     def __init__(self, quiver: Quiver, p: int, budget: int = ffrep.DEFAULT_POINT_BUDGET,
                  tables: TableCache | None = None):
@@ -134,6 +136,7 @@ class HallModel:
         self.tables = tables if tables is not None else TableCache(quiver, p, budget)
         self._filt: dict[tuple, dict] = {}
         self._ext: dict[tuple, dict] = {}
+        self._strat: dict[tuple, dict] = {}
         self._units: dict[IsoClassId, HallElement] = {}
         self._gradings: dict[tuple, tuple[DimVector, int, int]] = {}
         self._splits: dict[tuple, tuple[DimVector, DimVector] | None] = {}
@@ -183,6 +186,16 @@ class HallModel:
                 for L in self.table(beta).ids():
                     got[(N, L)] = ffrep.extension_histogram(self.tables, N, L)
             self._ext[key] = got
+        return got
+
+    def stratified_table(self, alpha: DimVector, beta: DimVector, i: int, m: int, side: str) -> dict:
+        """(A, B) -> (t, N, count, ...) for the stratified derivation at
+        vertex i, multiplicity m and side of u_A * u_B, A at alpha and B at
+        beta: `ffrep.stratified_pair_counts`, one fiber walk for every pair."""
+        key = (alpha.entries, beta.entries, i, m, side)
+        got = self._strat.get(key)
+        if got is None:
+            got = self._strat[key] = ffrep.stratified_pair_counts(self.tables, alpha, beta, i, m, side)
         return got
 
     def derive_sub_table(self, alpha: DimVector, i: int, m: int) -> dict:
@@ -328,16 +341,23 @@ def derivation(side: str):
 
 
 def _stratified(model: HallModel, A: IsoClassId, B: IsoClassId, i: int, m: int, side: str) -> dict[int, HallElement]:
-    alpha, beta = DimVector(A.dim), DimVector(B.dim)
+    """Stratum t -> its piece, read from the model's stratified table and
+    built afresh on every call. An id the model does not have raises KeyError."""
+    a_t, b_t = model.table(DimVector(A.dim)), model.table(DimVector(B.dim))
+    a_t.index_of(A)
+    b_t.index_of(B)
+    alpha, beta = a_t.dim, b_t.dim
     nu, tw, _ = model.grading(alpha, beta)
     split = model.split(nu, i, m, side)
     if split is None:
         return {}
     exp = tw - model.grading(*split)[2]
-    counts = ffrep.stratified_pair_counts(model.tables, alpha, beta, A, B, i, m, side)
-    return {t: HallElement._of(model.quiver, model.p, split[SPLIT_SLOT[side]],
-                               {N: LaurentPoly.v(exp, c) for N, c in per_class.items()})
-            for t, per_class in counts.items()}
+    entries = model.stratified_table(alpha, beta, i, m, side).get((A, B), ())
+    per_t: dict[int, dict[IsoClassId, LaurentPoly]] = {}
+    for t, N, c in ffrep.stratum_entries(entries):
+        per_t.setdefault(t, {})[N] = LaurentPoly.v(exp, c)
+    return {t: HallElement._of(model.quiver, model.p, split[SPLIT_SLOT[side]], coeffs)
+            for t, coeffs in per_t.items()}
 
 
 def stratified_derive_sub(model: HallModel, A: IsoClassId, B: IsoClassId, i: int, m: int) -> dict[int, HallElement]:

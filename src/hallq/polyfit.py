@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import ffrep, hall, identities
-from .ffrep import DEFAULT_POINT_BUDGET, IsoClassId
+from . import hall, identities
+from .ffrep import DEFAULT_POINT_BUDGET, IsoClassId, stratum_entries
 from .hall import HallModel
 from .identities import (
     _COUNT,
@@ -91,14 +91,12 @@ def derive_series(model: HallModel, alpha: DimVector, i: int, m: int, flavor: st
 
 
 def strata_series(model: HallModel, alpha: DimVector, beta: DimVector, i: int, m: int) -> dict[str, int]:
+    table = model.stratified_table(alpha, beta, i, m, "sub")
     out = {}
     for A in model.table(alpha).ids():
         for B in model.table(beta).ids():
-            counts = ffrep.stratified_pair_counts(model.tables, alpha, beta, A, B, i, m, "sub")
-            for t, per in counts.items():
-                for N, c in per.items():
-                    key = f"S|{t}|{_xlabel(model, A)}|{_xlabel(model, B)}|{_xlabel(model, N)}"
-                    out[key] = c
+            for t, N, c in stratum_entries(table.get((A, B), ())):
+                out[f"S|{t}|{_xlabel(model, A)}|{_xlabel(model, B)}|{_xlabel(model, N)}"] = c
     return out
 
 

@@ -27,6 +27,7 @@ from hallq.ffrep import (
     simple_rep,
     stable_subspaces,
     stratified_pair_counts,
+    stratum_entries,
     zero_rep,
     Rep,
 )
@@ -776,13 +777,18 @@ def test_filtration_and_stratified_counts_match_reference_kernel():
             alpha = nu - beta
             if alpha.is_zero() or beta.is_zero():
                 continue
-            for A in tables.table(alpha).ids():
-                for B in tables.table(beta).ids():
-                    for i in range(Q.n):
-                        for m, side in product((1, 2), ("sub", "quot")):
-                            got = stratified_pair_counts(tables, alpha, beta, A, B, i, m, side)
-                            assert got == _stratified_pair_counts_reference(
-                                tables, alpha, beta, A, B, i, m, side), (Q, alpha, beta, i, m, side)
+            for i in range(Q.n):
+                for m, side in product((1, 2), ("sub", "quot")):
+                    pairs = stratified_pair_counts(tables, alpha, beta, i, m, side)
+                    for A in tables.table(alpha).ids():
+                        for B in tables.table(beta).ids():
+                            ref = _stratified_pair_counts_reference(tables, alpha, beta, A, B, i, m, side)
+                            got = pairs.get((A, B))
+                            # a pair absent from the walk has no counts at all
+                            assert got is not None or ref == {}, (Q, alpha, beta, A, B, i, m, side)
+                            # the same counts, grouped by stratum in the same t and N order
+                            want = tuple((t, N, c) for t, per in ref.items() for N, c in per.items())
+                            assert tuple(stratum_entries(got or ())) == want, (Q, alpha, beta, i, m, side)
                             checked += bool(got)
         assert checked > 10
 

@@ -397,6 +397,52 @@ def test_stratified_totals_a2():
     assert acc == total
 
 
+def test_stratified_pieces_walk_once_per_grading(monkeypatch):
+    from hallq import ffrep
+
+    walks = []
+    original = ffrep.stratified_pair_counts
+
+    def counted(tables, alpha, beta, *rest):
+        # (alpha, beta, i, m, side): the trailing three, whatever comes between
+        walks.append((alpha.entries, beta.entries, *rest[-3:]))
+        return original(tables, alpha, beta, *rest)
+
+    monkeypatch.setattr(ffrep, "stratified_pair_counts", counted)
+    m = HallModel(builtin_quiver("a2"), 2)
+    ids = m.table(dv(1, 1)).ids()
+    assert len(ids) == 2
+    nonzero = 0
+    for A, B in itertools.product(ids, ids):
+        for i, mm in itertools.product((0, 1), (1, 2)):
+            nonzero += bool(stratified_derive_sub(m, A, B, i, mm))
+            nonzero += bool(stratified_derive_quot(m, A, B, i, mm))
+    assert nonzero
+    keys = [((1, 1), (1, 1), i, mm, side) for i in (0, 1) for mm in (1, 2) for side in ("sub", "quot")]
+    assert sorted(walks) == sorted(keys)
+
+
+def test_stratified_pieces_are_fresh_on_every_call():
+    m = model("a2", 2)
+    s1, s2, ss, pp = a2_classes(m)
+    first = stratified_derive_sub(m, pp, s1, 0, 1)
+    want = dict(first)
+    assert len(want) > 1
+    first.clear()
+    assert stratified_derive_sub(m, pp, s1, 0, 1) == want
+
+
+@pytest.mark.parametrize("stratified", [stratified_derive_sub, stratified_derive_quot])
+def test_stratified_pieces_refuse_an_unknown_class(stratified):
+    m = model("a2", 2)
+    own = m.table(dv(1, 1)).ids()
+    foreign = [M for M in model("kronecker", 2).table(dv(1, 1)).ids() if M not in own]
+    assert foreign
+    for A, B in ((foreign[0], own[0]), (own[0], foreign[0])):
+        with pytest.raises(KeyError):
+            stratified(m, A, B, 0, 1)
+
+
 def test_pairing_examples():
     for p in (2, 3):
         m = model("a2", p)
