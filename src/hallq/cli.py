@@ -20,6 +20,7 @@ from .ffrep import (
     BudgetExceededError,
     ClassificationTable,
     TableCache,
+    flat_blocks,
     group_order,
     quiver_hash,
 )
@@ -115,9 +116,7 @@ def _table_payload(table: ClassificationTable) -> dict:
                 "orbit_size": c.orbit_size,
                 "aut_count": c.aut_count,
                 "fingerprint": list(c.id.fingerprint),
-                "representative": [
-                    [x for row in m for x in row] for m in c.representative.matrices
-                ],
+                "representative": flat_blocks(c.representative),
             }
             for c in table.classes
         ],

@@ -3,11 +3,12 @@ plus the raw counting primitives (orbits, homs, submodules, extensions) that
 the algebra layer is built on.
 
 A representation is a point of E_V(F_p), one matrix per arrow, and each
-point has an index in 0..p^D-1 (`PointCodec`). Isomorphism classes are
-G_V-orbits, computed exactly by a breadth-first sweep over all point indices:
-each generator of G_V acts on an index through digit tables over one or two
-rows of an arrow block, so no point is decoded into matrices except the class
-representatives. All counts are exact integers.
+point has an index in 0..p^D-1; `PointCodec.weights` is the one source of
+digit places. Isomorphism classes are G_V-orbits, computed exactly by a
+breadth-first sweep over all point indices: each generator of GL_n is a
+window of one or two coordinates, acting on an index through digit tables
+over the window's rows or columns of an arrow block, so no point is decoded
+into matrices except the class representatives. All counts are exact integers.
 
 Every count is one of two sweeps over point indices. A restriction fiber
 (`_fiber_points`), over a fixed quotient point z and sub point y, is a base
@@ -18,8 +19,8 @@ class pair of the split at once. That one walks the
 x-stable graded subspaces of a point (`stable_subspaces`) and sums the point
 indices of the induced sub and quotient representations while it checks
 stability, so a class is one `class_of_index` lookup. What depends only on
-(quiver, dim, beta, p), the per-vertex subspace lists and digit weights, is a
-`SubspaceFrame`, built once per fiber sweep.
+(quiver, dim, beta, p), the per-vertex subspace lists and codec weights, is
+a `SubspaceFrame`, built once per fiber sweep.
 
 A derivation sweeps nothing of its own: it is the restriction at a split with
 one part m*e_i, so its histograms are reshapes of the extension table there.
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import mul
 from typing import Callable, Iterator
 
@@ -80,17 +81,24 @@ def simple_rep(Q: Quiver, vertex: int, p: int) -> Rep:
 class PointCodec:
     """Bijection between E_V(F_p) and 0..p^D-1 via mixed-radix digits.
 
-    Digit order: arrows in quiver order, entries row-major. The encoding is
-    the enumeration order contract: deterministic and prefix-partitionable.
+    Digit order: arrows in quiver order, entries row-major, little-endian base
+    p; the enumeration order contract. `weights[a][i][j]` is p to the power of
+    the digit position of entry (i, j) of arrow a's block, the one source of
+    digit places for every sweep over point indices.
     """
 
     def __init__(self, Q: Quiver, dim: DimVector, p: int):
+        if len(dim) != Q.n:
+            raise ValueError(f"dimension vector {dim} has {len(dim)} entries, the quiver has {Q.n} vertices")
         self.quiver = Q
         self.dim = dim
         self.p = p
         self.shapes = tuple((dim[t], dim[s]) for s, t in Q.arrows)
-        self.dim_e = sum(r * c for r, c in self.shapes)
-        self.size = p**self.dim_e
+        weights, w = [], 1
+        for rows, cols in self.shapes:
+            weights.append(tuple(tuple(w * p ** (i * cols + j) for j in range(cols)) for i in range(rows)))
+            w *= p ** (rows * cols)
+        self.weights, self.size = tuple(weights), w
 
     def encode(self, matrices: tuple[Matrix, ...]) -> int:
         p = self.p
@@ -284,9 +292,7 @@ class ClassificationTable:
             "classes": [
                 {
                     "id": _id_json(c.id),
-                    "representative": [
-                        [x for row in m for x in row] for m in c.representative.matrices
-                    ],
+                    "representative": flat_blocks(c.representative),
                     "orbit_size": c.orbit_size,
                     "aut_count": c.aut_count,
                 }
@@ -347,6 +353,11 @@ class ClassificationTable:
             return ClassificationTable(Q, dim, p, classes, class_of_point)
         except AssertionError as e:
             raise ValueError(str(e)) from None
+
+
+def flat_blocks(rep: Rep) -> list[list[int]]:
+    """rep as one flat row-major block per arrow, as classify JSON and cache files hold it."""
+    return [[x for row in m for x in row] for m in rep.matrices]
 
 
 def _id_json(cid: IsoClassId) -> dict:
@@ -418,33 +429,26 @@ def quiver_hash(Q: Quiver) -> str:
     return hashlib.sha256(Q.to_text().encode()).hexdigest()[:16]
 
 
-def _gl_generators(n: int, p: int) -> list[tuple[Matrix, Matrix]]:
-    """Generating set of GL_n(F_p) as (g, g^{-1}) pairs: adjacent transvections
-    plus one diagonal with a primitive root (transvections alone give SL_n)."""
-    gens: list[tuple[Matrix, Matrix]] = []
+def _gl_generators(n: int, p: int) -> list[tuple[int, Matrix, Matrix]]:
+    """Generating set of GL_n(F_p) as windows (lo, block, inverse block), each
+    the identity outside the w x w block at rows and columns lo..lo+w-1: adjacent
+    transvections plus one diagonal with a primitive root (transvections alone give SL_n)."""
+    gens: list[tuple[int, Matrix, Matrix]] = []
     if n == 0:
         return gens
     g = _PRIMITIVE_ROOT[p]
     if g != 1:
-        d = [[0] * n for _ in range(n)]
-        for i in range(n):
-            d[i][i] = 1
-        d[0][0] = g
-        dm = tuple(tuple(r) for r in d)
-        gens.append((dm, fpmat.mat_inv(dm, p)))
+        gens.append((0, ((g,),), ((pow(g, -1, p),),)))
     for k in range(n - 1):
-        for (i, j) in ((k, k + 1), (k + 1, k)):
-            e = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-            e[i][j] = 1
-            em = tuple(tuple(r) for r in e)
-            gens.append((em, fpmat.mat_inv(em, p)))
+        gens.append((k, ((1, 1), (0, 1)), ((1, p - 1), (0, 1))))
+        gens.append((k, ((1, 0), (1, 1)), ((1, 0), (p - 1, 1))))
     return gens
 
 
 def _window_table(block: Matrix, rows: int, cols: int, p: int, left: bool) -> list[int]:
-    """Digit-delta table of one row move: entry k is encode(image) - k, where
-    k is a run of `rows` rows of `cols` digits (row-major, little-endian) and
-    the image is block * rows (left) or rows * block (right)."""
+    """Digit-delta table of one move: entry k is encode(image) - k, where k is
+    a run of `rows` rows of `cols` digits (row-major, little-endian) and the
+    image is block * rows (left) or rows * block (right)."""
     width = rows * cols
     table = []
     for k in range(p**width):
@@ -455,20 +459,15 @@ def _window_table(block: Matrix, rows: int, cols: int, p: int, left: bool) -> li
     return table
 
 
-def _mixed_rows(g: Matrix) -> tuple[int, int]:
-    """Smallest window lo..hi-1 outside which g is the identity."""
-    off = [k for i, row in enumerate(g) for j, x in enumerate(row) if x != (i == j) for k in (i, j)]
-    return min(off), max(off) + 1
-
-
 def _generator_moves(codec: PointCodec) -> list[list[tuple[int, int, list[int]]]]:
-    """Each generator of G_V as a list of row moves (mult, mod, shifted).
+    """Each generator of G_V as a list of moves (mult, mod, shifted).
 
-    A move reads the run x // mult % mod of the point index x, one or two rows
-    of one arrow block, and adds shifted[run], the run's digit delta times
-    mult. The generator sends x to x plus the sum of its moves, all read from
-    x. Left actions g.x_h read only the rows g mixes and right actions
-    x_h g^-1 one row at a time, so no table spans a whole arrow block.
+    A move reads the run x // mult % mod of the point index x and adds
+    shifted[run], the run's digit delta times mult; the generator sends x to
+    x plus the sum of its moves, all read from x. For a window lo..lo+w-1,
+    g.x_h mixes rows lo..lo+w-1 of x_h, the run at `codec.weights[a][lo][0]`,
+    and x_h g^-1 mixes w entries of each row r, the run at
+    `codec.weights[a][r][lo]`, so no table spans a whole arrow block.
     """
     Q, dim, p = codec.quiver, codec.dim, codec.p
     deltas: dict[tuple, list[int]] = {}
@@ -481,17 +480,14 @@ def _generator_moves(codec: PointCodec) -> list[list[tuple[int, int, list[int]]]
 
     out = []
     for v in range(Q.n):
-        for g, ginv in _gl_generators(dim[v], p):
-            lo, hi = _mixed_rows(g)
-            block = tuple(row[lo:hi] for row in g[lo:hi])
+        for lo, block, inverse in _gl_generators(dim[v], p):
+            w = len(block)
             moves = []
-            base = 1  # p^(digit offset of the arrow block)
-            for (s, t), (rows, cols) in zip(Q.arrows, codec.shapes):
+            for (s, t), (_, cols), weights in zip(Q.arrows, codec.shapes, codec.weights):
                 if cols and t == v:
-                    moves.append(move(block, hi - lo, cols, True, base * p ** (lo * cols)))
-                elif cols and s == v:
-                    moves.extend(move(ginv, 1, cols, False, base * p ** (r * cols)) for r in range(rows))
-                base *= p ** (rows * cols)
+                    moves.append(move(block, w, cols, True, weights[lo][0]))
+                elif s == v:
+                    moves.extend(move(inverse, 1, w, False, row[lo]) for row in weights)
             if moves:
                 out.append(moves)
     return out
@@ -507,6 +503,7 @@ def classify(
     each orbit is entered at its minimal point, which is the representative.
     Only representatives are decoded, for their fingerprints. Aut counts come
     from orbit-stabilizer (|G_V| / orbit size, exact divisibility asserted).
+    A dim whose length is not the quiver's vertex count raises ValueError.
     """
     check_prime(p)
     codec = PointCodec(Q, dim, p)
@@ -612,22 +609,15 @@ class SubspaceFrame:
             if (n, k) not in grassmannians:
                 grassmannians[n, k] = [(j, *w) for j, w in enumerate(fpmat.grassmannian(n, k, p))]
             self.subspaces.append(grassmannians[n, k])
-        # each arrow is checked once the later of its two ends is chosen; its
-        # weights are p^digit of its sub and quotient blocks, one tuple per column
+        # each arrow is checked once the later of its two ends is chosen; its codec weights
+        # at beta and dim - beta go one tuple per column, even with no rows, since
+        # `_arrow_digits` checks each source basis row as it reads its column tuple
+        sub_w, quot_w = PointCodec(Q, beta, p).weights, PointCodec(Q, quot, p).weights
         self.arrows_at: list[list[tuple]] = [[] for _ in range(Q.n)]
-        sub_base = quot_base = 1
         for a, (s, t) in enumerate(Q.arrows):
-            sub_w = _block_weights(sub_base, beta[t], beta[s], p)
-            quot_w = _block_weights(quot_base, quot[t], quot[s], p)
-            self.arrows_at[max(s, t)].append((a, s, t, sub_w, quot_w))
-            sub_base *= p ** (beta[t] * beta[s])
-            quot_base *= p ** (quot[t] * quot[s])
-
-
-def _block_weights(base: int, rows: int, cols: int, p: int) -> tuple[tuple[int, ...], ...]:
-    """Weight of entry (i, j) of a row-major block whose first digit weighs
-    `base`, as one tuple over i per column j."""
-    return tuple(tuple(base * p ** (i * cols + j) for i in range(rows)) for j in range(cols))
+            sub_cols = tuple(tuple(row[j] for row in sub_w[a]) for j in range(beta[s]))
+            quot_cols = tuple(tuple(row[j] for row in quot_w[a]) for j in range(quot[s]))
+            self.arrows_at[max(s, t)].append((a, s, t, sub_cols, quot_cols))
 
 
 @dataclass(frozen=True)
@@ -639,24 +629,12 @@ class GradedSubspace:
     is written in the basis rows of W; the quotient coordinates are the
     non-pivot standard vectors in increasing order. `sub_index` and
     `quot_index` are the `PointCodec` indices of those points at beta and at
-    dim - beta, so a class is `ClassificationTable.class_of_index(index)`;
-    `sub_rep` and `quot_rep` decode them.
+    dim - beta, so a class is `ClassificationTable.class_of_index(index)`.
     """
 
     bases: tuple[Matrix, ...]
     sub_index: int
     quot_index: int
-    frame: SubspaceFrame = field(compare=False, repr=False)
-
-    @property
-    def sub_rep(self) -> Rep:
-        Q, _, beta, p = self.frame.key
-        return PointCodec(Q, beta, p).decode(self.sub_index)
-
-    @property
-    def quot_rep(self) -> Rep:
-        Q, dim, beta, p = self.frame.key
-        return PointCodec(Q, dim - beta, p).decode(self.quot_index)
 
 
 def stable_subspaces(
@@ -680,7 +658,7 @@ def stable_subspaces(
     elif frame.key != (x.quiver, x.dim, beta, x.p):
         raise ValueError("subspace frame was built for another space")
     for picks, si, qi in _stable_walk(x.matrices, frame):
-        yield GradedSubspace(tuple(u[1] for u in picks), si, qi, frame)
+        yield GradedSubspace(tuple(u[1] for u in picks), si, qi)
 
 
 def _stable_walk(mats: tuple[Matrix, ...], frame: SubspaceFrame) -> Iterator[tuple[list, int, int]]:
@@ -788,21 +766,18 @@ def _fiber_points(codec: PointCodec, z: Rep, y: Rep) -> list[int]:
     per corner entry. The corner entries (arrows in quiver order, row-major)
     run over F_p in `itertools.product` order, the last entry fastest.
     """
-    p, alpha, beta = codec.p, z.dim, y.dim
+    p, alpha = codec.p, z.dim
     base = 0
-    weights = []  # p^digit of each corner entry, in corner order
-    block = 1  # p^(digit offset of the arrow block)
-    for (s, t), zh, yh in zip(codec.quiver.arrows, z.matrices, y.matrices):
-        cols = alpha[s] + beta[s]
+    corners = []  # place value of each corner entry, in corner order
+    for (s, t), zh, yh, w in zip(codec.quiver.arrows, z.matrices, y.matrices, codec.weights):
         for i, row in enumerate(zh):
-            base += sum(d * block * p ** (i * cols + j) for j, d in enumerate(row))
+            base += sum(map(mul, row, w[i]))
         for i, row in enumerate(yh):
-            first = block * p ** ((alpha[t] + i) * cols)
-            weights.extend(first * p**j for j in range(alpha[s]))
-            base += sum(d * first * p ** (alpha[s] + j) for j, d in enumerate(row))
-        block *= p ** ((alpha[t] + beta[t]) * cols)
+            places = w[alpha[t] + i]
+            corners.extend(places[:alpha[s]])
+            base += sum(map(mul, row, places[alpha[s]:]))
     points = [base]
-    for w in weights:
+    for w in corners:
         offsets = [d * w for d in range(p)]
         points = [x + o for x in points for o in offsets]
     return points

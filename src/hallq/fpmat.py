@@ -41,26 +41,6 @@ def mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
     return tuple(out)
 
 
-def mat_inv(a: Matrix, p: int) -> Matrix:
-    """Inverse by Gauss-Jordan; raises ValueError on a singular matrix."""
-    n = len(a)
-    if n == 0:
-        return ()
-    aug = [list(a[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] % p), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], p - 2, p)
-        aug[col] = [x * inv % p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
 def rref(rows: Sequence[Sequence[int]], p: int) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form of the row list; returns (nonzero rows, pivot columns)."""
     mat = [list(r) for r in rows]

@@ -341,8 +341,8 @@ def derivation(side: str):
 
 
 def _stratified(model: HallModel, A: IsoClassId, B: IsoClassId, i: int, m: int, side: str) -> dict[int, HallElement]:
-    """Stratum t -> its piece, read from the model's stratified table and
-    built afresh on every call. An id the model does not have raises KeyError."""
+    """Stratum t -> its piece, read from the model's stratified table and built
+    afresh on every call. An unknown id raises KeyError, one of another vertex count ValueError."""
     a_t, b_t = model.table(DimVector(A.dim)), model.table(DimVector(B.dim))
     a_t.index_of(A)
     b_t.index_of(B)

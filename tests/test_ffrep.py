@@ -16,7 +16,6 @@ from hallq.ffrep import (
     SubspaceFrame,
     TableCache,
     _fiber_points,
-    _gl_generators,
     _intertwiner_system,
     classify,
     enumerate_points,
@@ -163,9 +162,7 @@ def aut_count_brute(x, limit=300000):
                 continue
             m = tuple(tuple(sum(c * b[v][i][j] for c, b in zip(coeffs, basis)) % p for j in range(n))
                       for i in range(n))
-            try:
-                fpmat.mat_inv(m, p)
-            except ValueError:
+            if fpmat.rank(m, p) != n:
                 ok = False
                 break
         count += ok
@@ -190,8 +187,8 @@ def test_stable_subspaces_examples():
     ss = a2_rep(0, 2)
     got = list(stable_subspaces(pp, dv(0, 1)))
     assert len(got) == 1
-    assert got[0].sub_rep.dim == dv(0, 1)
-    assert got[0].quot_rep.dim == dv(1, 0)
+    assert PointCodec(A2, dv(0, 1), 2).decode(got[0].sub_index).dim == dv(0, 1)
+    assert PointCodec(A2, dv(1, 0), 2).decode(got[0].quot_index).dim == dv(1, 0)
     assert list(stable_subspaces(pp, dv(1, 0))) == []
     assert len(list(stable_subspaces(ss, dv(1, 0)))) == 1
 
@@ -355,8 +352,8 @@ def test_filtration_representative_independence():
     for x in (rep, other):
         count = 0
         for gs in stable_subspaces(x, dv(0, 1)):
-            if (tables.table(dv(1, 0)).iso_class_of(gs.quot_rep) == s1
-                    and tables.table(dv(0, 1)).iso_class_of(gs.sub_rep) == s2):
+            if (tables.table(dv(1, 0)).class_of_index(gs.quot_index) == s1
+                    and tables.table(dv(0, 1)).class_of_index(gs.sub_index) == s2):
                 count += 1
         assert count == filtration_counts(tables, pp, dv(0, 1)).get((s1, s2), 0)
 
@@ -388,9 +385,23 @@ def test_extension_count_representative_independence():
 # -- classification against the union-find sweep and closed counts ----------------
 
 
+def _gl_generators_reference(n, p):
+    """(g, g^-1) for every elementary transvection E_ij(1), i != j, and for
+    diag(g, 1, ..., 1) with a primitive root g mod p found by brute force."""
+    def elementary(i, j, x):
+        return tuple(tuple(int(a == b) + x * ((a, b) == (i, j)) for b in range(n)) for a in range(n))
+
+    gens = [(elementary(i, j, 1), elementary(i, j, p - 1)) for i in range(n) for j in range(n) if i != j]
+    if n:
+        g = next(g for g in range(1, p) if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
+        gens.append((elementary(0, 0, g - 1), elementary(0, 0, pow(g, p - 2, p) - 1)))
+    return gens
+
+
 def _classify_union_find(Q, dim, p):
     """The former classify, kept as the reference: decode every point, apply
-    each generator with fpmat.mat_mul, re-encode, and union the two indices."""
+    each full-matrix generator of its own generating set with fpmat.mat_mul,
+    re-encode, and union the two indices."""
     codec = PointCodec(Q, dim, p)
     n_pts = codec.size
     parent = list(range(n_pts))
@@ -409,7 +420,7 @@ def _classify_union_find(Q, dim, p):
             else:
                 parent[ra] = rb
 
-    gens = [(v, g, ginv) for v in range(Q.n) for g, ginv in _gl_generators(dim[v], p)]
+    gens = [(v, g, ginv) for v in range(Q.n) for g, ginv in _gl_generators_reference(dim[v], p)]
     for idx in range(n_pts):
         x = codec.decode(idx)
         for v, g, ginv in gens:
@@ -460,6 +471,39 @@ def small_spaces(names, cap):
 def table_shape(t):
     return ([(c.id, c.representative, c.orbit_size, c.aut_count) for c in t.classes],
             [t.class_of_index(i) for i in range(PointCodec(t.quiver, t.dim, t.p).size)])
+
+
+def test_codec_weights_are_the_encodings_of_unit_points():
+    cases = list(small_spaces(builtin_names(), cap=625))
+    assert len(cases) > 250
+    for Q, dim, p in cases:
+        codec = PointCodec(Q, dim, p)
+        zero = [[[0] * cols for _ in range(rows)] for rows, cols in codec.shapes]
+        assert [[len(row) for row in w] for w in codec.weights] == [[c] * r for r, c in codec.shapes]
+        for a, w in enumerate(codec.weights):
+            for i, row in enumerate(w):
+                for j, weight in enumerate(row):
+                    zero[a][i][j] = 1
+                    assert weight == codec.encode(zero), (Q, dim, p, a, i, j)
+                    zero[a][i][j] = 0
+        assert codec.size == p ** sum(r * c for r, c in codec.shapes)
+
+
+def test_dimension_vector_of_the_wrong_length_is_refused():
+    # (1, 1, 1) on a2 would classify a2 at (1, 1) under an id of length 3
+    for dim in (dv(1, 1, 1), dv(1)):
+        with pytest.raises(ValueError):
+            classify(A2, dim, 3)
+        with pytest.raises(ValueError):
+            next(enumerate_points(A2, dim, 3))
+        tables = TableCache(A2, 3)
+        with pytest.raises(ValueError):
+            tables.table(dim)
+        assert tables._tables == {}
+    data = classify(A2, dv(1, 1), 3).to_json()
+    data["dim"] = [1, 1, 1]
+    with pytest.raises(ValueError):
+        ClassificationTable.from_json(data)
 
 
 def test_classify_matches_union_find_sweep():
@@ -676,10 +720,11 @@ def test_graded_subspace_reps_encode_to_indices():
             want = list(_stable_subspaces_reference(x, beta))
             got = list(stable_subspaces(x, beta))
             assert [gs.bases for gs in got] == [w[0] for w in want]
+            sub_codec, quot_codec = PointCodec(Q, beta, p), PointCodec(Q, dim - beta, p)
             for gs, (_, sub, quot) in zip(got, want):
-                assert gs.sub_rep == sub and gs.quot_rep == quot
-                assert PointCodec(Q, beta, p).encode(gs.sub_rep.matrices) == gs.sub_index
-                assert PointCodec(Q, dim - beta, p).encode(gs.quot_rep.matrices) == gs.quot_index
+                assert sub_codec.decode(gs.sub_index) == sub and quot_codec.decode(gs.quot_index) == quot
+                assert sub_codec.encode(sub.matrices) == gs.sub_index
+                assert quot_codec.encode(quot.matrices) == gs.quot_index
 
 
 def test_stable_subspaces_interleaved_generators():
@@ -713,8 +758,9 @@ def test_stable_subspaces_interleaved_generators():
 def test_stable_subspaces_of_a_quiver_without_vertices():
     Q = Quiver((), ())
     x = zero_rep(Q, dv(), 2)
-    assert [(gs.bases, gs.sub_rep, gs.quot_rep) for gs in stable_subspaces(x, dv())] == list(
-        _stable_subspaces_reference(x, dv())) == [((), x, x)]
+    decode = PointCodec(Q, dv(), 2).decode
+    got = [(gs.bases, decode(gs.sub_index), decode(gs.quot_index)) for gs in stable_subspaces(x, dv())]
+    assert got == list(_stable_subspaces_reference(x, dv())) == [((), x, x)]
 
 
 def test_stable_subspaces_rejects_frame_of_another_space():

@@ -194,6 +194,20 @@ def test_unit_class_unknown_id_raises():
             unit_class(m2, M)
 
 
+def test_unit_and_stratified_refuse_a_class_of_another_vertex_count():
+    # a3 classes at (1, 1, 0) and (0, 1, 0) must not make the a2 model classify a2 there
+    m = HallModel(builtin_quiver("a2"), 2)
+    a3 = model("a3", 2)
+    M, N = a3.table(dv(1, 1, 0)).ids()[0], a3.table(dv(0, 1, 0)).ids()[0]
+    own = m.table(dv(1, 1)).ids()[0]
+    before = dict(m.tables._tables)
+    for call in (lambda: unit_class(m, M), lambda: stratified_derive_sub(m, M, N, 0, 1),
+                 lambda: stratified_derive_sub(m, own, N, 0, 1)):
+        with pytest.raises(ValueError):
+            call()
+        assert m.tables._tables == before
+
+
 def test_geometric_restriction_a2():
     for p, cnt in ((2, 1), (3, 2)):
         m = model("a2", p)
