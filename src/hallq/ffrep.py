@@ -59,14 +59,19 @@ class Rep:
     matrices: tuple[Matrix, ...]
 
     def __post_init__(self):
+        dim = self.dim.entries
+        if len(dim) != self.quiver.n:
+            raise ValueError(f"dimension vector {self.dim} has {len(dim)} entries, "
+                             f"the quiver has {self.quiver.n} vertices")
         if len(self.matrices) != len(self.quiver.arrows):
             raise ValueError("one matrix per arrow required")
         for (s, t), m in zip(self.quiver.arrows, self.matrices):
-            rows = len(m)
-            if rows != self.dim[t]:
-                raise ValueError(f"matrix for arrow ({s},{t}) has {rows} rows, want {self.dim[t]}")
-            if rows and len(m[0]) != self.dim[s]:
-                raise ValueError("matrix column count mismatch")
+            if len(m) != dim[t]:
+                raise ValueError(f"matrix for arrow ({s},{t}) has {len(m)} rows, want {dim[t]}")
+            for row in m:
+                if len(row) != dim[s]:
+                    raise ValueError(f"matrix for arrow ({s},{t}) has a row of length {len(row)}, "
+                                     f"want {dim[s]}")
 
 
 def zero_rep(Q: Quiver, dim: DimVector, p: int) -> Rep:

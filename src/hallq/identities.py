@@ -86,9 +86,8 @@ def spec_hall(f: HallElement | TensorElement, p: int, conv: Convention) -> dict:
     return out
 
 
-def _spec_term(scalar: LaurentPoly, f: HallElement, p: int, conv: Convention) -> dict:
-    """spec_hall of scalar * f for a nonzero scalar, specializing it once."""
-    sc = conv.poly(scalar, p)
+def _spec_term(sc: SqrtQScalar, f: HallElement, p: int, conv: Convention) -> dict:
+    """spec_hall of scalar * f, given the scalar specialized."""
     return {M: sc * v for M, v in spec_hall(f, p, conv).items()}
 
 
@@ -217,6 +216,49 @@ def _splits_of(nu: DimVector) -> list[tuple[DimVector, DimVector]]:
     return out
 
 
+# -- the sweep memo ---------------------------------------------------------------
+
+
+class _SweepMemo:
+    """Operator values on unit classes, each computed once: Res u_A per
+    (class, split), u_A * u_B per (pair, twist), and derive(u_A, i, t) per
+    (class, i, t, side). A sweep makes one for all its checks, a check run on
+    its own makes its own, and it dies with them. It is not kept on the model,
+    since pooled models live for the whole run."""
+
+    def __init__(self, model: HallModel):
+        self.model = model
+        self._res: dict = {}
+        self._prod: dict = {}
+        self._derived: dict = {}
+
+    def restriction(self, A: IsoClassId, split: tuple[DimVector, DimVector]) -> TensorElement:
+        key = (A, split[0].entries, split[1].entries)
+        got = self._res.get(key)
+        if got is None:
+            got = self._res[key] = hall.geometric_restriction(
+                self.model, hall.unit_class(self.model, A), split)
+        return got
+
+    def product(self, A: IsoClassId, B: IsoClassId, ringel: bool = False) -> HallElement:
+        """u_A * u_B, under the Ringel twist when `ringel`, else the geometric one."""
+        key = (A, B, ringel)
+        got = self._prod.get(key)
+        if got is None:
+            op = hall.ringel_product if ringel else hall.geometric_induction
+            got = self._prod[key] = op(self.model, hall.unit_class(self.model, A),
+                                       hall.unit_class(self.model, B))
+        return got
+
+    def derived(self, A: IsoClassId, i: int, t: int, side: str) -> HallElement:
+        key = (A, i, t, side)
+        got = self._derived.get(key)
+        if got is None:
+            got = self._derived[key] = hall.derivation(side)(
+                self.model, hall.unit_class(self.model, A), i, t)
+        return got
+
+
 # -- associativity --------------------------------------------------------------
 
 
@@ -225,24 +267,23 @@ def verify_associativity(model: HallModel, maxdim: int = 4, corrupt: bool = Fals
     grading at most maxdim, both twist conventions, compared formally."""
     Q = model.quiver
     params = _params(model, maxdim=maxdim, corrupt=corrupt)
+    memo = _SweepMemo(model)
 
     def comparisons():
-        for prod_fn, twist_name in ((hall.geometric_induction, "geometric"),
-                                    (hall.ringel_product, "ringel")):
+        for ringel, twist_name in ((False, "geometric"), (True, "ringel")):
+            prod_fn = hall.ringel_product if ringel else hall.geometric_induction
             for da in _dims_up_to(Q, maxdim):
                 for db in _dims_up_to(Q, maxdim - da.total):
                     for dc in _dims_up_to(Q, maxdim - da.total - db.total):
                         for A in model.table(da).ids():
                             fa = hall.unit_class(model, A)
                             for B in model.table(db).ids():
-                                fb = hall.unit_class(model, B)
-                                ab = prod_fn(model, fa, fb)
+                                ab = memo.product(A, B, ringel)
                                 for C in model.table(dc).ids():
-                                    fc = hall.unit_class(model, C)
-                                    lhs = prod_fn(model, ab, fc)
+                                    lhs = prod_fn(model, ab, hall.unit_class(model, C))
                                     if corrupt:
                                         lhs = lhs.scale(LaurentPoly.v(1))
-                                    rhs = prod_fn(model, fa, prod_fn(model, fb, fc))
+                                    rhs = prod_fn(model, fa, memo.product(B, C, ringel))
                                     yield None if lhs == rhs else ({
                                         "twist": twist_name,
                                         "triple": _labels(model, A, B, C),
@@ -268,11 +309,10 @@ def _green_strata(Q: Quiver, alpha: DimVector, beta: DimVector, alpha_p: DimVect
 
 
 def _add_green_stratum(
-    model: HallModel,
+    memo: _SweepMemo,
     acc: dict[tuple[IsoClassId, IsoClassId], dict[int, Scalar]],
-    products: dict[tuple[IsoClassId, IsoClassId], HallElement],
-    fa: HallElement,
-    fb: HallElement,
+    A: IsoClassId,
+    B: IsoClassId,
     stratum: tuple[DimVector, DimVector, DimVector, DimVector],
     exp: int,
 ) -> None:
@@ -280,23 +320,14 @@ def _add_green_stratum(
     v^exp, into acc: (N, L) -> exponent -> coefficient. The restrictions
     Res u_A at (a1, a2) and Res u_B at (b1, b2) are multiplied slotwise,
     u_{n1} (x) u_{n2} times u_{l1} (x) u_{l2} giving (u_{n1} * u_{l1}) (x)
-    (u_{n2} * u_{l2}). `products` memoizes those unit products across calls."""
+    (u_{n2} * u_{l2}); the memo holds the restrictions and unit products."""
     a1, a2, b1, b2 = stratum
-
-    def unit_product(N: IsoClassId, L: IsoClassId) -> HallElement:
-        got = products.get((N, L))
-        if got is None:
-            got = products[N, L] = hall.geometric_induction(
-                model, hall.unit_class(model, N), hall.unit_class(model, L)
-            )
-        return got
-
-    res_a = hall.geometric_restriction(model, fa, (a1, a2))
-    res_b = hall.geometric_restriction(model, fb, (b1, b2))
+    res_a = memo.restriction(A, (a1, a2))
+    res_b = memo.restriction(B, (b1, b2))
     for (n1, n2), ca in res_a.terms:
         for (l1, l2), cb in res_b.terms:
-            left = unit_product(n1, l1)
-            right = unit_product(n2, l2)
+            left = memo.product(n1, l1)
+            right = memo.product(n2, l2)
             base = ca * cb
             for N, cn in left.terms:
                 left_base = base * cn
@@ -304,18 +335,17 @@ def _add_green_stratum(
                     add_scaled(acc.setdefault((N, L), {}), left_base * cl, 1, exp)
 
 
-def _green_sides(model: HallModel, A: IsoClassId, B: IsoClassId, split: tuple[DimVector, DimVector],
-                 strata: list, corrupt: bool) -> tuple[TensorElement, TensorElement]:
+def _green_sides(memo: _SweepMemo, A: IsoClassId, B: IsoClassId, split: tuple[DimVector, DimVector],
+                 strata: list) -> tuple[TensorElement, TensorElement]:
     """Both Green sides at `split`: left Res(Ind), right the sum over the
     compatibility strata, each twisted by v^{-(a2, b1)}. `strata` are the
     `_green_strata` of the gradings, which a check over many class pairs
     computes once."""
-    fa, fb = hall.unit_class(model, A), hall.unit_class(model, B)
-    lhs = hall.geometric_restriction(model, hall.geometric_induction(model, fa, fb), split)
+    model = memo.model
+    lhs = hall.geometric_restriction(model, memo.product(A, B), split)
     acc: dict[tuple[IsoClassId, IsoClassId], dict[int, Scalar]] = {}
-    products: dict[tuple[IsoClassId, IsoClassId], HallElement] = {}
     for stratum, exp in strata:
-        _add_green_stratum(model, acc, products, fa, fb, stratum, exp + 1 if corrupt else exp)
+        _add_green_stratum(memo, acc, A, B, stratum, exp)
     rhs = TensorElement.make(model.quiver, model.p, split, {k: LaurentPoly(d) for k, d in acc.items()})
     return lhs, rhs
 
@@ -329,6 +359,12 @@ def verify_green_compatibility(
     convention: Convention,
     corrupt: bool = False,
 ) -> Report:
+    return _green_check(_SweepMemo(model), alpha, beta, alpha_p, beta_p, convention, corrupt)
+
+
+def _green_check(memo: _SweepMemo, alpha: DimVector, beta: DimVector, alpha_p: DimVector,
+                 beta_p: DimVector, convention: Convention, corrupt: bool) -> Report:
+    model = memo.model
     Q, p = model.quiver, model.p
     params = _params(model, alpha=alpha, beta=beta, alpha_p=alpha_p, beta_p=beta_p,
                      corrupt=corrupt)
@@ -339,10 +375,11 @@ def verify_green_compatibility(
         # the strata depend on the gradings alone: once per check, not per pair.
         # Not on the model: a sweep checks each grading once, and pooled models
         # live for the whole run, so a memo there would only hold memory
-        strata = _green_strata(Q, alpha, beta, alpha_p, beta_p)
+        strata = [(stratum, exp + 1 if corrupt else exp)
+                  for stratum, exp in _green_strata(Q, alpha, beta, alpha_p, beta_p)]
         for A in model.table(alpha).ids():
             for B in model.table(beta).ids():
-                lhs, rhs = _green_sides(model, A, B, (alpha_p, beta_p), strata, corrupt)
+                lhs, rhs = _green_sides(memo, A, B, (alpha_p, beta_p), strata)
                 sl, sr = spec_hall(lhs, p, convention), spec_hall(rhs, p, convention)
                 yield None if sl == sr else _failure(model, sl, sr,
                                                      {"pair": _labels(model, A, B)})
@@ -353,25 +390,30 @@ def verify_green_compatibility(
 # -- derivation product rules ----------------------------------------------------
 
 
-def _rule_scalars(Q: Quiver, alpha: DimVector, beta: DimVector, i: int, m: int,
-                  side: str) -> list[tuple[int, LaurentPoly]]:
-    """(t, f_{m,t} v^{-P}) per stratum t of `stratum_data`: P is P_t for side
-    "sub" and P'_t for "quot"."""
-    return [(t, quantum_binomial(m, t) * LaurentPoly.v(-pt if side == "sub" else -ppt))
-            for t, pt, ppt in stratum_data(Q, alpha, beta, i, m)[2]]
+def _rule_scalars(strata: list[tuple[int, int, int]], m: int, p: int, convention: Convention,
+                  corrupt: bool = False) -> dict[str, list[tuple[int, SqrtQScalar]]]:
+    """side -> (t, f_{m,t} v^{-P}) per stratum (t, P_t, P'_t) of `stratum_data`,
+    specialized: P is P_t for side "sub" and P'_t for "quot". `corrupt`
+    multiplies each scalar by v before it is specialized."""
+    shift = 1 if corrupt else 0
+    out: dict[str, list[tuple[int, SqrtQScalar]]] = {"sub": [], "quot": []}
+    for t, pt, ppt in strata:
+        f = quantum_binomial(m, t)
+        out["sub"].append((t, convention.poly(f * LaurentPoly.v(shift - pt), p)))
+        out["quot"].append((t, convention.poly(f * LaurentPoly.v(shift - ppt), p)))
+    return out
 
 
-def _rule_sides(model: HallModel, A: IsoClassId, B: IsoClassId, i: int, m: int, side: str,
-                scalars: list) -> tuple[HallElement, list[tuple[int, LaurentPoly, HallElement]]]:
+def _rule_sides(memo: _SweepMemo, A: IsoClassId, B: IsoClassId, i: int, m: int, side: str,
+                scalars: list) -> tuple[HallElement, list[tuple[int, SqrtQScalar, HallElement]]]:
     """Left side: derivation of the product. Right side: the indexed terms
-    (t, scalar f_{m,t} v^{-P}, derived-product element), not yet summed.
-    `scalars` are the `_rule_scalars` of the gradings, which a check over many
-    class pairs computes once."""
-    fa, fb = hall.unit_class(model, A), hall.unit_class(model, B)
-    derive = hall.derivation(side)
-    lhs = derive(model, hall.geometric_induction(model, fa, fb), i, m)
-    return lhs, [(t, scalar, hall.geometric_induction(model, derive(model, fa, i, t),
-                                                      derive(model, fb, i, m - t)))
+    (t, specialized scalar f_{m,t} v^{-P}, derived-product element), not yet
+    summed. `scalars` are the side's `_rule_scalars` of the gradings, which a
+    check over many class pairs computes once."""
+    model = memo.model
+    lhs = hall.derivation(side)(model, memo.product(A, B), i, m)
+    return lhs, [(t, scalar, hall.geometric_induction(model, memo.derived(A, i, t, side),
+                                                      memo.derived(B, i, m - t, side)))
                  for t, scalar in scalars]
 
 
@@ -380,19 +422,23 @@ def verify_derivation_product_rule(
     convention: Convention, corrupt: bool = False,
 ) -> Report:
     """Both flavors of the derivation-of-a-product formula, coefficientwise."""
+    return _rule_check(_SweepMemo(model), i, m, alpha, beta, convention, corrupt)
+
+
+def _rule_check(memo: _SweepMemo, i: int, m: int, alpha: DimVector, beta: DimVector,
+                convention: Convention, corrupt: bool) -> Report:
+    model = memo.model
     p = model.p
     params = _params(model, i=i, m=m, alpha=alpha, beta=beta, corrupt=corrupt)
 
     def comparisons():
+        scalars = _rule_scalars(stratum_data(model.quiver, alpha, beta, i, m)[2], m, p,
+                                convention, corrupt)
         for side in ("sub", "quot"):
-            scalars = _rule_scalars(model.quiver, alpha, beta, i, m, side)
             for A in model.table(alpha).ids():
                 for B in model.table(beta).ids():
-                    lhs, terms = _rule_sides(model, A, B, i, m, side, scalars)
+                    lhs, terms = _rule_sides(memo, A, B, i, m, side, scalars[side])
                     sl = spec_hall(lhs, p, convention)
-                    if corrupt:
-                        terms = [(t, scalar * LaurentPoly.v(1), piece)
-                                 for t, scalar, piece in terms]
                     sr = _sum_specs(_spec_term(scalar, piece, p, convention)
                                     for _, scalar, piece in terms)
                     yield None if sl == sr else _failure(
@@ -411,13 +457,19 @@ def verify_stratification(
     """Per-stratum equality plus exact telescoping of the stratified pieces:
     the strata sum to the product rule's left side, and stratum t equals
     its right-hand term."""
+    return _stratification_check(_SweepMemo(model), i, m, alpha, beta, convention)
+
+
+def _stratification_check(memo: _SweepMemo, i: int, m: int, alpha: DimVector, beta: DimVector,
+                          convention: Convention) -> Report:
+    model = memo.model
     Q, p = model.quiver, model.p
     params = _params(model, i=i, m=m, alpha=alpha, beta=beta)
-    lo, hi, _ = stratum_data(Q, alpha, beta, i, m)
+    lo, hi, strata_data = stratum_data(Q, alpha, beta, i, m)
 
     def comparisons():
+        scalars = _rule_scalars(strata_data, m, p, convention)
         for side in ("sub", "quot"):
-            scalars = _rule_scalars(Q, alpha, beta, i, m, side)
             for A in model.table(alpha).ids():
                 for B in model.table(beta).ids():
                     if side == "sub":
@@ -427,7 +479,7 @@ def verify_stratification(
                     if any(t < lo or t > hi for t in strata):
                         yield {"reason": "stratum index out of range",
                                "got": sorted(strata)}, {}
-                    total, terms = _rule_sides(model, A, B, i, m, side, scalars)
+                    total, terms = _rule_sides(memo, A, B, i, m, side, scalars[side])
                     acc = HallElement.zero(Q, p)
                     for t in sorted(strata):
                         acc = acc + strata[t]
@@ -833,12 +885,13 @@ def verify_green_sweep(model: HallModel, nu: DimVector, convention: Convention,
                        corrupt: bool = False) -> Report:
     """All split pairs of one total grading, aggregated."""
     params = _params(model, nu=nu, corrupt=corrupt)
+    memo = _SweepMemo(model)
 
     def reports():
-        for alpha, beta in _splits_of(nu):
-            for alpha_p, beta_p in _splits_of(nu):
-                r = verify_green_compatibility(model, alpha, beta, alpha_p, beta_p,
-                                               convention, corrupt)
+        splits = _splits_of(nu)
+        for alpha, beta in splits:
+            for alpha_p, beta_p in splits:
+                r = _green_check(memo, alpha, beta, alpha_p, beta_p, convention, corrupt)
                 r.params["nu"] = params["nu"]  # a failing report names its sweep
                 yield r
 
@@ -858,7 +911,8 @@ def _rule_pairs(Q: Quiver, i: int, m: int, maxtotal: int) -> list[tuple[DimVecto
 def verify_rule_sweep(model: HallModel, i: int, m: int, maxtotal: int,
                       convention: Convention, corrupt: bool = False) -> Report:
     params = _params(model, i=i, m=m, maxtotal=maxtotal, corrupt=corrupt)
-    reports = (verify_derivation_product_rule(model, i, m, alpha, beta, convention, corrupt)
+    memo = _SweepMemo(model)
+    reports = (_rule_check(memo, i, m, alpha, beta, convention, corrupt)
                for alpha, beta in _rule_pairs(model.quiver, i, m, maxtotal))
     return _sweep("derivation_product_rule", params, convention.label, reports)
 
@@ -869,6 +923,7 @@ def verify_stratification_sweep(model: HallModel, i: int, m: int, maxtotal: int,
     degenerate case for coverage."""
     Q = model.quiver
     params = _params(model, i=i, m=m, maxtotal=maxtotal)
+    memo = _SweepMemo(model)
 
     def reports():
         seen_degenerate = False
@@ -880,7 +935,7 @@ def verify_stratification_sweep(model: HallModel, i: int, m: int, maxtotal: int,
                 if seen_degenerate or alpha.total + beta.total > 2:
                     continue
                 seen_degenerate = True
-            yield verify_stratification(model, i, m, alpha, beta, convention)
+            yield _stratification_check(memo, i, m, alpha, beta, convention)
 
     return _sweep("stratification", params, convention.label, reports())
 

@@ -326,16 +326,19 @@ def bar_involution(f: LaurentPoly) -> LaurentPoly:
 
 @dataclass(frozen=True)
 class SqrtQScalar:
-    """Element even + odd*sqrt(q) of Q[sqrt(q)], with exact rational parts."""
+    """Element even + odd*sqrt(q) of Q[sqrt(q)]. Each part is canonical as a
+    `LaurentPoly` coefficient is: an `int` when integral, a `Fraction` only
+    where a denominator arises. Build values through `of` or the operations,
+    which canonicalize."""
 
-    even: Fraction
-    odd: Fraction
+    even: Scalar
+    odd: Scalar
     q: int
 
     @staticmethod
     def of(even: Scalar, odd: Scalar, q: int) -> "SqrtQScalar":
         check_prime(q)
-        return SqrtQScalar(_frac(even), _frac(odd), q)
+        return SqrtQScalar(_canon(even), _canon(odd), q)
 
     @staticmethod
     def zero(q: int) -> "SqrtQScalar":
@@ -354,7 +357,7 @@ class SqrtQScalar:
 
     def __add__(self, other: "SqrtQScalar") -> "SqrtQScalar":
         self._check(other)
-        return SqrtQScalar(self.even + other.even, self.odd + other.odd, self.q)
+        return SqrtQScalar(_canon(self.even + other.even), _canon(self.odd + other.odd), self.q)
 
     def __neg__(self) -> "SqrtQScalar":
         return SqrtQScalar(-self.even, -self.odd, self.q)
@@ -364,23 +367,23 @@ class SqrtQScalar:
 
     def __mul__(self, other) -> "SqrtQScalar":
         if isinstance(other, (int, Fraction)):
-            f = _frac(other)
-            return SqrtQScalar(self.even * f, self.odd * f, self.q)
+            return SqrtQScalar(_canon(self.even * other), _canon(self.odd * other), self.q)
         self._check(other)
         return SqrtQScalar(
-            self.even * other.even + self.odd * other.odd * self.q,
-            self.even * other.odd + self.odd * other.even,
+            _canon(self.even * other.even + self.odd * other.odd * self.q),
+            _canon(self.even * other.odd + self.odd * other.even),
             self.q,
         )
 
     __rmul__ = __mul__
 
     def inverse(self) -> "SqrtQScalar":
-        # (a + b sqrt q)(a - b sqrt q) = a^2 - b^2 q, nonzero since sqrt q is irrational
+        # (a + b sqrt q)(a - b sqrt q) = a^2 - b^2 q, nonzero since sqrt q is irrational;
+        # divide through Fraction: `/` on two int parts would leave Q
         n = self.even * self.even - self.odd * self.odd * self.q
         if not n:
             raise ZeroDivisionError("inverse of zero in Q[sqrt(q)]")
-        return SqrtQScalar(self.even / n, -self.odd / n, self.q)
+        return SqrtQScalar(_canon(Fraction(self.even, n)), _canon(Fraction(-self.odd, n)), self.q)
 
     def __truediv__(self, other: "SqrtQScalar") -> "SqrtQScalar":
         return self * other.inverse()
@@ -394,7 +397,7 @@ def evaluate_at_sqrt_q(f: LaurentPoly, q: int, sign: int) -> SqrtQScalar:
 
     v^e = sign^e * q^(e // 2) * sqrt(q)^(e % 2). Each component is summed
     over the common denominator q^k0, so integer coefficients stay integers
-    until the one division at the end.
+    until the one division at the end, which is skipped when k0 = 0.
     """
     check_prime(q)
     if sign not in (1, -1):
@@ -408,5 +411,7 @@ def evaluate_at_sqrt_q(f: LaurentPoly, q: int, sign: int) -> SqrtQScalar:
             odd += term if sign == 1 else -term
         else:
             even += term
-    den = q**k0
-    return SqrtQScalar(Fraction(even, den), Fraction(odd, den), q)
+    if k0:
+        den = q**k0
+        even, odd = Fraction(even, den), Fraction(odd, den)
+    return SqrtQScalar(_canon(even), _canon(odd), q)

@@ -24,6 +24,7 @@ from .identities import (
     _check,
     _green_strata,
     _pooled_model,
+    _SweepMemo,
 )
 from .laurent import LaurentPoly
 from .quiver import DimVector, builtin_quiver, euler_form, induction_twist
@@ -199,20 +200,17 @@ def green_sides_fit(
         rhs_vals: dict[tuple[int, str], dict[int, Fraction]] = {}
         for p in PRIMES:
             model = _pooled_model(Q.to_text(), p, budget)
+            memo = _SweepMemo(model)
             for A in model.table(a).ids():
                 for B in model.table(b).ids():
-                    fa, fb = hall.unit_class(model, A), hall.unit_class(model, B)
-                    lhs = hall.geometric_restriction(
-                        model, hall.geometric_induction(model, fa, fb), (ap, bp)
-                    )
+                    lhs = hall.geometric_restriction(model, memo.product(A, B), (ap, bp))
                     pair = f"{_xlabel(model, A)};{_xlabel(model, B)}"
                     for (N, L), c in lhs.terms:
                         key = f"{pair}>{_xlabel(model, N)};{_xlabel(model, L)}"
                         lhs_vals.setdefault(key, {})[p] = _monomial_count(c, e_lhs)
-                    products: dict = {}
                     for si, (stratum, exp) in enumerate(strata):
                         acc: dict = {}
-                        _add_green_stratum(model, acc, products, fa, fb, stratum, exp)
+                        _add_green_stratum(memo, acc, A, B, stratum, exp)
                         for (N, L), d in acc.items():
                             c = LaurentPoly(d)
                             if not c:

@@ -506,6 +506,26 @@ def test_dimension_vector_of_the_wrong_length_is_refused():
         ClassificationTable.from_json(data)
 
 
+def test_rep_refuses_a_dimension_vector_of_the_wrong_length():
+    # the arrow's 1 x 1 block fits the first two entries; the third vertex
+    # would be ignored by hom_dimension
+    for dim in (dv(1, 1, 5), dv(1)):
+        with pytest.raises(ValueError, match="vertices"):
+            Rep(A2, 2, dim, (((1,),),))
+    assert hom_dimension(Rep(A2, 2, dv(1, 1), (((1,),),)), Rep(A2, 2, dv(1, 1), (((1,),),))) == 1
+
+
+def test_rep_refuses_rows_of_unequal_length():
+    # encoded, ((1, 0), (1,)) places 3 digits where 4 belong, and would be
+    # read as a point of a2 at (2, 2)
+    for block in (((1, 0), (1,)), ((1,), (1, 0)), ((1, 0, 0), (1, 0))):
+        with pytest.raises(ValueError, match="row of length"):
+            Rep(A2, 2, dv(2, 2), (block,))
+    table = classify(A2, dv(2, 2), 2)
+    rep = Rep(A2, 2, dv(2, 2), (((1, 0), (1, 0)),))
+    assert table.iso_class_of(rep) == table.iso_class_of(Rep(A2, 2, dv(2, 2), (((0, 1), (0, 1)),)))
+
+
 def test_classify_matches_union_find_sweep():
     cases = list(small_spaces(builtin_names(), cap=625))
     assert len(cases) > 250

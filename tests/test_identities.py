@@ -20,6 +20,7 @@ from hallq.identities import (
     verify_operator_relations,
     verify_pairing_adjunction,
     verify_pairing_general,
+    verify_rule_sweep,
     verify_serre_derivations,
     verify_serre_generators,
     verify_stratification,
@@ -71,6 +72,137 @@ def test_associativity_formal_and_control():
         assert verify_associativity(model(name, 2), 3).passed
     r = verify_associativity(model("a2", 2), 3, corrupt=True)
     assert r.status == "fail" and r.witness["triple"]
+
+
+def _unit(model, f):
+    """M when f is the model's unit class u_M itself, else None: a product
+    such as u_M * u_0 equals u_M but is a value of its pair, not of M."""
+    if len(f.terms) == 1 and f is unit_class(model, f.terms[0][0]):
+        return f.terms[0][0]
+    return None
+
+
+def _count_unit_calls(monkeypatch):
+    """Re-bind the hall operators to count their calls on unit classes:
+    restrictions per (class, split), products per (pair, operator) and
+    derivations per (class, i, t, side)."""
+    calls = Counter()
+
+    def restriction_key(model, f, split):
+        M = _unit(model, f)
+        return M and (M, *(d.entries for d in split))
+
+    def product_key(model, f, g):
+        M, L = _unit(model, f), _unit(model, g)
+        return M and L and (M, L)
+
+    def derive_key(model, f, i, t):
+        M = _unit(model, f)
+        return M and (M, i, t)
+
+    def wrap(name, key_of):
+        original = getattr(hall, name)
+
+        def counted(model, *args):
+            key = key_of(model, *args)
+            if key:
+                calls[(name, *key)] += 1
+            return original(model, *args)
+
+        monkeypatch.setattr(hall, name, counted)
+
+    wrap("geometric_restriction", restriction_key)
+    for name in ("geometric_induction", "ringel_product"):
+        wrap(name, product_key)
+    for name in ("derive_sub", "derive_quot"):
+        wrap(name, derive_key)
+    return calls
+
+
+def test_green_sweep_restricts_and_multiplies_each_unit_class_once(monkeypatch):
+    calls = _count_unit_calls(monkeypatch)
+    assert verify_green_sweep(HallModel(builtin_quiver("a2"), 2), dv(2, 2), GEOM).passed
+    per_op = Counter(key[0] for key in calls)
+    assert per_op["geometric_restriction"] > 20 and per_op["geometric_induction"] > 20
+    assert max(calls.values()) == 1
+
+
+def test_rule_and_stratification_sweeps_derive_each_unit_class_once(monkeypatch):
+    calls = _count_unit_calls(monkeypatch)
+    m = HallModel(builtin_quiver("a2"), 2)
+    assert verify_rule_sweep(m, 0, 1, 3, GEOM).passed
+    per_op = Counter(key[0] for key in calls)
+    assert per_op["derive_sub"] > 5 and per_op["derive_quot"] > 5 and per_op["geometric_induction"] > 5
+    assert max(calls.values()) == 1
+    calls.clear()
+    assert verify_stratification_sweep(m, 0, 2, 3, GEOM).passed
+    assert calls and max(calls.values()) == 1
+
+
+def test_associativity_multiplies_each_unit_pair_once_per_twist(monkeypatch):
+    calls = _count_unit_calls(monkeypatch)
+    assert verify_associativity(HallModel(builtin_quiver("a2"), 2), 3).passed
+    assert {key[0] for key in calls} == {"geometric_induction", "ringel_product"}
+    assert max(calls.values()) == 1
+
+
+def _inside_sweep(monkeypatch, name, sweep):
+    """The result of `sweep()` and the reports that the check `name` of
+    identities gave it, recorded by re-binding the check for the sweep's run."""
+    reports = []
+    original = getattr(identities, name)
+
+    def recording(*args):
+        reports.append(original(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(identities, name, recording)
+    result = sweep()
+    monkeypatch.undo()
+    return result, reports
+
+
+def _same_report(inside, alone):
+    a, b = inside.to_json(), alone.to_json()
+    for d in (a, b):
+        d.pop("elapsed")
+        d["params"].pop("nu", None)  # the green sweep names itself in its checks
+    assert a == b
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_checks_alone_report_as_inside_their_sweep(monkeypatch, corrupt):
+    m = HallModel(builtin_quiver("a2"), 2)
+    swept, inside = _inside_sweep(monkeypatch, "_green_check",
+                                  lambda: verify_green_sweep(m, dv(2, 1), GEOM, corrupt))
+    assert swept.passed != corrupt and len(inside) == (1 if corrupt else 36)
+    for r in inside:
+        kw = {k: dv(*r.params[k]) for k in ("alpha", "beta", "alpha_p", "beta_p")}
+        _same_report(r, verify_green_compatibility(m, **kw, convention=GEOM, corrupt=corrupt))
+    swept, inside = _inside_sweep(monkeypatch, "_rule_check",
+                                  lambda: verify_rule_sweep(m, 1, 2, 3, GEOM, corrupt))
+    assert swept.passed != corrupt and inside
+    for r in inside:
+        alone = verify_derivation_product_rule(m, 1, 2, dv(*r.params["alpha"]),
+                                               dv(*r.params["beta"]), GEOM, corrupt)
+        _same_report(r, alone)
+    if not corrupt:
+        swept, inside = _inside_sweep(monkeypatch, "_stratification_check",
+                                      lambda: verify_stratification_sweep(m, 0, 1, 3, GEOM))
+        assert swept.passed and inside
+        for r in inside:
+            alone = verify_stratification(m, 0, 1, dv(*r.params["alpha"]),
+                                          dv(*r.params["beta"]), GEOM)
+            _same_report(r, alone)
+
+
+def test_corrupt_checks_fail_with_and_without_a_sweep():
+    m = model("a2", 2)
+    assert verify_green_sweep(m, dv(1, 1), GEOM, corrupt=True).status == "fail"
+    assert verify_rule_sweep(m, 0, 1, 2, GEOM, corrupt=True).status == "fail"
+    r = verify_derivation_product_rule(m, 0, 1, dv(1, 0), dv(0, 1), GEOM, corrupt=True)
+    assert r.status == "fail" and r.witness["pair"]
+    assert verify_associativity(m, 2, corrupt=True).status == "fail"
 
 
 def test_derivation_product_rule_examples():

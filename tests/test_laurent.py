@@ -159,6 +159,8 @@ def test_sqrtq_field_ops():
     assert a - a == SqrtQScalar.zero(5)
     with pytest.raises(ValueError):
         a * SqrtQScalar.of(1, 1, 3)
+    third = SqrtQScalar.of(3, 0, 2).inverse()
+    assert third.even == Fraction(1, 3) and third.odd == 0
     with pytest.raises(ZeroDivisionError):
         SqrtQScalar.zero(5).inverse()
 
@@ -255,3 +257,47 @@ def test_evaluate_at_sqrt_q_negative_odd_exponents():
     for q in (2, 3, 5, 7, 11):
         for sign in (1, -1):
             assert evaluate_at_sqrt_q(f, q, sign) == _reference_evaluate(f, q, sign)
+
+
+def _assert_canonical_parts(s):
+    """Each part of a SqrtQScalar is an int exactly when it is integral."""
+    for part in (s.even, s.odd):
+        assert type(part) in (int, Fraction)
+        assert (type(part) is int) == (part.denominator == 1)
+
+
+def test_sqrtq_inverse_and_division_of_int_parts_are_exact():
+    # int parts: `/` on the parts would give floats
+    s = SqrtQScalar.of(1, 1, 2)  # 1 + sqrt 2, norm -1
+    assert (s.inverse().even, s.inverse().odd) == (-1, 1)
+    assert type(s.inverse().even) is int and type(s.inverse().odd) is int
+    t = SqrtQScalar.of(2, 0, 3)
+    assert (t.inverse().even, t.inverse().odd) == (Fraction(1, 2), 0)
+    assert type(t.inverse().even) is Fraction
+    u = SqrtQScalar.of(3, 1, 5)  # norm 9 - 5 = 4
+    for got in (u.inverse(), SqrtQScalar.one(5) / u, u / SqrtQScalar.of(2, 0, 5)):
+        _assert_canonical_parts(got)
+    assert (u.inverse().even, u.inverse().odd) == (Fraction(3, 4), Fraction(-1, 4))
+    assert u * u.inverse() == SqrtQScalar.one(5)
+    assert (u / u).even == 1 and type((u / u).even) is int
+    third = SqrtQScalar.of(3, 0, 2).inverse()
+    assert third.even == Fraction(1, 3) and third.odd == 0
+    with pytest.raises(ZeroDivisionError):
+        SqrtQScalar.zero(5).inverse()
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_coeffs, mixed_coeffs, mixed_scalars)
+def test_evaluate_at_sqrt_q_parts_are_int_exactly_when_integral(a, b, c):
+    f, g = LaurentPoly(a), LaurentPoly(b)
+    for q in (2, 3, 5):
+        for sign in (1, -1):
+            x, y = evaluate_at_sqrt_q(f, q, sign), evaluate_at_sqrt_q(g, q, sign)
+            assert x == _reference_evaluate(f, q, sign)
+            assert str(x) == str(_reference_evaluate(f, q, sign))
+            results = [x, x + y, x - y, -x, x * y, x * c, c * x]
+            if y:
+                results += [y.inverse(), x / y]
+                assert (x / y) * y == x
+            for s in results:
+                _assert_canonical_parts(s)
