@@ -126,8 +126,11 @@ class TensorElement(_Terms):
 class HallModel:
     """Classification tables plus memoized count tables for one (quiver, p):
     filtration, extension and stratified, each filled for every class pair of
-    its key by one sweep. Memos of unit classes, twists and splits sit next
-    to them; all of them die with the model."""
+    its key by one sweep. Next to them sit memos of twists, splits, unit
+    classes and operator values on unit classes: Res u_A per (class, split),
+    u_A * u_B per (pair, twist) and derive(u_A, i, t) per (class, i, t, side).
+    `release` drops the count tables, unit classes and operator values once a
+    run is done with the space; the model itself stays usable."""
 
     def __init__(self, quiver: Quiver, p: int, budget: int = ffrep.DEFAULT_POINT_BUDGET,
                  tables: TableCache | None = None):
@@ -140,6 +143,16 @@ class HallModel:
         self._units: dict[IsoClassId, HallElement] = {}
         self._gradings: dict[tuple, tuple[DimVector, int, int]] = {}
         self._splits: dict[tuple, tuple[DimVector, DimVector] | None] = {}
+        self._res: dict[tuple, TensorElement] = {}
+        self._prod: dict[tuple, HallElement] = {}
+        self._derived: dict[tuple, HallElement] = {}
+
+    def release(self) -> None:
+        """Empty the count tables and the memos of unit classes and operator
+        values; they are rebuilt on demand."""
+        for memo in (self._filt, self._ext, self._strat, self._units,
+                     self._res, self._prod, self._derived):
+            memo.clear()
 
     def table(self, dim: DimVector) -> ClassificationTable:
         return self.tables.table(dim)
@@ -209,6 +222,35 @@ class HallModel:
         derivation split keyed by the quotient slot."""
         split = self.split(alpha, i, m, "quot")
         return {} if split is None else ffrep.derive_quot_histogram(self.extension_table(*split))
+
+    # -- operator values on unit classes --------------------------------------
+    # The operators are module names looked up on each call, so a re-bound
+    # operator is the one that runs; it is part of the memo key, so a value of
+    # an operator no longer bound is never returned.
+
+    def unit_restriction(self, A: IsoClassId, split: tuple[DimVector, DimVector]) -> TensorElement:
+        """Res u_A at `split`."""
+        key = (geometric_restriction, A, split[0].entries, split[1].entries)
+        got = self._res.get(key)
+        if got is None:
+            got = self._res[key] = key[0](self, unit_class(self, A), split)
+        return got
+
+    def unit_product(self, A: IsoClassId, B: IsoClassId, ringel: bool = False) -> HallElement:
+        """u_A * u_B, under the Ringel twist when `ringel`, else the geometric one."""
+        key = (ringel_product if ringel else geometric_induction, A, B)
+        got = self._prod.get(key)
+        if got is None:
+            got = self._prod[key] = key[0](self, unit_class(self, A), unit_class(self, B))
+        return got
+
+    def unit_derived(self, A: IsoClassId, i: int, t: int, side: str) -> HallElement:
+        """derive(u_A, i, t) on `side`."""
+        key = (derivation(side), A, i, t)
+        got = self._derived.get(key)
+        if got is None:
+            got = self._derived[key] = key[0](self, unit_class(self, A), i, t)
+        return got
 
     # -- basis helpers ------------------------------------------------------
 

@@ -21,7 +21,8 @@ import os
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
+from operator import itemgetter
 
 from . import hall, uminus
 from .ffrep import DEFAULT_POINT_BUDGET, IsoClassId
@@ -216,49 +217,6 @@ def _splits_of(nu: DimVector) -> list[tuple[DimVector, DimVector]]:
     return out
 
 
-# -- the sweep memo ---------------------------------------------------------------
-
-
-class _SweepMemo:
-    """Operator values on unit classes, each computed once: Res u_A per
-    (class, split), u_A * u_B per (pair, twist), and derive(u_A, i, t) per
-    (class, i, t, side). A sweep makes one for all its checks, a check run on
-    its own makes its own, and it dies with them. It is not kept on the model,
-    since pooled models live for the whole run."""
-
-    def __init__(self, model: HallModel):
-        self.model = model
-        self._res: dict = {}
-        self._prod: dict = {}
-        self._derived: dict = {}
-
-    def restriction(self, A: IsoClassId, split: tuple[DimVector, DimVector]) -> TensorElement:
-        key = (A, split[0].entries, split[1].entries)
-        got = self._res.get(key)
-        if got is None:
-            got = self._res[key] = hall.geometric_restriction(
-                self.model, hall.unit_class(self.model, A), split)
-        return got
-
-    def product(self, A: IsoClassId, B: IsoClassId, ringel: bool = False) -> HallElement:
-        """u_A * u_B, under the Ringel twist when `ringel`, else the geometric one."""
-        key = (A, B, ringel)
-        got = self._prod.get(key)
-        if got is None:
-            op = hall.ringel_product if ringel else hall.geometric_induction
-            got = self._prod[key] = op(self.model, hall.unit_class(self.model, A),
-                                       hall.unit_class(self.model, B))
-        return got
-
-    def derived(self, A: IsoClassId, i: int, t: int, side: str) -> HallElement:
-        key = (A, i, t, side)
-        got = self._derived.get(key)
-        if got is None:
-            got = self._derived[key] = hall.derivation(side)(
-                self.model, hall.unit_class(self.model, A), i, t)
-        return got
-
-
 # -- associativity --------------------------------------------------------------
 
 
@@ -267,7 +225,6 @@ def verify_associativity(model: HallModel, maxdim: int = 4, corrupt: bool = Fals
     grading at most maxdim, both twist conventions, compared formally."""
     Q = model.quiver
     params = _params(model, maxdim=maxdim, corrupt=corrupt)
-    memo = _SweepMemo(model)
 
     def comparisons():
         for ringel, twist_name in ((False, "geometric"), (True, "ringel")):
@@ -278,12 +235,12 @@ def verify_associativity(model: HallModel, maxdim: int = 4, corrupt: bool = Fals
                         for A in model.table(da).ids():
                             fa = hall.unit_class(model, A)
                             for B in model.table(db).ids():
-                                ab = memo.product(A, B, ringel)
+                                ab = model.unit_product(A, B, ringel)
                                 for C in model.table(dc).ids():
                                     lhs = prod_fn(model, ab, hall.unit_class(model, C))
                                     if corrupt:
                                         lhs = lhs.scale(LaurentPoly.v(1))
-                                    rhs = prod_fn(model, fa, memo.product(B, C, ringel))
+                                    rhs = prod_fn(model, fa, model.unit_product(B, C, ringel))
                                     yield None if lhs == rhs else ({
                                         "twist": twist_name,
                                         "triple": _labels(model, A, B, C),
@@ -309,7 +266,7 @@ def _green_strata(Q: Quiver, alpha: DimVector, beta: DimVector, alpha_p: DimVect
 
 
 def _add_green_stratum(
-    memo: _SweepMemo,
+    model: HallModel,
     acc: dict[tuple[IsoClassId, IsoClassId], dict[int, Scalar]],
     A: IsoClassId,
     B: IsoClassId,
@@ -320,14 +277,14 @@ def _add_green_stratum(
     v^exp, into acc: (N, L) -> exponent -> coefficient. The restrictions
     Res u_A at (a1, a2) and Res u_B at (b1, b2) are multiplied slotwise,
     u_{n1} (x) u_{n2} times u_{l1} (x) u_{l2} giving (u_{n1} * u_{l1}) (x)
-    (u_{n2} * u_{l2}); the memo holds the restrictions and unit products."""
+    (u_{n2} * u_{l2}); the model memoizes the restrictions and unit products."""
     a1, a2, b1, b2 = stratum
-    res_a = memo.restriction(A, (a1, a2))
-    res_b = memo.restriction(B, (b1, b2))
+    res_a = model.unit_restriction(A, (a1, a2))
+    res_b = model.unit_restriction(B, (b1, b2))
     for (n1, n2), ca in res_a.terms:
         for (l1, l2), cb in res_b.terms:
-            left = memo.product(n1, l1)
-            right = memo.product(n2, l2)
+            left = model.unit_product(n1, l1)
+            right = model.unit_product(n2, l2)
             base = ca * cb
             for N, cn in left.terms:
                 left_base = base * cn
@@ -335,17 +292,16 @@ def _add_green_stratum(
                     add_scaled(acc.setdefault((N, L), {}), left_base * cl, 1, exp)
 
 
-def _green_sides(memo: _SweepMemo, A: IsoClassId, B: IsoClassId, split: tuple[DimVector, DimVector],
+def _green_sides(model: HallModel, A: IsoClassId, B: IsoClassId, split: tuple[DimVector, DimVector],
                  strata: list) -> tuple[TensorElement, TensorElement]:
     """Both Green sides at `split`: left Res(Ind), right the sum over the
     compatibility strata, each twisted by v^{-(a2, b1)}. `strata` are the
     `_green_strata` of the gradings, which a check over many class pairs
     computes once."""
-    model = memo.model
-    lhs = hall.geometric_restriction(model, memo.product(A, B), split)
+    lhs = hall.geometric_restriction(model, model.unit_product(A, B), split)
     acc: dict[tuple[IsoClassId, IsoClassId], dict[int, Scalar]] = {}
     for stratum, exp in strata:
-        _add_green_stratum(memo, acc, A, B, stratum, exp)
+        _add_green_stratum(model, acc, A, B, stratum, exp)
     rhs = TensorElement.make(model.quiver, model.p, split, {k: LaurentPoly(d) for k, d in acc.items()})
     return lhs, rhs
 
@@ -359,12 +315,6 @@ def verify_green_compatibility(
     convention: Convention,
     corrupt: bool = False,
 ) -> Report:
-    return _green_check(_SweepMemo(model), alpha, beta, alpha_p, beta_p, convention, corrupt)
-
-
-def _green_check(memo: _SweepMemo, alpha: DimVector, beta: DimVector, alpha_p: DimVector,
-                 beta_p: DimVector, convention: Convention, corrupt: bool) -> Report:
-    model = memo.model
     Q, p = model.quiver, model.p
     params = _params(model, alpha=alpha, beta=beta, alpha_p=alpha_p, beta_p=beta_p,
                      corrupt=corrupt)
@@ -373,18 +323,22 @@ def _green_check(memo: _SweepMemo, alpha: DimVector, beta: DimVector, alpha_p: D
 
     def comparisons():
         # the strata depend on the gradings alone: once per check, not per pair.
-        # Not on the model: a sweep checks each grading once, and pooled models
-        # live for the whole run, so a memo there would only hold memory
+        # Not on the model: a sweep checks each grading once, so a memo there
+        # would only hold memory until the run releases the space
         strata = [(stratum, exp + 1 if corrupt else exp)
                   for stratum, exp in _green_strata(Q, alpha, beta, alpha_p, beta_p)]
         for A in model.table(alpha).ids():
             for B in model.table(beta).ids():
-                lhs, rhs = _green_sides(memo, A, B, (alpha_p, beta_p), strata)
+                lhs, rhs = _green_sides(model, A, B, (alpha_p, beta_p), strata)
                 sl, sr = spec_hall(lhs, p, convention), spec_hall(rhs, p, convention)
                 yield None if sl == sr else _failure(model, sl, sr,
                                                      {"pair": _labels(model, A, B)})
 
     return _check("green", params, convention.label, comparisons())
+
+
+# the name by which the sweep runs each check, looked up when it runs
+_green_check = verify_green_compatibility
 
 
 # -- derivation product rules ----------------------------------------------------
@@ -404,16 +358,15 @@ def _rule_scalars(strata: list[tuple[int, int, int]], m: int, p: int, convention
     return out
 
 
-def _rule_sides(memo: _SweepMemo, A: IsoClassId, B: IsoClassId, i: int, m: int, side: str,
+def _rule_sides(model: HallModel, A: IsoClassId, B: IsoClassId, i: int, m: int, side: str,
                 scalars: list) -> tuple[HallElement, list[tuple[int, SqrtQScalar, HallElement]]]:
     """Left side: derivation of the product. Right side: the indexed terms
     (t, specialized scalar f_{m,t} v^{-P}, derived-product element), not yet
     summed. `scalars` are the side's `_rule_scalars` of the gradings, which a
     check over many class pairs computes once."""
-    model = memo.model
-    lhs = hall.derivation(side)(model, memo.product(A, B), i, m)
-    return lhs, [(t, scalar, hall.geometric_induction(model, memo.derived(A, i, t, side),
-                                                      memo.derived(B, i, m - t, side)))
+    lhs = hall.derivation(side)(model, model.unit_product(A, B), i, m)
+    return lhs, [(t, scalar, hall.geometric_induction(model, model.unit_derived(A, i, t, side),
+                                                      model.unit_derived(B, i, m - t, side)))
                  for t, scalar in scalars]
 
 
@@ -422,12 +375,6 @@ def verify_derivation_product_rule(
     convention: Convention, corrupt: bool = False,
 ) -> Report:
     """Both flavors of the derivation-of-a-product formula, coefficientwise."""
-    return _rule_check(_SweepMemo(model), i, m, alpha, beta, convention, corrupt)
-
-
-def _rule_check(memo: _SweepMemo, i: int, m: int, alpha: DimVector, beta: DimVector,
-                convention: Convention, corrupt: bool) -> Report:
-    model = memo.model
     p = model.p
     params = _params(model, i=i, m=m, alpha=alpha, beta=beta, corrupt=corrupt)
 
@@ -437,7 +384,7 @@ def _rule_check(memo: _SweepMemo, i: int, m: int, alpha: DimVector, beta: DimVec
         for side in ("sub", "quot"):
             for A in model.table(alpha).ids():
                 for B in model.table(beta).ids():
-                    lhs, terms = _rule_sides(memo, A, B, i, m, side, scalars[side])
+                    lhs, terms = _rule_sides(model, A, B, i, m, side, scalars[side])
                     sl = spec_hall(lhs, p, convention)
                     sr = _sum_specs(_spec_term(scalar, piece, p, convention)
                                     for _, scalar, piece in terms)
@@ -445,6 +392,9 @@ def _rule_check(memo: _SweepMemo, i: int, m: int, alpha: DimVector, beta: DimVec
                         model, sl, sr, {"side": side, "pair": _labels(model, A, B)})
 
     return _check("derivation_product_rule", params, convention.label, comparisons())
+
+
+_rule_check = verify_derivation_product_rule
 
 
 # -- stratified refinement -------------------------------------------------------
@@ -457,12 +407,6 @@ def verify_stratification(
     """Per-stratum equality plus exact telescoping of the stratified pieces:
     the strata sum to the product rule's left side, and stratum t equals
     its right-hand term."""
-    return _stratification_check(_SweepMemo(model), i, m, alpha, beta, convention)
-
-
-def _stratification_check(memo: _SweepMemo, i: int, m: int, alpha: DimVector, beta: DimVector,
-                          convention: Convention) -> Report:
-    model = memo.model
     Q, p = model.quiver, model.p
     params = _params(model, i=i, m=m, alpha=alpha, beta=beta)
     lo, hi, strata_data = stratum_data(Q, alpha, beta, i, m)
@@ -479,7 +423,7 @@ def _stratification_check(memo: _SweepMemo, i: int, m: int, alpha: DimVector, be
                     if any(t < lo or t > hi for t in strata):
                         yield {"reason": "stratum index out of range",
                                "got": sorted(strata)}, {}
-                    total, terms = _rule_sides(memo, A, B, i, m, side, scalars[side])
+                    total, terms = _rule_sides(model, A, B, i, m, side, scalars[side])
                     acc = HallElement.zero(Q, p)
                     for t in sorted(strata):
                         acc = acc + strata[t]
@@ -499,6 +443,9 @@ def _stratification_check(memo: _SweepMemo, i: int, m: int, alpha: DimVector, be
                             ("stratum", "expected"))
 
     return _check("stratification", params, convention.label, comparisons())
+
+
+_stratification_check = verify_stratification
 
 
 # -- quantum Serre, class level ---------------------------------------------------
@@ -624,24 +571,19 @@ def verify_pairing_adjunction(
     big = alpha + Q.unit(i).scale(m)
 
     def comparisons():
-        lmi = hall.constant_class(model, i, m)
+        L = hall.constant_class(model, i, m).terms[0][0]  # the one class at m*e_i
         paper = LaurentPoly.one()
         for k in range(1, m + 1):
             paper = paper * (LaurentPoly.one() - LaurentPoly.v(2 * k))
         paper_inv = convention.poly(paper, p).inverse() if m else SqrtQScalar.one(p)
         bridges = {}
         for flavor in ("sub", "quot"):
-            derive = hall.derivation(flavor)
             for A in model.table(alpha).ids():
                 fa = hall.unit_class(model, A)
-                if flavor == "sub":
-                    prod = hall.geometric_induction(model, lmi, fa)
-                else:
-                    prod = hall.geometric_induction(model, fa, lmi)
+                prod = model.unit_product(L, A) if flavor == "sub" else model.unit_product(A, L)
                 for B in model.table(big).ids():
-                    fb = hall.unit_class(model, B)
-                    lhs = convention.poly(hall.pairing(model, prod, fb), p)
-                    inner = hall.pairing(model, fa, derive(model, fb, i, m))
+                    lhs = convention.poly(hall.pairing(model, prod, hall.unit_class(model, B)), p)
+                    inner = hall.pairing(model, fa, model.unit_derived(B, i, m, flavor))
                     rhs = paper_inv * convention.poly(inner, p)
                     if bool(lhs) != bool(rhs):
                         yield {"flavor": flavor, "pair": _labels(model, A, B),
@@ -681,15 +623,12 @@ def verify_pairing_general(
         bridge = None
         ta, tb = model.table(alpha), model.table(beta)
         for A in ta.ids():
-            fa = hall.unit_class(model, A)
             for B in tb.ids():
-                fb = hall.unit_class(model, B)
-                prod = hall.geometric_induction(model, fa, fb)
+                prod = model.unit_product(A, B)
                 weight = Fraction(1, ta.info(A).aut_count * tb.info(B).aut_count)
                 for C in model.table(nu).ids():
-                    fc = hall.unit_class(model, C)
-                    lhs = convention.poly(hall.pairing(model, prod, fc), p)
-                    res = hall.geometric_restriction(model, fc, (alpha, beta)).coeffs()
+                    lhs = convention.poly(hall.pairing(model, prod, hall.unit_class(model, C)), p)
+                    res = model.unit_restriction(C, (alpha, beta)).coeffs()
                     rhs = convention.poly(res.get((A, B), LaurentPoly.zero()) * weight, p)
                     if bool(lhs) != bool(rhs):
                         yield ({"triple": _labels(model, A, B, C),
@@ -733,23 +672,22 @@ def verify_operator_relations(
 
         for A in model.table(alpha).ids():
             fa = hall.unit_class(model, A)
-            derived_a = {side: hall.derivation(side)(model, fa, i, 1) for side in ("sub", "quot")}
             for db in _dims_up_to(Q, maxother):
                 for B in model.table(db).ids():
                     fb = hall.unit_class(model, B)
                     # (1) m^L_A m^L_B = m^L_{A*B} and the m^R mirror
                     for C in model.table(Q.unit(i)).ids():
-                        fc = hall.unit_class(model, C)
-                        l1 = ind(model, fa, ind(model, fb, fc))
-                        r1 = ind(model, ind(model, fa, fb), fc)
+                        l1 = ind(model, fa, model.unit_product(B, C))
+                        r1 = ind(model, model.unit_product(A, B), hall.unit_class(model, C))
                         yield None if l1 == r1 else ({"item": 1}, {})
                     # (3) left derivation against left multiplication, (4) the right mirror
                     for item, side in ((3, "sub"), (4, "quot")):
-                        derive = hall.derivation(side)
-                        lhs = derive(model, mul(side, fa, fb), i, 1)
-                        rhs = mul(side, fa, derive(model, fb, i, 1)).scale(exp)
+                        ab = model.unit_product(*((A, B) if side == "sub" else (B, A)))
+                        lhs = hall.derivation(side)(model, ab, i, 1)
+                        rhs = mul(side, fa, model.unit_derived(B, i, 1, side)).scale(exp)
                         sl = spec_hall(lhs, p, convention)
-                        sr = spec_hall(rhs + mul(side, derived_a[side], fb), p, convention)
+                        sr = spec_hall(rhs + mul(side, model.unit_derived(A, i, 1, side), fb),
+                                       p, convention)
                         yield None if sl == sr else _failure(
                             model, sl, sr, {"item": item, "pair": _labels(model, A, B)},
                             details={})
@@ -885,13 +823,12 @@ def verify_green_sweep(model: HallModel, nu: DimVector, convention: Convention,
                        corrupt: bool = False) -> Report:
     """All split pairs of one total grading, aggregated."""
     params = _params(model, nu=nu, corrupt=corrupt)
-    memo = _SweepMemo(model)
 
     def reports():
         splits = _splits_of(nu)
         for alpha, beta in splits:
             for alpha_p, beta_p in splits:
-                r = _green_check(memo, alpha, beta, alpha_p, beta_p, convention, corrupt)
+                r = _green_check(model, alpha, beta, alpha_p, beta_p, convention, corrupt)
                 r.params["nu"] = params["nu"]  # a failing report names its sweep
                 yield r
 
@@ -911,8 +848,7 @@ def _rule_pairs(Q: Quiver, i: int, m: int, maxtotal: int) -> list[tuple[DimVecto
 def verify_rule_sweep(model: HallModel, i: int, m: int, maxtotal: int,
                       convention: Convention, corrupt: bool = False) -> Report:
     params = _params(model, i=i, m=m, maxtotal=maxtotal, corrupt=corrupt)
-    memo = _SweepMemo(model)
-    reports = (_rule_check(memo, i, m, alpha, beta, convention, corrupt)
+    reports = (_rule_check(model, i, m, alpha, beta, convention, corrupt)
                for alpha, beta in _rule_pairs(model.quiver, i, m, maxtotal))
     return _sweep("derivation_product_rule", params, convention.label, reports)
 
@@ -923,7 +859,6 @@ def verify_stratification_sweep(model: HallModel, i: int, m: int, maxtotal: int,
     degenerate case for coverage."""
     Q = model.quiver
     params = _params(model, i=i, m=m, maxtotal=maxtotal)
-    memo = _SweepMemo(model)
 
     def reports():
         seen_degenerate = False
@@ -935,7 +870,7 @@ def verify_stratification_sweep(model: HallModel, i: int, m: int, maxtotal: int,
                 if seen_degenerate or alpha.total + beta.total > 2:
                     continue
                 seen_degenerate = True
-            yield _stratification_check(memo, i, m, alpha, beta, convention)
+            yield _stratification_check(model, i, m, alpha, beta, convention)
 
     return _sweep("stratification", params, convention.label, reports())
 
@@ -1049,8 +984,25 @@ def run_spec(spec: tuple, budget: int, pins: dict) -> list[Report]:
     return [globals()[check](_pooled_model(text, p, budget), **kw)]
 
 
-def _spec_worker(args):
-    return [r.to_json() for r in run_spec(*args)]
+def _space_units(specs: list[tuple]) -> list[list[tuple]]:
+    """The specs cut into runs of one space (quiver text, p), in order: the
+    jobs of a space are contiguous in `_suite_specs`, and polynomiality, on
+    no space, is a unit of its own."""
+    return [list(unit) for _, unit in groupby(specs, key=itemgetter(2, 3))]
+
+
+def run_unit(unit: list[tuple], budget: int, pins: dict) -> list[Report]:
+    """Run one unit of `_space_units`, then release its space's model: the
+    unit holds every job of that space."""
+    reports = [r for spec in unit for r in run_spec(spec, budget, pins)]
+    _, _, text, p, _ = unit[-1]
+    if text is not None:
+        _pooled_model(text, p, budget).release()
+    return reports
+
+
+def _unit_worker(args):
+    return [r.to_json() for r in run_unit(*args)]
 
 
 def run_suite(config: SweepConfig) -> list[Report]:
@@ -1066,17 +1018,19 @@ def run_suite(config: SweepConfig) -> list[Report]:
 
     reports = [_check("convention_table", {"primes": list(config.primes)}, None,
                       convention_table())]
-    specs = _suite_specs(config)
+    units = _space_units(_suite_specs(config))
     if config.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        # each worker takes whole spaces, so it builds a space's model once and
+        # releases it after the space's last job
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            args = [(s, config.budget, pins) for s in specs]
-            for chunk in pool.map(_spec_worker, args):
+            args = [(unit, config.budget, pins) for unit in units]
+            for chunk in pool.map(_unit_worker, args):
                 reports.extend(Report(**data) for data in chunk)
     else:
-        for s in specs:
-            reports.extend(run_spec(s, config.budget, pins))
+        for unit in units:
+            reports.extend(run_unit(unit, config.budget, pins))
     if config.only is None:
         reports.extend(experiment_reports(config.primes, config.budget))
     return reports

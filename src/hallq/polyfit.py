@@ -24,7 +24,6 @@ from .identities import (
     _check,
     _green_strata,
     _pooled_model,
-    _SweepMemo,
 )
 from .laurent import LaurentPoly
 from .quiver import DimVector, builtin_quiver, euler_form, induction_twist
@@ -200,17 +199,16 @@ def green_sides_fit(
         rhs_vals: dict[tuple[int, str], dict[int, Fraction]] = {}
         for p in PRIMES:
             model = _pooled_model(Q.to_text(), p, budget)
-            memo = _SweepMemo(model)
             for A in model.table(a).ids():
                 for B in model.table(b).ids():
-                    lhs = hall.geometric_restriction(model, memo.product(A, B), (ap, bp))
+                    lhs = hall.geometric_restriction(model, model.unit_product(A, B), (ap, bp))
                     pair = f"{_xlabel(model, A)};{_xlabel(model, B)}"
                     for (N, L), c in lhs.terms:
                         key = f"{pair}>{_xlabel(model, N)};{_xlabel(model, L)}"
                         lhs_vals.setdefault(key, {})[p] = _monomial_count(c, e_lhs)
                     for si, (stratum, exp) in enumerate(strata):
                         acc: dict = {}
-                        _add_green_stratum(memo, acc, A, B, stratum, exp)
+                        _add_green_stratum(model, acc, A, B, stratum, exp)
                         for (N, L), d in acc.items():
                             c = LaurentPoly(d)
                             if not c:

@@ -1,4 +1,5 @@
 import json
+import os
 from collections import Counter
 
 import pytest
@@ -422,6 +423,76 @@ def test_jobs_parallel_matches_serial():
         serial = run_suite(SweepConfig(**cfg))
         assert any(not r.passed for r in serial) == corrupt
         assert key(serial) == key(run_suite(SweepConfig(**cfg, jobs=2)))
+
+
+def test_run_releases_each_space_after_its_last_job(monkeypatch):
+    # one release per (quiver, p) space, right after the space's last job,
+    # leaving the model's count tables and operator memos empty
+    events = []
+    run_spec, release = identities.run_spec, HallModel.release
+
+    def recording_spec(spec, *args):
+        events.append(("spec", spec[2], spec[3]))
+        return run_spec(spec, *args)
+
+    def recording_release(self):
+        release(self)
+        memos = (self._filt, self._ext, self._strat, self._units,
+                 self._res, self._prod, self._derived)
+        events.append(("release", self.quiver.to_text(), self.p, not any(memos)))
+
+    monkeypatch.setattr(identities, "run_spec", recording_spec)
+    monkeypatch.setattr(HallModel, "release", recording_release)
+    run_suite(SweepConfig(primes=(2,)))
+    spaces = {e[1:] for e in events if e[0] == "spec" and e[1] is not None}
+    releases = [(k, e) for k, e in enumerate(events) if e[0] == "release"]
+    assert len(spaces) == 5
+    assert sorted(e[1:3] for _, e in releases) == sorted(spaces)
+    for k, (_, text, p, empty) in releases:
+        assert empty
+        assert events[k - 1] == ("spec", text, p)
+        assert ("spec", text, p) not in events[k:]
+
+
+def test_jobs_hand_each_worker_whole_spaces(monkeypatch):
+    import concurrent.futures
+
+    mapped = []
+
+    class RecordingExecutor:
+        """Records the mapped units and runs them in this process, so no
+        pool or worker process is started."""
+
+        def __init__(self, max_workers=None):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            args = list(iterable)
+            mapped.extend(unit for unit, _, _ in args)
+            return map(fn, args)
+
+    def stripped(reports):
+        return [json.dumps({**r.to_json(), "elapsed": 0}, sort_keys=True) for r in reports]
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    cfg = dict(quivers=("a2", "single"), primes=(2, 3), maxdim=2, single_maxdim=2, skip_slow=True)
+    serial = run_suite(SweepConfig(**cfg))
+    parallel = run_suite(SweepConfig(**cfg, jobs=2))
+    # the units are the spec list cut into whole spaces, polynomiality alone
+    assert [s for unit in mapped for s in unit] == identities._suite_specs(SweepConfig(**cfg))
+    spaces = [{s[2:4] for s in unit} for unit in mapped]
+    assert all(len(space) == 1 for space in spaces)
+    assert len({space.pop() for space in spaces}) == len(mapped) == 5
+    assert [unit for unit in mapped if unit[-1][0] == "polynomiality"] == [mapped[-1]]
+    assert len(mapped[-1]) == 1
+    assert stripped(parallel) == stripped(serial)
 
 
 def test_divided_power_class_relation_bridge_is_prime_independent():
