@@ -73,7 +73,7 @@ def cached_table_cache(Q: Quiver, p: int, budget: int, use_cache: bool) -> Table
             return None
         try:
             table = ClassificationTable.from_json(json.loads(path.read_text()))
-        except (ValueError, KeyError, json.JSONDecodeError):
+        except (ValueError, KeyError, OSError):
             return None
         if table.quiver != Q or table.dim != dim or table.p != p:
             return None
@@ -317,14 +317,14 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as e:
         print(f"refused: {e}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, FileNotFoundError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError, so caught ahead of the clause below
         # the reader is gone (`| head`): what is still buffered goes to
         # devnull, so the interpreter's final flush stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 3
+    except (ValueError, KeyError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -124,92 +124,84 @@ class TensorElement(_Terms):
 
 
 class HallModel:
-    """Classification tables plus memoized count tables for one (quiver, p):
-    filtration, extension and stratified, each filled for every class pair of
-    its key by one sweep. Next to them sit memos of twists, splits, unit
-    classes and operator values on unit classes: Res u_A per (class, split),
-    u_A * u_B per (pair, twist) and derive(u_A, i, t) per (class, i, t, side).
-    `release` drops the count tables, unit classes and operator values once a
-    run is done with the space; the model itself stays usable."""
+    """A space's classification tables plus one memo of everything derived
+    from them: the filtration, extension and stratified count tables (each
+    filled for every class pair of its key by one sweep), the unit classes,
+    the operator values on unit classes (Res u_A per (class, split),
+    u_A * u_B per (pair, twist), derive(u_A, i, t) per (class, i, t, side)),
+    and the gradings and splits. `release` empties that memo once a run is
+    done with the space; the model stays usable and rebuilds on demand."""
 
     def __init__(self, quiver: Quiver, p: int, budget: int = ffrep.DEFAULT_POINT_BUDGET,
                  tables: TableCache | None = None):
         self.quiver = quiver
         self.p = p
         self.tables = tables if tables is not None else TableCache(quiver, p, budget)
-        self._filt: dict[tuple, dict] = {}
-        self._ext: dict[tuple, dict] = {}
-        self._strat: dict[tuple, dict] = {}
-        self._units: dict[IsoClassId, HallElement] = {}
-        self._gradings: dict[tuple, tuple[DimVector, int, int]] = {}
-        self._splits: dict[tuple, tuple[DimVector, DimVector] | None] = {}
-        self._res: dict[tuple, TensorElement] = {}
-        self._prod: dict[tuple, HallElement] = {}
-        self._derived: dict[tuple, HallElement] = {}
+        # Tuple keys start with their kind ("filt", "ext", "strat", "grading",
+        # "split") or with the operator whose value they hold, so kinds that
+        # share a key shape never collide; a unit class is keyed by its id.
+        self.memo: dict = {}
 
     def release(self) -> None:
-        """Empty the count tables and the memos of unit classes and operator
-        values; they are rebuilt on demand."""
-        for memo in (self._filt, self._ext, self._strat, self._units,
-                     self._res, self._prod, self._derived):
-            memo.clear()
+        """Empty the memo; what it held is rebuilt on demand."""
+        self.memo.clear()
+
+    def _memo(self, key, compute, *args):
+        """The memo's value at `key`, stored from `compute(*args)` on a miss."""
+        got = self.memo.get(key)
+        if got is None:
+            got = self.memo[key] = compute(*args)
+        return got
 
     def table(self, dim: DimVector) -> ClassificationTable:
         return self.tables.table(dim)
 
     def grading(self, alpha: DimVector, beta: DimVector) -> tuple[DimVector, int, int]:
         """(alpha + beta, induction_twist, euler_form) at (alpha, beta)."""
-        key = (alpha.entries, beta.entries)
-        if key not in self._gradings:
+        key = ("grading", alpha.entries, beta.entries)
+        got = self.memo.get(key)
+        if got is None:
             Q = self.quiver
-            self._gradings[key] = (alpha + beta, induction_twist(Q, alpha, beta), euler_form(Q, alpha, beta))
-        return self._gradings[key]
+            got = self.memo[key] = (alpha + beta, induction_twist(Q, alpha, beta), euler_form(Q, alpha, beta))
+        return got
 
     def split(self, dim: DimVector, i: int, m: int, side: str) -> tuple[DimVector, DimVector] | None:
         """`derivation_split` of dim; its parts are their tables' dims, not new vectors."""
-        key = (dim.entries, i, m, side)
-        if key not in self._splits:
+        key = ("split", dim.entries, i, m, side)
+        if key not in self.memo:
             split = derivation_split(self.quiver, dim, i, m, side)
-            self._splits[key] = split and tuple(self.table(d).dim for d in split)
-        return self._splits[key]
+            self.memo[key] = split and tuple(self.table(d).dim for d in split)
+        return self.memo[key]
 
     # -- count tables -------------------------------------------------------
 
     def filtration_table(self, alpha: DimVector, beta: DimVector) -> dict:
         """(N, L) -> {M: F^M_{N,L}} for N at alpha (quotient), L at beta (sub)."""
-        key = (alpha.entries, beta.entries)
-        got = self._filt.get(key)
-        if got is None:
-            got = {}
-            nu = alpha + beta
-            frame = ffrep.SubspaceFrame(self.quiver, nu, beta, self.p)
-            for M in self.table(nu).ids():
-                for (N, L), c in ffrep.filtration_counts(self.tables, M, beta, frame).items():
-                    got.setdefault((N, L), {})[M] = c
-            self._filt[key] = got
+        return self._memo(("filt", alpha.entries, beta.entries), self._filtration_sweep, alpha, beta)
+
+    def _filtration_sweep(self, alpha: DimVector, beta: DimVector) -> dict:
+        got: dict = {}
+        nu = alpha + beta
+        frame = ffrep.SubspaceFrame(self.quiver, nu, beta, self.p)
+        for M in self.table(nu).ids():
+            for (N, L), c in ffrep.filtration_counts(self.tables, M, beta, frame).items():
+                got.setdefault((N, L), {})[M] = c
         return got
 
     def extension_table(self, alpha: DimVector, beta: DimVector) -> dict:
         """(N, L) -> {M: e^M_{N,L}} for the split quotient alpha / sub beta."""
-        key = (alpha.entries, beta.entries)
-        got = self._ext.get(key)
-        if got is None:
-            got = {}
-            for N in self.table(alpha).ids():
-                for L in self.table(beta).ids():
-                    got[(N, L)] = ffrep.extension_histogram(self.tables, N, L)
-            self._ext[key] = got
-        return got
+        return self._memo(("ext", alpha.entries, beta.entries), self._extension_sweep, alpha, beta)
+
+    def _extension_sweep(self, alpha: DimVector, beta: DimVector) -> dict:
+        return {(N, L): ffrep.extension_histogram(self.tables, N, L)
+                for N in self.table(alpha).ids() for L in self.table(beta).ids()}
 
     def stratified_table(self, alpha: DimVector, beta: DimVector, i: int, m: int, side: str) -> dict:
         """(A, B) -> (t, N, count, ...) for the stratified derivation at
         vertex i, multiplicity m and side of u_A * u_B, A at alpha and B at
         beta: `ffrep.stratified_pair_counts`, one fiber walk for every pair."""
-        key = (alpha.entries, beta.entries, i, m, side)
-        got = self._strat.get(key)
-        if got is None:
-            got = self._strat[key] = ffrep.stratified_pair_counts(self.tables, alpha, beta, i, m, side)
-        return got
+        return self._memo(("strat", alpha.entries, beta.entries, i, m, side),
+                          ffrep.stratified_pair_counts, self.tables, alpha, beta, i, m, side)
 
     def derive_sub_table(self, alpha: DimVector, i: int, m: int) -> dict:
         """(M, N) -> count for derive_sub at alpha, vertex i, multiplicity m: the extension
@@ -231,26 +223,17 @@ class HallModel:
     def unit_restriction(self, A: IsoClassId, split: tuple[DimVector, DimVector]) -> TensorElement:
         """Res u_A at `split`."""
         key = (geometric_restriction, A, split[0].entries, split[1].entries)
-        got = self._res.get(key)
-        if got is None:
-            got = self._res[key] = key[0](self, unit_class(self, A), split)
-        return got
+        return self._memo(key, _on_units, self, key[0], (A,), split)
 
     def unit_product(self, A: IsoClassId, B: IsoClassId, ringel: bool = False) -> HallElement:
         """u_A * u_B, under the Ringel twist when `ringel`, else the geometric one."""
         key = (ringel_product if ringel else geometric_induction, A, B)
-        got = self._prod.get(key)
-        if got is None:
-            got = self._prod[key] = key[0](self, unit_class(self, A), unit_class(self, B))
-        return got
+        return self._memo(key, _on_units, self, key[0], (A, B))
 
     def unit_derived(self, A: IsoClassId, i: int, t: int, side: str) -> HallElement:
         """derive(u_A, i, t) on `side`."""
         key = (derivation(side), A, i, t)
-        got = self._derived.get(key)
-        if got is None:
-            got = self._derived[key] = key[0](self, unit_class(self, A), i, t)
-        return got
+        return self._memo(key, _on_units, self, key[0], (A,), i, t)
 
     # -- basis helpers ------------------------------------------------------
 
@@ -268,11 +251,17 @@ class HallModel:
 
 
 def unit_class(model: HallModel, M: IsoClassId) -> HallElement:
-    if M not in model._units:
+    got = model.memo.get(M)
+    if got is None:
         table = model.table(DimVector(M.dim))
         table.index_of(M)  # raises on unknown id
-        model._units[M] = HallElement._of(model.quiver, model.p, table.dim, {M: LaurentPoly.one()})
-    return model._units[M]
+        got = model.memo[M] = HallElement._of(model.quiver, model.p, table.dim, {M: LaurentPoly.one()})
+    return got
+
+
+def _on_units(model: HallModel, op, classes: tuple[IsoClassId, ...], *args):
+    """`op` on the unit classes of `classes`, then `args`."""
+    return op(model, *[unit_class(model, C) for C in classes], *args)
 
 
 def constant_class(model: HallModel, i: int, m: int) -> HallElement:
@@ -280,14 +269,11 @@ def constant_class(model: HallModel, i: int, m: int) -> HallElement:
     if m < 0:
         raise ValueError("m must be nonnegative")
     dim = model.quiver.unit(i).scale(m)
-    cid = model.table(dim).classes[0].id
-    return HallElement._of(model.quiver, model.p, dim, {cid: LaurentPoly.one()})
+    return unit_class(model, model.table(dim).classes[0].id)
 
 
 def unit_element(model: HallModel) -> HallElement:
-    dim = model.quiver.zero_dim()
-    cid = model.table(dim).classes[0].id
-    return HallElement._of(model.quiver, model.p, dim, {cid: LaurentPoly.one()})
+    return unit_class(model, model.table(model.quiver.zero_dim()).classes[0].id)
 
 
 def _induction(model: HallModel, f: HallElement, g: HallElement, ringel: bool) -> HallElement:
@@ -385,10 +371,7 @@ def derivation(side: str):
 def _stratified(model: HallModel, A: IsoClassId, B: IsoClassId, i: int, m: int, side: str) -> dict[int, HallElement]:
     """Stratum t -> its piece, read from the model's stratified table and built
     afresh on every call. An unknown id raises KeyError, one of another vertex count ValueError."""
-    a_t, b_t = model.table(DimVector(A.dim)), model.table(DimVector(B.dim))
-    a_t.index_of(A)
-    b_t.index_of(B)
-    alpha, beta = a_t.dim, b_t.dim
+    alpha, beta = unit_class(model, A).dim, unit_class(model, B).dim
     nu, tw, _ = model.grading(alpha, beta)
     split = model.split(nu, i, m, side)
     if split is None:

@@ -337,10 +337,6 @@ def verify_green_compatibility(
     return _check("green", params, convention.label, comparisons())
 
 
-# the name by which the sweep runs each check, looked up when it runs
-_green_check = verify_green_compatibility
-
-
 # -- derivation product rules ----------------------------------------------------
 
 
@@ -394,9 +390,6 @@ def verify_derivation_product_rule(
     return _check("derivation_product_rule", params, convention.label, comparisons())
 
 
-_rule_check = verify_derivation_product_rule
-
-
 # -- stratified refinement -------------------------------------------------------
 
 
@@ -443,9 +436,6 @@ def verify_stratification(
                             ("stratum", "expected"))
 
     return _check("stratification", params, convention.label, comparisons())
-
-
-_stratification_check = verify_stratification
 
 
 # -- quantum Serre, class level ---------------------------------------------------
@@ -557,6 +547,29 @@ def _as_signed_q_power(s: SqrtQScalar) -> tuple[int, int] | None:
     return (1 if part > 0 else -1, k if s.even else k + 1)
 
 
+def _bridged(cases, details: dict):
+    """Compare the (key, witness, lhs, rhs) cases of one pairing check, one
+    comparison per case. Each key's bridge b is lhs / rhs at its first case
+    with both sides nonzero, and must be a signed power of sqrt(q); every case
+    must then have lhs == b * rhs, and before it both sides must be zero.
+    Returns `details` plus key -> {"sign", "sqrtq_exponent"} of each
+    b = sign * q^{k/2}."""
+    bridges, powers = {}, {}
+    for key, witness, lhs, rhs in cases:
+        b = bridges.get(key)
+        if b is None and lhs and rhs:
+            b = bridges[key] = lhs / rhs
+            powers[key] = _as_signed_q_power(b)
+            if powers[key] is None:
+                yield {**witness, "ratio": str(b)}, {"reason": "bridge is not a signed q-power"}
+        agrees = not (lhs or rhs) if b is None else lhs == b * rhs
+        yield None if agrees else (
+            {**witness, "lhs": str(lhs), "rhs": str(rhs), "bridge": None if b is None else str(b)},
+            {"reason": "lhs is not the bridge times rhs"})
+    return {**details, **{key: {"sign": sgn, "sqrtq_exponent": k}
+                          for key, (sgn, k) in sorted(powers.items())}}
+
+
 def verify_pairing_adjunction(
     model: HallModel, i: int, m: int, alpha: DimVector, convention: Convention
 ) -> Report:
@@ -570,13 +583,12 @@ def verify_pairing_adjunction(
     params = _params(model, i=i, m=m, alpha=alpha)
     big = alpha + Q.unit(i).scale(m)
 
-    def comparisons():
+    def cases():
         L = hall.constant_class(model, i, m).terms[0][0]  # the one class at m*e_i
         paper = LaurentPoly.one()
         for k in range(1, m + 1):
             paper = paper * (LaurentPoly.one() - LaurentPoly.v(2 * k))
         paper_inv = convention.poly(paper, p).inverse() if m else SqrtQScalar.one(p)
-        bridges = {}
         for flavor in ("sub", "quot"):
             for A in model.table(alpha).ids():
                 fa = hall.unit_class(model, A)
@@ -584,71 +596,35 @@ def verify_pairing_adjunction(
                 for B in model.table(big).ids():
                     lhs = convention.poly(hall.pairing(model, prod, hall.unit_class(model, B)), p)
                     inner = hall.pairing(model, fa, model.unit_derived(B, i, m, flavor))
-                    rhs = paper_inv * convention.poly(inner, p)
-                    if bool(lhs) != bool(rhs):
-                        yield {"flavor": flavor, "pair": _labels(model, A, B),
-                               "lhs": str(lhs), "rhs": str(rhs)}, _CHECKED
-                    if not lhs:
-                        yield None
-                        continue
-                    ratio = lhs / rhs
-                    power = _as_signed_q_power(ratio)
-                    if power is None:
-                        yield ({"flavor": flavor, "pair": _labels(model, A, B),
-                                "ratio": str(ratio)},
-                               {"reason": "bridge is not a signed q-power"})
-                    prev = bridges.setdefault(flavor, power)
-                    yield None if prev == power else (
-                        {"flavor": flavor, "pair": _labels(model, A, B),
-                         "bridge": list(power), "previous": list(prev)},
-                        {"reason": "bridge depends on the basis element"})
-        details = dict(_CHECKED)
-        for flavor, (sgn, k) in sorted(bridges.items()):
-            details[f"bridge_{flavor}"] = {"sign": sgn, "sqrtq_exponent": k}
-        return details
+                    yield (f"bridge_{flavor}", {"flavor": flavor, "pair": _labels(model, A, B)},
+                           lhs, paper_inv * convention.poly(inner, p))
 
-    return _check("pairing_adjunction", params, convention.label, comparisons())
+    return _check("pairing_adjunction", params, convention.label, _bridged(cases(), _CHECKED))
 
 
 def verify_pairing_general(
     model: HallModel, alpha: DimVector, beta: DimVector, convention: Convention
 ) -> Report:
-    """{A*B, C} against {A (x) B, Res C}: zero sets must agree and the ratio
-    must be a single signed q-power depending only on the split."""
+    """{A (x) B, Res C} against {A*B, C}: their ratio must be a single signed
+    q-power depending only on the split, zero where both sides are zero."""
     p = model.p
     params = _params(model, alpha=alpha, beta=beta)
     nu = alpha + beta
 
-    def comparisons():
-        bridge = None
+    def cases():
         ta, tb = model.table(alpha), model.table(beta)
         for A in ta.ids():
             for B in tb.ids():
                 prod = model.unit_product(A, B)
                 weight = Fraction(1, ta.info(A).aut_count * tb.info(B).aut_count)
                 for C in model.table(nu).ids():
-                    lhs = convention.poly(hall.pairing(model, prod, hall.unit_class(model, C)), p)
                     res = model.unit_restriction(C, (alpha, beta)).coeffs()
-                    rhs = convention.poly(res.get((A, B), LaurentPoly.zero()) * weight, p)
-                    if bool(lhs) != bool(rhs):
-                        yield ({"triple": _labels(model, A, B, C),
-                                "lhs": str(lhs), "rhs": str(rhs)},
-                               {"part": "general"})
-                    if not lhs:
-                        yield None
-                        continue
-                    power = _as_signed_q_power(rhs / lhs)
-                    agrees = power is not None and bridge in (None, power)
-                    bridge = power
-                    yield None if agrees else (
-                        {"triple": _labels(model, A, B, C), "ratio": str(rhs / lhs)},
-                        {"part": "general", "reason": "bridge not constant"})
-        details = {"part": "general", **_CHECKED}
-        if bridge is not None:
-            details["bridge"] = {"sign": bridge[0], "sqrtq_exponent": bridge[1]}
-        return details
+                    yield ("bridge", {"triple": _labels(model, A, B, C)},
+                           convention.poly(res.get((A, B), LaurentPoly.zero()) * weight, p),
+                           convention.poly(hall.pairing(model, prod, hall.unit_class(model, C)), p))
 
-    return _check("pairing_adjunction", params, convention.label, comparisons())
+    return _check("pairing_adjunction", params, convention.label,
+                  _bridged(cases(), {"part": "general", **_CHECKED}))
 
 
 # -- operator relations ---------------------------------------------------------------
@@ -828,7 +804,7 @@ def verify_green_sweep(model: HallModel, nu: DimVector, convention: Convention,
         splits = _splits_of(nu)
         for alpha, beta in splits:
             for alpha_p, beta_p in splits:
-                r = _green_check(model, alpha, beta, alpha_p, beta_p, convention, corrupt)
+                r = verify_green_compatibility(model, alpha, beta, alpha_p, beta_p, convention, corrupt)
                 r.params["nu"] = params["nu"]  # a failing report names its sweep
                 yield r
 
@@ -848,7 +824,7 @@ def _rule_pairs(Q: Quiver, i: int, m: int, maxtotal: int) -> list[tuple[DimVecto
 def verify_rule_sweep(model: HallModel, i: int, m: int, maxtotal: int,
                       convention: Convention, corrupt: bool = False) -> Report:
     params = _params(model, i=i, m=m, maxtotal=maxtotal, corrupt=corrupt)
-    reports = (_rule_check(model, i, m, alpha, beta, convention, corrupt)
+    reports = (verify_derivation_product_rule(model, i, m, alpha, beta, convention, corrupt)
                for alpha, beta in _rule_pairs(model.quiver, i, m, maxtotal))
     return _sweep("derivation_product_rule", params, convention.label, reports)
 
@@ -870,7 +846,7 @@ def verify_stratification_sweep(model: HallModel, i: int, m: int, maxtotal: int,
                 if seen_degenerate or alpha.total + beta.total > 2:
                     continue
                 seen_degenerate = True
-            yield _stratification_check(model, i, m, alpha, beta, convention)
+            yield verify_stratification(model, i, m, alpha, beta, convention)
 
     return _sweep("stratification", params, convention.label, reports())
 

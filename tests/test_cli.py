@@ -368,6 +368,32 @@ def test_cache_file_under_the_unversioned_name_is_not_read(cache, capsys, monkey
     assert path.exists()
 
 
+def test_an_unreadable_cache_file_is_a_miss(cache, capsys, monkeypatch):
+    args = ("classify", "--quiver", "a2", "--dim", "2,1", "-p", "3")
+    code, fresh, _ = run_cli(capsys, *args)
+    [path] = cache.glob("*.json")
+
+    def unreadable(self, *a, **k):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", unreadable)
+    code, again, err = run_cli(capsys, *args)
+    assert code == 0 and again == fresh and err == ""
+
+
+def test_a_directory_at_the_cache_path_exits_two_without_a_traceback(cache, capsys):
+    # the loader takes it as a miss; the saver then cannot replace it
+    args = ("classify", "--quiver", "a2", "--dim", "1,1", "-p", "2")
+    run_cli(capsys, *args)
+    [path] = cache.glob("*.json")
+    path.unlink()
+    path.mkdir()
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "Traceback" not in err
+    assert [p.name for p in cache.iterdir()] == [path.name]
+
+
 def test_verify_jobs_capped_at_cpu_count(cache, capsys, monkeypatch):
     import concurrent.futures
 

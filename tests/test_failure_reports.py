@@ -117,8 +117,8 @@ def test_pairing_adjunction_fails_when_the_zero_sets_differ(a2, monkeypatch):
     r = verify_pairing_adjunction(a2, 0, 1, dv(0, 1), GEOM)
     assert_fail(r, "pairing_adjunction", {
         "flavor": "sub", "pair": ["0,1:0", "1,1:0"],
-        "lhs": "0 + -1/2*sqrt(2)", "rhs": "0 + 0*sqrt(2)",
-    }, {"checked": 1})
+        "lhs": "0 + -1/2*sqrt(2)", "rhs": "0 + 0*sqrt(2)", "bridge": None,
+    }, {"reason": "lhs is not the bridge times rhs"})
 
 
 def test_pairing_adjunction_fails_when_the_bridge_is_not_a_q_power(a2, monkeypatch):
@@ -137,8 +137,9 @@ def test_pairing_adjunction_fails_when_the_bridge_varies(a2, monkeypatch):
         LaurentPoly.v(2 * next(calls))))
     r = verify_pairing_adjunction(a2, 0, 1, dv(0, 1), GEOM)
     assert_fail(r, "pairing_adjunction", {
-        "flavor": "sub", "pair": ["0,1:0", "1,1:1"], "bridge": [1, 0], "previous": [1, -2],
-    }, {"reason": "bridge depends on the basis element"})
+        "flavor": "sub", "pair": ["0,1:0", "1,1:1"],
+        "lhs": "0 + -1/2*sqrt(2)", "rhs": "0 + -1/2*sqrt(2)", "bridge": "1/2 + 0*sqrt(2)",
+    }, {"reason": "lhs is not the bridge times rhs"})
 
 
 def test_pairing_general_fails_when_the_zero_sets_differ(a2, monkeypatch):
@@ -146,23 +147,25 @@ def test_pairing_general_fails_when_the_zero_sets_differ(a2, monkeypatch):
                         lambda model, f, split: TensorElement.zero(model.quiver, model.p))
     r = verify_pairing_general(a2, dv(1, 0), dv(0, 1), GEOM)
     assert_fail(r, "pairing_adjunction", {
-        "triple": ["1,0:0", "0,1:0", "1,1:0"], "lhs": "0 + -1/2*sqrt(2)", "rhs": "0 + 0*sqrt(2)",
-    }, {"part": "general"})
+        "triple": ["1,0:0", "0,1:0", "1,1:0"], "lhs": "0 + 0*sqrt(2)", "rhs": "0 + -1/2*sqrt(2)",
+        "bridge": None,
+    }, {"reason": "lhs is not the bridge times rhs"})
 
 
-@pytest.mark.parametrize("scale, triple, ratio", [
+@pytest.mark.parametrize("scale, triple, compared, reason", [
     (lambda n: LaurentPoly.one() + LaurentPoly.v(1), ["1,0:0", "0,1:0", "1,1:0"],
-     "1 + -1/2*sqrt(2)"),
-    (lambda n: LaurentPoly.v(2 * n), ["1,0:0", "0,1:0", "1,1:1"], "1/2 + 0*sqrt(2)"),
+     {"ratio": "1 + -1/2*sqrt(2)"}, "bridge is not a signed q-power"),
+    (lambda n: LaurentPoly.v(2 * n), ["1,0:0", "0,1:0", "1,1:1"],
+     {"lhs": "0 + -1/4*sqrt(2)", "rhs": "0 + -1/2*sqrt(2)", "bridge": "1 + 0*sqrt(2)"},
+     "lhs is not the bridge times rhs"),
 ])
 def test_pairing_general_fails_when_the_bridge_is_not_constant(a2, monkeypatch, scale, triple,
-                                                               ratio):
+                                                               compared, reason):
     original, calls = hall.geometric_restriction, itertools.count()
     monkeypatch.setattr(hall, "geometric_restriction",
                         lambda *args: original(*args).scale(scale(next(calls))))
     r = verify_pairing_general(a2, dv(1, 0), dv(0, 1), GEOM)
-    assert_fail(r, "pairing_adjunction", {"triple": triple, "ratio": ratio},
-                {"part": "general", "reason": "bridge not constant"})
+    assert_fail(r, "pairing_adjunction", {"triple": triple, **compared}, {"reason": reason})
 
 
 def test_operator_relations_fail_on_item_1(a2, monkeypatch):

@@ -157,6 +157,40 @@ def test_memoized_twists_and_splits_match_a_fresh_computation(name):
             assert m.split(dim, i, mm, side) == derivation_split(Q, dim, i, mm, side)
 
 
+@pytest.mark.parametrize("name", ["a2", "kronecker"])
+def test_a_released_model_rebuilds_what_it_held(name):
+    """Every unit product, restriction, derivation, stratified piece, grading
+    and split read before `release` is rebuilt equal after it."""
+    m = HallModel(builtin_quiver(name), 2)
+    Q = m.quiver
+    dims = [DimVector(e) for e in itertools.product(range(3), repeat=Q.n) if sum(e) <= 2]
+    strat = {"sub": stratified_derive_sub, "quot": stratified_derive_quot}
+
+    def read():
+        out = {}
+        for alpha, beta in itertools.product(dims, repeat=2):
+            out["grading", alpha, beta] = m.grading(alpha, beta)
+            if alpha.total + beta.total > 2:
+                continue
+            out["res", alpha, beta] = [m.unit_restriction(C, (alpha, beta))
+                                       for C in m.table(alpha + beta).ids()]
+            for A, B in itertools.product(m.table(alpha).ids(), m.table(beta).ids()):
+                out["prod", A, B] = m.unit_product(A, B), m.unit_product(A, B, ringel=True)
+                for i, side in itertools.product(range(Q.n), strat):
+                    out["strat", A, B, i, side] = strat[side](m, A, B, i, 1)
+        for dim, i, mm, side in itertools.product(dims, range(Q.n), (1, 2), strat):
+            out["split", dim, i, mm, side] = m.split(dim, i, mm, side)
+            for A in m.table(dim).ids():
+                out["derived", A, i, mm, side] = m.unit_derived(A, i, mm, side)
+        return out
+
+    held = read()
+    m.release()
+    assert not m.memo
+    assert read() == held
+    assert m.memo
+
+
 def test_induction_unit():
     m = model("a2", 2)
     s1, _, _, pp = a2_classes(m)

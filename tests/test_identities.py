@@ -174,13 +174,13 @@ def _same_report(inside, alone):
 @pytest.mark.parametrize("corrupt", [False, True])
 def test_checks_alone_report_as_inside_their_sweep(monkeypatch, corrupt):
     m = HallModel(builtin_quiver("a2"), 2)
-    swept, inside = _inside_sweep(monkeypatch, "_green_check",
+    swept, inside = _inside_sweep(monkeypatch, "verify_green_compatibility",
                                   lambda: verify_green_sweep(m, dv(2, 1), GEOM, corrupt))
     assert swept.passed != corrupt and len(inside) == (1 if corrupt else 36)
     for r in inside:
         kw = {k: dv(*r.params[k]) for k in ("alpha", "beta", "alpha_p", "beta_p")}
         _same_report(r, verify_green_compatibility(m, **kw, convention=GEOM, corrupt=corrupt))
-    swept, inside = _inside_sweep(monkeypatch, "_rule_check",
+    swept, inside = _inside_sweep(monkeypatch, "verify_derivation_product_rule",
                                   lambda: verify_rule_sweep(m, 1, 2, 3, GEOM, corrupt))
     assert swept.passed != corrupt and inside
     for r in inside:
@@ -188,7 +188,7 @@ def test_checks_alone_report_as_inside_their_sweep(monkeypatch, corrupt):
                                                dv(*r.params["beta"]), GEOM, corrupt)
         _same_report(r, alone)
     if not corrupt:
-        swept, inside = _inside_sweep(monkeypatch, "_stratification_check",
+        swept, inside = _inside_sweep(monkeypatch, "verify_stratification",
                                       lambda: verify_stratification_sweep(m, 0, 1, 3, GEOM))
         assert swept.passed and inside
         for r in inside:
@@ -427,7 +427,7 @@ def test_jobs_parallel_matches_serial():
 
 def test_run_releases_each_space_after_its_last_job(monkeypatch):
     # one release per (quiver, p) space, right after the space's last job,
-    # leaving the model's count tables and operator memos empty
+    # leaving the model's memo empty
     events = []
     run_spec, release = identities.run_spec, HallModel.release
 
@@ -437,9 +437,7 @@ def test_run_releases_each_space_after_its_last_job(monkeypatch):
 
     def recording_release(self):
         release(self)
-        memos = (self._filt, self._ext, self._strat, self._units,
-                 self._res, self._prod, self._derived)
-        events.append(("release", self.quiver.to_text(), self.p, not any(memos)))
+        events.append(("release", self.quiver.to_text(), self.p, not self.memo))
 
     monkeypatch.setattr(identities, "run_spec", recording_spec)
     monkeypatch.setattr(HallModel, "release", recording_release)
