@@ -7,7 +7,9 @@ comparisons and builds the Report; the sweeps over many gradings aggregate
 their checks' reports in `_sweep`.
 
 Checks compare exact scalars in Q[sqrt(p)] after specializing the formal
-variable. Four specialization conventions are supported, v = s * p^{e/2} with
+variable; the Green, product-rule and stratification checks add up both sides
+formally and specialize their difference once per coefficient (`_compare`).
+Four specialization conventions are supported, v = s * p^{e/2} with
 s in {+1,-1} and e in {+1,-1}; which convention validates is not assumed but
 pinned empirically per identity family and emitted as a machine-readable
 table. Vanishing in Q[sqrt(p)] at one sign forces vanishing at the other
@@ -32,7 +34,7 @@ from .laurent import (
     LaurentPoly,
     Scalar,
     SqrtQScalar,
-    add_scaled,
+    add_product,
     evaluate_at_sqrt_q,
     quantum_binomial,
     quantum_factorial,
@@ -48,10 +50,9 @@ class Convention:
     sign: int
     power: int
 
-    def poly(self, f: LaurentPoly, p: int) -> SqrtQScalar:
-        if self.power == 1:
-            return evaluate_at_sqrt_q(f, p, self.sign)
-        return evaluate_at_sqrt_q(f.bar(), p, self.sign)
+    def poly(self, f: LaurentPoly | dict[int, Scalar], p: int) -> SqrtQScalar:
+        """f at this convention; f is a LaurentPoly or a plain exponent -> coefficient dict."""
+        return evaluate_at_sqrt_q(f, p, self.sign, self.power)
 
 
 CONVENTIONS = (
@@ -85,11 +86,6 @@ def spec_hall(f: HallElement | TensorElement, p: int, conv: Convention) -> dict:
         if v:
             out[k] = v
     return out
-
-
-def _spec_term(sc: SqrtQScalar, f: HallElement, p: int, conv: Convention) -> dict:
-    """spec_hall of scalar * f, given the scalar specialized."""
-    return {M: sc * v for M, v in spec_hall(f, p, conv).items()}
 
 
 def _sum_specs(specs) -> dict:
@@ -147,6 +143,31 @@ def _failure(model: HallModel, left: dict, right: dict, witness: dict,
     sides: `witness` with the sides rendered under `names`."""
     return {**witness, names[0]: _render_spec(model, left),
             names[1]: _render_spec(model, right)}, details
+
+
+_ONE = LaurentPoly.one()
+
+
+def _accumulate(acc: dict, f: HallElement | TensorElement, scalar: LaurentPoly = _ONE) -> dict:
+    """acc += scalar * f, on a formal side key -> {exponent: coefficient}; returns acc."""
+    for k, c in f.terms:
+        add_product(acc.setdefault(k, {}), scalar, c)
+    return acc
+
+
+def _compare(left: dict, right: dict, p: int, convention: Convention) -> tuple[dict, dict] | None:
+    """Compare two formal sides, key -> {exponent: coefficient}, at
+    `convention`: left[k] - right[k] is specialized once per key, a key of one
+    side only standing against zero. None when every difference vanishes,
+    else both sides specialized, zeros dropped, for `_failure`."""
+    for k in left.keys() | right.keys():
+        diff = dict(left.get(k, ()))
+        for e, x in right.get(k, {}).items():
+            diff[e] = diff.get(e, 0) - x
+        if convention.poly(diff, p):
+            return tuple({k: v for k, d in side.items() if (v := convention.poly(d, p))}
+                         for side in (left, right))
+    return None
 
 
 def _check(identity: str, params: dict, convention: str | None, comparisons,
@@ -257,11 +278,18 @@ def verify_associativity(model: HallModel, maxdim: int = 4, corrupt: bool = Fals
 def _green_strata(Q: Quiver, alpha: DimVector, beta: DimVector, alpha_p: DimVector,
                   beta_p: DimVector) -> list[tuple[tuple[DimVector, ...], int]]:
     """The strata (a1, a2, b1, b2) with a1+a2 = alpha, b1+b2 = beta,
-    a1+b1 = alpha', a2+b2 = beta', each with its Green twist -(a2, b1)."""
+    a1+b1 = alpha', a2+b2 = beta', each with its Green twist -(a2, b1), in
+    the order of the splits of alpha: a1 runs componentwise over
+    [max(0, alpha' - beta), min(alpha, alpha')]."""
     out = []
-    for a1, a2 in _splits_of(alpha):
-        if a1 <= alpha_p and (b1 := alpha_p - a1) <= beta:
-            out.append(((a1, a2, b1, beta - b1), -symmetric_form(Q, a2, b1)))
+    ranges = [range(max(0, ap - b), min(a, ap) + 1)
+              for a, b, ap in zip(alpha.entries, beta.entries, alpha_p.entries)]
+    for e1 in product(*ranges):
+        a1 = DimVector._unchecked(e1)
+        a2 = DimVector._unchecked(tuple(a - x for a, x in zip(alpha.entries, e1)))
+        b1 = DimVector._unchecked(tuple(ap - x for ap, x in zip(alpha_p.entries, e1)))
+        b2 = DimVector._unchecked(tuple(b - x for b, x in zip(beta.entries, b1.entries)))
+        out.append(((a1, a2, b1, b2), -symmetric_form(Q, a2, b1)))
     return out
 
 
@@ -289,21 +317,7 @@ def _add_green_stratum(
             for N, cn in left.terms:
                 left_base = base * cn
                 for L, cl in right.terms:
-                    add_scaled(acc.setdefault((N, L), {}), left_base * cl, 1, exp)
-
-
-def _green_sides(model: HallModel, A: IsoClassId, B: IsoClassId, split: tuple[DimVector, DimVector],
-                 strata: list) -> tuple[TensorElement, TensorElement]:
-    """Both Green sides at `split`: left Res(Ind), right the sum over the
-    compatibility strata, each twisted by v^{-(a2, b1)}. `strata` are the
-    `_green_strata` of the gradings, which a check over many class pairs
-    computes once."""
-    lhs = hall.geometric_restriction(model, model.unit_product(A, B), split)
-    acc: dict[tuple[IsoClassId, IsoClassId], dict[int, Scalar]] = {}
-    for stratum, exp in strata:
-        _add_green_stratum(model, acc, A, B, stratum, exp)
-    rhs = TensorElement.make(model.quiver, model.p, split, {k: LaurentPoly(d) for k, d in acc.items()})
-    return lhs, rhs
+                    add_product(acc.setdefault((N, L), {}), left_base, cl, exp)
 
 
 def verify_green_compatibility(
@@ -327,12 +341,19 @@ def verify_green_compatibility(
         # would only hold memory until the run releases the space
         strata = [(stratum, exp + 1 if corrupt else exp)
                   for stratum, exp in _green_strata(Q, alpha, beta, alpha_p, beta_p)]
+        split = (alpha_p, beta_p)
         for A in model.table(alpha).ids():
             for B in model.table(beta).ids():
-                lhs, rhs = _green_sides(model, A, B, (alpha_p, beta_p), strata)
-                sl, sr = spec_hall(lhs, p, convention), spec_hall(rhs, p, convention)
-                yield None if sl == sr else _failure(model, sl, sr,
-                                                     {"pair": _labels(model, A, B)})
+                # left Res(u_A * u_B) = sum_M c_M Res u_M; right the sum over
+                # the strata, each twisted by v^{-(a2, b1)}
+                lhs: dict = {}
+                for M, c in model.unit_product(A, B).terms:
+                    _accumulate(lhs, model.unit_restriction(M, split), c)
+                rhs: dict = {}
+                for stratum, exp in strata:
+                    _add_green_stratum(model, rhs, A, B, stratum, exp)
+                sides = _compare(lhs, rhs, p, convention)
+                yield sides and _failure(model, *sides, {"pair": _labels(model, A, B)})
 
     return _check("green", params, convention.label, comparisons())
 
@@ -340,30 +361,26 @@ def verify_green_compatibility(
 # -- derivation product rules ----------------------------------------------------
 
 
-def _rule_scalars(strata: list[tuple[int, int, int]], m: int, p: int, convention: Convention,
-                  corrupt: bool = False) -> dict[str, list[tuple[int, SqrtQScalar]]]:
-    """side -> (t, f_{m,t} v^{-P}) per stratum (t, P_t, P'_t) of `stratum_data`,
-    specialized: P is P_t for side "sub" and P'_t for "quot". `corrupt`
-    multiplies each scalar by v before it is specialized."""
+def _rule_scalars(strata: list[tuple[int, int, int]], m: int,
+                  corrupt: bool = False) -> dict[str, list[tuple[int, LaurentPoly]]]:
+    """side -> (t, f_{m,t} v^{-P}) per stratum (t, P_t, P'_t) of `stratum_data`:
+    P is P_t for side "sub" and P'_t for "quot". `corrupt` multiplies each
+    scalar by v."""
     shift = 1 if corrupt else 0
-    out: dict[str, list[tuple[int, SqrtQScalar]]] = {"sub": [], "quot": []}
+    out: dict[str, list[tuple[int, LaurentPoly]]] = {"sub": [], "quot": []}
     for t, pt, ppt in strata:
         f = quantum_binomial(m, t)
-        out["sub"].append((t, convention.poly(f * LaurentPoly.v(shift - pt), p)))
-        out["quot"].append((t, convention.poly(f * LaurentPoly.v(shift - ppt), p)))
+        out["sub"].append((t, f * LaurentPoly.v(shift - pt)))
+        out["quot"].append((t, f * LaurentPoly.v(shift - ppt)))
     return out
 
 
-def _rule_sides(model: HallModel, A: IsoClassId, B: IsoClassId, i: int, m: int, side: str,
-                scalars: list) -> tuple[HallElement, list[tuple[int, SqrtQScalar, HallElement]]]:
-    """Left side: derivation of the product. Right side: the indexed terms
-    (t, specialized scalar f_{m,t} v^{-P}, derived-product element), not yet
-    summed. `scalars` are the side's `_rule_scalars` of the gradings, which a
-    check over many class pairs computes once."""
-    lhs = hall.derivation(side)(model, model.unit_product(A, B), i, m)
-    return lhs, [(t, scalar, hall.geometric_induction(model, model.unit_derived(A, i, t, side),
-                                                      model.unit_derived(B, i, m - t, side)))
-                 for t, scalar in scalars]
+def _rule_term(model: HallModel, A: IsoClassId, B: IsoClassId, i: int, m: int, t: int,
+               side: str) -> HallElement:
+    """The derived product of stratum t, derive(u_A, i, t) * derive(u_B, i, m - t),
+    which the product rule's right side takes times its scalar."""
+    return hall.geometric_induction(model, model.unit_derived(A, i, t, side),
+                                    model.unit_derived(B, i, m - t, side))
 
 
 def verify_derivation_product_rule(
@@ -375,17 +392,18 @@ def verify_derivation_product_rule(
     params = _params(model, i=i, m=m, alpha=alpha, beta=beta, corrupt=corrupt)
 
     def comparisons():
-        scalars = _rule_scalars(stratum_data(model.quiver, alpha, beta, i, m)[2], m, p,
-                                convention, corrupt)
+        scalars = _rule_scalars(stratum_data(model.quiver, alpha, beta, i, m)[2], m, corrupt)
         for side in ("sub", "quot"):
             for A in model.table(alpha).ids():
                 for B in model.table(beta).ids():
-                    lhs, terms = _rule_sides(model, A, B, i, m, side, scalars[side])
-                    sl = spec_hall(lhs, p, convention)
-                    sr = _sum_specs(_spec_term(scalar, piece, p, convention)
-                                    for _, scalar, piece in terms)
-                    yield None if sl == sr else _failure(
-                        model, sl, sr, {"side": side, "pair": _labels(model, A, B)})
+                    total = hall.derivation(side)(model, model.unit_product(A, B), i, m)
+                    lhs = _accumulate({}, total)
+                    rhs: dict = {}
+                    for t, scalar in scalars[side]:
+                        _accumulate(rhs, _rule_term(model, A, B, i, m, t, side), scalar)
+                    sides = _compare(lhs, rhs, p, convention)
+                    yield sides and _failure(model, *sides,
+                                             {"side": side, "pair": _labels(model, A, B)})
 
     return _check("derivation_product_rule", params, convention.label, comparisons())
 
@@ -405,7 +423,7 @@ def verify_stratification(
     lo, hi, strata_data = stratum_data(Q, alpha, beta, i, m)
 
     def comparisons():
-        scalars = _rule_scalars(strata_data, m, p, convention)
+        scalars = _rule_scalars(strata_data, m)
         for side in ("sub", "quot"):
             for A in model.table(alpha).ids():
                 for B in model.table(beta).ids():
@@ -416,7 +434,7 @@ def verify_stratification(
                     if any(t < lo or t > hi for t in strata):
                         yield {"reason": "stratum index out of range",
                                "got": sorted(strata)}, {}
-                    total, terms = _rule_sides(model, A, B, i, m, side, scalars[side])
+                    total = hall.derivation(side)(model, model.unit_product(A, B), i, m)
                     acc = HallElement.zero(Q, p)
                     for t in sorted(strata):
                         acc = acc + strata[t]
@@ -426,13 +444,13 @@ def verify_stratification(
                         "sum": hall.element_to_json(model, acc),
                         "total": hall.element_to_json(model, total),
                     }, _CHECKED)
-                    for t, scalar, piece in terms:
-                        expected = _spec_term(scalar, piece, p, convention)
+                    for t, scalar in scalars[side]:
                         got = strata.get(t)
-                        sl = spec_hall(got, p, convention) if got is not None else {}
-                        yield None if sl == expected else _failure(
-                            model, sl, expected,
-                            {"side": side, "t": t, "pair": _labels(model, A, B)},
+                        stratum = {} if got is None else _accumulate({}, got)
+                        expected = _accumulate({}, _rule_term(model, A, B, i, m, t, side), scalar)
+                        sides = _compare(stratum, expected, p, convention)
+                        yield sides and _failure(
+                            model, *sides, {"side": side, "t": t, "pair": _labels(model, A, B)},
                             ("stratum", "expected"))
 
     return _check("stratification", params, convention.label, comparisons())
@@ -983,7 +1001,8 @@ def _unit_worker(args):
 
 def run_suite(config: SweepConfig) -> list[Report]:
     """Execute the configured sweep; the first report carries the convention
-    table, experiments are appended as info reports."""
+    table, experiments are appended as info reports. Every pooled model is
+    released when it returns."""
     pins: dict = {}
 
     def convention_table():
@@ -1009,4 +1028,8 @@ def run_suite(config: SweepConfig) -> list[Report]:
             reports.extend(run_unit(unit, config.budget, pins))
     if config.only is None:
         reports.extend(experiment_reports(config.primes, config.budget))
+    # the probes, polynomiality and the experiments fill models that no unit
+    # releases after them
+    for model in _MODEL_POOL.values():
+        model.release()
     return reports

@@ -139,8 +139,7 @@ class LaurentPoly:
         if o is None:
             return NotImplemented
         c: dict[int, Scalar] = {}
-        for e1, x1 in self._c.items():
-            add_scaled(c, o, x1, e1)
+        add_product(c, self, o)
         return LaurentPoly(c)
 
     __rmul__ = __mul__
@@ -252,6 +251,12 @@ def add_scaled(acc: dict[int, Scalar], f: LaurentPoly, scale: Scalar = 1, shift:
     for e, x in f._c.items():
         e += shift
         acc[e] = acc.get(e, 0) + scale * x
+
+
+def add_product(acc: dict[int, Scalar], f: LaurentPoly, g: LaurentPoly, shift: int = 0) -> None:
+    """acc += v^shift * f * g, on a plain exponent -> coefficient dict."""
+    for e, x in f._c.items():
+        add_scaled(acc, g, x, e + shift)
 
 
 # -- quantum combinatorics ---------------------------------------------------
@@ -392,20 +397,28 @@ class SqrtQScalar:
         return f"{self.even} + {self.odd}*sqrt({self.q})"
 
 
-def evaluate_at_sqrt_q(f: LaurentPoly, q: int, sign: int) -> SqrtQScalar:
-    """Substitute v = sign * sqrt(q); exponent parities land in the two components.
+def evaluate_at_sqrt_q(f: LaurentPoly | Mapping[int, Scalar], q: int, sign: int,
+                       power: int = 1) -> SqrtQScalar:
+    """Substitute v = sign * q^{power/2}, power = +1 or -1; exponent parities
+    land in the two components. `f` is a LaurentPoly or a plain exponent ->
+    coefficient dict, whose zero coefficients add nothing.
 
-    v^e = sign^e * q^(e // 2) * sqrt(q)^(e % 2). Each component is summed
-    over the common denominator q^k0, so integer coefficients stay integers
-    until the one division at the end, which is skipped when k0 = 0.
+    With e' = power * e, v^e = sign^e * q^(e' // 2) * sqrt(q)^(e' % 2). Each
+    component is summed over the common denominator q^k0, so integer
+    coefficients stay integers until the one division at the end, which is
+    skipped when k0 = 0.
     """
     check_prime(q)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    c = f._c
-    k0 = max(0, -(min(c, default=0) // 2))
+    if power not in (1, -1):
+        raise ValueError("power must be +1 or -1")
+    c = f._c if isinstance(f, LaurentPoly) else f
+    low = min(c, default=0) if power == 1 else -max(c, default=0)
+    k0 = max(0, -(low // 2))
     even = odd = 0
     for e, x in c.items():
+        e *= power
         term = x * q ** (e // 2 + k0)
         if e & 1:
             odd += term if sign == 1 else -term

@@ -1,6 +1,7 @@
 import json
 import os
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -66,6 +67,70 @@ def test_green_negative_control():
     r = verify_green_compatibility(m, dv(1, 0), dv(0, 1), dv(0, 1), dv(1, 0), GEOM, corrupt=True)
     assert r.status == "fail"
     assert "lhs" in r.witness and "rhs" in r.witness
+
+
+def test_compare_specializes_the_difference_of_formal_sides():
+    # v^2 and 1/2 differ formally but agree at v = -1/sqrt(2)
+    assert identities._compare({"k": {2: 1}}, {"k": {0: Fraction(1, 2)}}, 2, GEOM) is None
+    assert identities._compare({"k": {2: 1}}, {"k": {0: Fraction(1, 2)}}, 2, RINGEL) is not None
+    # a key of one side only is compared against zero
+    assert identities._compare({"k": {0: 1, 2: -2}}, {}, 2, GEOM) is None
+    assert identities._compare({}, {"k": {0: -1, 2: 2}}, 2, GEOM) is None
+    assert identities._compare({"k": {0: 1}}, {}, 2, GEOM) is not None
+    assert identities._compare({}, {"k": {1: 1}}, 2, GEOM) is not None
+
+
+def test_a_failing_comparison_returns_both_sides_specialized_without_zeros():
+    left = {"a": {0: 1}, "b": {0: -1, 2: 2}, "c": {}}
+    right = {"a": {0: 2}, "d": {4: 4, 0: -1}}
+    assert identities._compare(left, right, 2, GEOM) == (
+        {"a": SqrtQScalar.of(1, 0, 2)}, {"a": SqrtQScalar.of(2, 0, 2)})
+
+
+def test_green_specializes_once_per_pair_and_key(monkeypatch):
+    m = HallModel(builtin_quiver("a2"), 2)
+    alpha, beta, alpha_p, beta_p = dv(1, 1), dv(1, 1), dv(1, 1), dv(1, 1)
+    keys = 0  # the union of the two sides' keys, summed over the class pairs
+    strata = identities._green_strata(m.quiver, alpha, beta, alpha_p, beta_p)
+    for A in m.table(alpha).ids():
+        for B in m.table(beta).ids():
+            left = hall.geometric_restriction(m, m.unit_product(A, B), (alpha_p, beta_p))
+            right = {}
+            for stratum, exp in strata:
+                identities._add_green_stratum(m, right, A, B, stratum, exp)
+            keys += len(left.coeffs().keys() | right.keys())
+    calls = Counter()
+    original = identities.evaluate_at_sqrt_q
+
+    def counted(*args):
+        calls["evaluate"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(identities, "evaluate_at_sqrt_q", counted)
+    assert verify_green_compatibility(m, alpha, beta, alpha_p, beta_p, GEOM).passed
+    assert keys > 4 and 0 < calls["evaluate"] <= keys
+
+
+def _green_strata_by_filter(Q, alpha, beta, alpha_p, beta_p):
+    """Every split (a1, a2) of alpha, kept when a1 <= alpha' and alpha' - a1 <= beta."""
+    from hallq.quiver import symmetric_form
+
+    out = []
+    for a1, a2 in identities._splits_of(alpha):
+        if a1 <= alpha_p and (b1 := alpha_p - a1) <= beta:
+            out.append(((a1, a2, b1, beta - b1), -symmetric_form(Q, a2, b1)))
+    return out
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "kronecker"])
+def test_green_strata_are_the_kept_splits_in_order(name):
+    Q = builtin_quiver(name)
+    for alpha in identities._dims_up_to(Q, 3):
+        for beta in identities._dims_up_to(Q, 3):
+            nu = alpha + beta
+            for alpha_p, beta_p in identities._splits_of(nu):
+                got = identities._green_strata(Q, alpha, beta, alpha_p, beta_p)
+                assert got == _green_strata_by_filter(Q, alpha, beta, alpha_p, beta_p)
 
 
 def test_associativity_formal_and_control():
@@ -443,13 +508,25 @@ def test_run_releases_each_space_after_its_last_job(monkeypatch):
     monkeypatch.setattr(HallModel, "release", recording_release)
     run_suite(SweepConfig(primes=(2,)))
     spaces = {e[1:] for e in events if e[0] == "spec" and e[1] is not None}
-    releases = [(k, e) for k, e in enumerate(events) if e[0] == "release"]
+    # the releases up to the last job, polynomiality's; after it the run
+    # releases every pooled model (test_run_leaves_every_pooled_model_empty)
+    last = max(k for k, e in enumerate(events) if e[0] == "spec")
+    releases = [(k, e) for k, e in enumerate(events[:last]) if e[0] == "release"]
     assert len(spaces) == 5
     assert sorted(e[1:3] for _, e in releases) == sorted(spaces)
     for k, (_, text, p, empty) in releases:
         assert empty
         assert events[k - 1] == ("spec", text, p)
         assert ("spec", text, p) not in events[k:]
+
+
+def test_run_leaves_every_pooled_model_empty(monkeypatch):
+    # the probes, polynomiality (at p = 5 and 7 too) and the experiments fill
+    # pooled models after the spaces' own units have released them
+    monkeypatch.setattr(identities, "_MODEL_POOL", {})
+    run_suite(SweepConfig(quivers=("a2",), primes=(2, 3), maxdim=2))
+    assert {p for _, p, _ in identities._MODEL_POOL} == {2, 3, 5, 7}
+    assert [key for key, m in identities._MODEL_POOL.items() if m.memo] == []
 
 
 def test_jobs_hand_each_worker_whole_spaces(monkeypatch):

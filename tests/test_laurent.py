@@ -252,6 +252,27 @@ def test_evaluate_at_sqrt_q_matches_fraction_loop(coeffs):
                 assert str(got) == str(_reference_evaluate(g, q, sign))
 
 
+@settings(max_examples=100, deadline=None)
+@given(mixed_coeffs)
+def test_evaluate_at_sqrt_q_inverse_power_is_the_bar_and_raw_dicts_evaluate_alike(coeffs):
+    # power -1 substitutes v = sign / sqrt(q), which is the bar at power +1;
+    # a raw exponent dict, zeros included, evaluates as its LaurentPoly
+    f = LaurentPoly(coeffs)
+    for q in (2, 3, 5):
+        for sign in (1, -1):
+            for power in (1, -1):
+                want = evaluate_at_sqrt_q(f if power == 1 else f.bar(), q, sign)
+                for g in (f, coeffs):
+                    got = evaluate_at_sqrt_q(g, q, sign, power)
+                    assert got == want and str(got) == str(want)
+
+
+def test_evaluate_at_sqrt_q_refuses_a_power_other_than_one_or_minus_one():
+    for power in (0, 2, -2):
+        with pytest.raises(ValueError, match="power"):
+            evaluate_at_sqrt_q(V(1), 2, 1, power)
+
+
 def test_evaluate_at_sqrt_q_negative_odd_exponents():
     f = L({-5: 3, -3: Fraction(1, 2), -2: -7, 1: 4, 4: 1})
     for q in (2, 3, 5, 7, 11):
