@@ -5,7 +5,6 @@ from .laurent import (
     ExactDivisionError,
     LaurentPoly,
     SqrtQScalar,
-    bar_involution,
     evaluate_at_sqrt_q,
     gaussian_binomial_q,
     quantum_binomial,

@@ -146,9 +146,14 @@ def cmd_classify(tables: TableCache, dim: DimVector, fmt: str, out=None) -> int:
 
 
 def _vertex_index(Q: Quiver, arg: str) -> int:
+    """A vertex name of Q, or else a vertex index."""
     if arg in Q.vertices:
         return Q.vertex_index(arg)
-    return int(arg)
+    try:
+        return int(arg)
+    except ValueError:
+        raise ValueError(f"unknown vertex {arg!r}: the quiver's vertices are "
+                         f"{', '.join(Q.vertices)}") from None
 
 
 def cmd_op(model: HallModel, op: str, operands: list[str], vertex: str | None, m: int,
@@ -323,7 +328,8 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 3
     except (ValueError, KeyError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        # str() of a KeyError is the repr of its argument: print the message
+        print(f"error: {e.args[0] if isinstance(e, KeyError) and e.args else e}", file=sys.stderr)
         return 2
 
 

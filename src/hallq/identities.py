@@ -7,14 +7,16 @@ comparisons and builds the Report; the sweeps over many gradings aggregate
 their checks' reports in `_sweep`.
 
 Checks compare exact scalars in Q[sqrt(p)] after specializing the formal
-variable; the Green, product-rule and stratification checks add up both sides
-formally and specialize their difference once per coefficient (`_compare`).
-Four specialization conventions are supported, v = s * p^{e/2} with
-s in {+1,-1} and e in {+1,-1}; which convention validates is not assumed but
-pinned empirically per identity family and emitted as a machine-readable
-table. Vanishing in Q[sqrt(p)] at one sign forces vanishing at the other
-(the two components vanish separately), so the pinning really selects the
-exponent direction; both signs are recorded.
+variable. Every specialized two-sided check takes one path: it adds up both
+sides formally (`_accumulate`), `_compare` specializes their difference once
+per coefficient, and `_failure` renders a mismatch. The formal checks
+(associativity, the telescoping of the strata, operator relations item 1)
+compare with `==`. Four specialization conventions are supported,
+v = s * p^{e/2} with s in {+1,-1} and e in {+1,-1}; which convention
+validates is not assumed but pinned empirically per identity family and
+emitted as a machine-readable table. Vanishing in Q[sqrt(p)] at one sign
+forces vanishing at the other (the two components vanish separately), so the
+pinning really selects the exponent direction; both signs are recorded.
 """
 
 from __future__ import annotations
@@ -76,25 +78,6 @@ DEFAULT_PINS = {
     "operator_relations": "-1/sqrt(q)",
     "uminus_serre": "+sqrt(q)",
 }
-
-
-def spec_hall(f: HallElement | TensorElement, p: int, conv: Convention) -> dict:
-    """The specialized nonzero coefficients of a Hall or tensor element."""
-    out = {}
-    for k, c in f.terms:
-        v = conv.poly(c, p)
-        if v:
-            out[k] = v
-    return out
-
-
-def _sum_specs(specs) -> dict:
-    """Sum of specialized elements, zero coefficients dropped."""
-    acc: dict = {}
-    for d in specs:
-        for k, v in d.items():
-            acc[k] = acc[k] + v if k in acc else v
-    return {k: v for k, v in acc.items() if v}
 
 
 def _labels(model: HallModel, *classes: IsoClassId) -> list[str]:
@@ -361,26 +344,27 @@ def verify_green_compatibility(
 # -- derivation product rules ----------------------------------------------------
 
 
-def _rule_scalars(strata: list[tuple[int, int, int]], m: int,
-                  corrupt: bool = False) -> dict[str, list[tuple[int, LaurentPoly]]]:
-    """side -> (t, f_{m,t} v^{-P}) per stratum (t, P_t, P'_t) of `stratum_data`:
-    P is P_t for side "sub" and P'_t for "quot". `corrupt` multiplies each
-    scalar by v."""
+def _rule_cases(model: HallModel, i: int, m: int, alpha: DimVector, beta: DimVector,
+                corrupt: bool = False):
+    """The cases of the product rule at (alpha, beta), per side and class pair
+    (A, B): (side, A, B, total, [(t, scalar, term)]), with total =
+    derive(u_A * u_B, i, m) and, per stratum (t, P_t, P'_t) of `stratum_data`,
+    term = derive(u_A, i, t) * derive(u_B, i, m - t) and scalar =
+    f_{m,t} v^{-P}, P being P_t for side "sub" and P'_t for "quot". The rule's
+    right side is the sum of scalar * term. `corrupt` multiplies each scalar
+    by v."""
+    strata = stratum_data(model.quiver, alpha, beta, i, m)[2]
     shift = 1 if corrupt else 0
-    out: dict[str, list[tuple[int, LaurentPoly]]] = {"sub": [], "quot": []}
-    for t, pt, ppt in strata:
-        f = quantum_binomial(m, t)
-        out["sub"].append((t, f * LaurentPoly.v(shift - pt)))
-        out["quot"].append((t, f * LaurentPoly.v(shift - ppt)))
-    return out
-
-
-def _rule_term(model: HallModel, A: IsoClassId, B: IsoClassId, i: int, m: int, t: int,
-               side: str) -> HallElement:
-    """The derived product of stratum t, derive(u_A, i, t) * derive(u_B, i, m - t),
-    which the product rule's right side takes times its scalar."""
-    return hall.geometric_induction(model, model.unit_derived(A, i, t, side),
-                                    model.unit_derived(B, i, m - t, side))
+    for side in ("sub", "quot"):
+        scalars = [(t, quantum_binomial(m, t) * LaurentPoly.v(shift - (pt if side == "sub" else ppt)))
+                   for t, pt, ppt in strata]
+        for A in model.table(alpha).ids():
+            for B in model.table(beta).ids():
+                total = hall.derivation(side)(model, model.unit_product(A, B), i, m)
+                yield side, A, B, total, [
+                    (t, scalar, hall.geometric_induction(model, model.unit_derived(A, i, t, side),
+                                                         model.unit_derived(B, i, m - t, side)))
+                    for t, scalar in scalars]
 
 
 def verify_derivation_product_rule(
@@ -392,18 +376,12 @@ def verify_derivation_product_rule(
     params = _params(model, i=i, m=m, alpha=alpha, beta=beta, corrupt=corrupt)
 
     def comparisons():
-        scalars = _rule_scalars(stratum_data(model.quiver, alpha, beta, i, m)[2], m, corrupt)
-        for side in ("sub", "quot"):
-            for A in model.table(alpha).ids():
-                for B in model.table(beta).ids():
-                    total = hall.derivation(side)(model, model.unit_product(A, B), i, m)
-                    lhs = _accumulate({}, total)
-                    rhs: dict = {}
-                    for t, scalar in scalars[side]:
-                        _accumulate(rhs, _rule_term(model, A, B, i, m, t, side), scalar)
-                    sides = _compare(lhs, rhs, p, convention)
-                    yield sides and _failure(model, *sides,
-                                             {"side": side, "pair": _labels(model, A, B)})
+        for side, A, B, total, terms in _rule_cases(model, i, m, alpha, beta, corrupt):
+            rhs: dict = {}
+            for _, scalar, term in terms:
+                _accumulate(rhs, term, scalar)
+            sides = _compare(_accumulate({}, total), rhs, p, convention)
+            yield sides and _failure(model, *sides, {"side": side, "pair": _labels(model, A, B)})
 
     return _check("derivation_product_rule", params, convention.label, comparisons())
 
@@ -420,38 +398,30 @@ def verify_stratification(
     its right-hand term."""
     Q, p = model.quiver, model.p
     params = _params(model, i=i, m=m, alpha=alpha, beta=beta)
-    lo, hi, strata_data = stratum_data(Q, alpha, beta, i, m)
+    lo, hi, _ = stratum_data(Q, alpha, beta, i, m)
 
     def comparisons():
-        scalars = _rule_scalars(strata_data, m)
-        for side in ("sub", "quot"):
-            for A in model.table(alpha).ids():
-                for B in model.table(beta).ids():
-                    if side == "sub":
-                        strata = hall.stratified_derive_sub(model, A, B, i, m)
-                    else:
-                        strata = hall.stratified_derive_quot(model, A, B, i, m)
-                    if any(t < lo or t > hi for t in strata):
-                        yield {"reason": "stratum index out of range",
-                               "got": sorted(strata)}, {}
-                    total = hall.derivation(side)(model, model.unit_product(A, B), i, m)
-                    acc = HallElement.zero(Q, p)
-                    for t in sorted(strata):
-                        acc = acc + strata[t]
-                    yield None if acc == total else ({
-                        "reason": "strata do not telescope to the total",
-                        "pair": _labels(model, A, B),
-                        "sum": hall.element_to_json(model, acc),
-                        "total": hall.element_to_json(model, total),
-                    }, _CHECKED)
-                    for t, scalar in scalars[side]:
-                        got = strata.get(t)
-                        stratum = {} if got is None else _accumulate({}, got)
-                        expected = _accumulate({}, _rule_term(model, A, B, i, m, t, side), scalar)
-                        sides = _compare(stratum, expected, p, convention)
-                        yield sides and _failure(
-                            model, *sides, {"side": side, "t": t, "pair": _labels(model, A, B)},
-                            ("stratum", "expected"))
+        for side, A, B, total, terms in _rule_cases(model, i, m, alpha, beta):
+            stratified = hall.stratified_derive_sub if side == "sub" else hall.stratified_derive_quot
+            strata = stratified(model, A, B, i, m)
+            if any(t < lo or t > hi for t in strata):
+                yield {"reason": "stratum index out of range", "got": sorted(strata)}, {}
+            acc = HallElement.zero(Q, p)
+            for t in sorted(strata):
+                acc = acc + strata[t]
+            yield None if acc == total else ({
+                "reason": "strata do not telescope to the total",
+                "pair": _labels(model, A, B),
+                "sum": hall.element_to_json(model, acc),
+                "total": hall.element_to_json(model, total),
+            }, _CHECKED)
+            for t, scalar, term in terms:
+                got = strata.get(t)
+                stratum = {} if got is None else _accumulate({}, got)
+                sides = _compare(stratum, _accumulate({}, term, scalar), p, convention)
+                yield sides and _failure(
+                    model, *sides, {"side": side, "t": t, "pair": _labels(model, A, B)},
+                    ("stratum", "expected"))
 
     return _check("stratification", params, convention.label, comparisons())
 
@@ -459,39 +429,27 @@ def verify_stratification(
 # -- quantum Serre, class level ---------------------------------------------------
 
 
-def serre_generator_sides(model: HallModel, i: int, j: int, corrupt: bool = False):
-    """Odd and even halves of the constant-class Serre identity under the
-    geometric product."""
-    Q = model.quiver
-    n_top = 1 - symmetric_form(Q, Q.unit(i), Q.unit(j))
-    lj = hall.constant_class(model, j, 1)
-    terms = [
-        hall.geometric_induction(
-            model,
-            hall.geometric_induction(model, hall.constant_class(model, i, m), lj),
-            hall.constant_class(model, i, n_top - m),
-        )
-        for m in range(n_top + 1)
-    ]
-    if corrupt:
-        terms[0] = terms[0].scale(LaurentPoly.v(2))
-    zero = HallElement.zero(Q, model.p)
-    return sum(terms[1::2], zero), sum(terms[0::2], zero)
-
-
 def verify_serre_generators(
     model: HallModel, i: int, j: int, convention: Convention, corrupt: bool = False
 ) -> Report:
+    """Odd-m sum equals even-m sum of L_{mi} * L_j * L_{(n-m)i}, the
+    constant-class Serre identity under the geometric product."""
     Q, p = model.quiver, model.p
     params = _params(model, i=i, j=j, corrupt=corrupt)
     if i == j:
         raise ValueError("serre check needs distinct vertices")
+    n_top = 1 - symmetric_form(Q, Q.unit(i), Q.unit(j))
 
     def comparisons():
-        odd, even = serre_generator_sides(model, i, j, corrupt)
-        so, se = spec_hall(odd, p, convention), spec_hall(even, p, convention)
-        yield None if so == se else _failure(model, so, se, {}, ("odd", "even"), {})
-        return {"terms": 2 + 1 - symmetric_form(Q, Q.unit(i), Q.unit(j))}
+        ind, const = hall.geometric_induction, hall.constant_class
+        lj = const(model, j, 1)
+        halves: tuple[dict, dict] = ({}, {})  # even m, odd m
+        for m in range(n_top + 1):
+            term = ind(model, ind(model, const(model, i, m), lj), const(model, i, n_top - m))
+            _accumulate(halves[m % 2], term, LaurentPoly.v(2) if corrupt and m == 0 else _ONE)
+        sides = _compare(halves[1], halves[0], p, convention)
+        yield sides and _failure(model, *sides, {}, ("odd", "even"), {})
+        return {"terms": n_top + 2}
 
     return _check("serre_generators", params, convention.label, comparisons())
 
@@ -499,31 +457,13 @@ def verify_serre_generators(
 # -- quantum Serre for derivation operators ----------------------------------------
 
 
-def _divided_eps_chain(
-    model: HallModel, f: HallElement, i: int, j: int, m: int, n: int,
-    convention: Convention, flavor: str,
-) -> dict[IsoClassId, SqrtQScalar]:
-    """Specialized value of eps_i^{(m)} eps_j eps_i^{(n)} (f), with eps the
-    one-step derivation of the given flavor and divided powers applied after
-    specialization (the quantum factorials are invertible scalars there)."""
-    step = hall.derivation(flavor)
-    p = model.p
-    g = f
-    for _ in range(n):
-        g = step(model, g, i, 1)
-    g = step(model, g, j, 1)
-    for _ in range(m):
-        g = step(model, g, i, 1)
-    denom = convention.poly(quantum_factorial(m) * quantum_factorial(n), p)
-    return {M: v / denom for M, v in spec_hall(g, p, convention).items()}
-
-
 def verify_serre_derivations(
     model: HallModel, i: int, j: int, testdim: DimVector, convention: Convention
 ) -> Report:
-    """Odd-m sum equals even-m sum of the divided derivation composites, on
-    every basis class at the test grading, for both derivation flavors."""
-    Q = model.quiver
+    """Odd-m sum equals even-m sum of the divided derivation composites
+    eps_i^{(m)} eps_j eps_i^{(n-m)}, eps the one-step derivation, on every
+    basis class at the test grading, for both derivation flavors."""
+    Q, p = model.quiver, model.p
     params = _params(model, i=i, j=j, testdim=testdim)
     n_top = 1 - symmetric_form(Q, Q.unit(i), Q.unit(j))
     need = Q.unit(i).scale(n_top) + Q.unit(j)
@@ -531,14 +471,25 @@ def verify_serre_derivations(
         raise ValueError(f"testdim must dominate {need}")
 
     def comparisons():
+        # both sides times [n]!: the divided powers of chain m become the
+        # formal scalar [n]!/([m]![n-m]!) on its one-step chain
+        chains = [(m, quantum_binomial(n_top, m), [i] * (n_top - m) + [j] + [i] * m)
+                  for m in range(n_top + 1)]
         for flavor in ("sub", "quot"):
+            step = hall.derivation(flavor)
             for M in model.table(testdim).ids():
-                f = hall.unit_class(model, M)
-                chains = [_divided_eps_chain(model, f, i, j, m, n_top - m, convention, flavor)
-                          for m in range(n_top + 1)]
-                odd, even = _sum_specs(chains[1::2]), _sum_specs(chains[0::2])
-                yield None if odd == even else _failure(
-                    model, odd, even,
+                halves: tuple[dict, dict] = ({}, {})  # even m, odd m
+                for m, scalar, vertices in chains:
+                    g = hall.unit_class(model, M)
+                    for k in vertices:
+                        g = step(model, g, k, 1)
+                    _accumulate(halves[m % 2], g, scalar)
+                sides = _compare(halves[1], halves[0], p, convention)
+                if sides:  # divided back by [n]!, nonzero at every convention
+                    nf = convention.poly(quantum_factorial(n_top), p)
+                    sides = [{k: v / nf for k, v in side.items()} for side in sides]
+                yield sides and _failure(
+                    model, *sides,
                     {"flavor": flavor, "class": model.table(testdim).label(M)}, ("odd", "even"))
 
     return _check("serre_derivations", params, convention.label, comparisons())
@@ -677,14 +628,12 @@ def verify_operator_relations(
                     # (3) left derivation against left multiplication, (4) the right mirror
                     for item, side in ((3, "sub"), (4, "quot")):
                         ab = model.unit_product(*((A, B) if side == "sub" else (B, A)))
-                        lhs = hall.derivation(side)(model, ab, i, 1)
-                        rhs = mul(side, fa, model.unit_derived(B, i, 1, side)).scale(exp)
-                        sl = spec_hall(lhs, p, convention)
-                        sr = spec_hall(rhs + mul(side, model.unit_derived(A, i, 1, side), fb),
-                                       p, convention)
-                        yield None if sl == sr else _failure(
-                            model, sl, sr, {"item": item, "pair": _labels(model, A, B)},
-                            details={})
+                        lhs = _accumulate({}, hall.derivation(side)(model, ab, i, 1))
+                        rhs = _accumulate({}, mul(side, fa, model.unit_derived(B, i, 1, side)), exp)
+                        _accumulate(rhs, mul(side, model.unit_derived(A, i, 1, side), fb))
+                        sides = _compare(lhs, rhs, p, convention)
+                        yield sides and _failure(
+                            model, *sides, {"item": item, "pair": _labels(model, A, B)}, details={})
         return {**_CHECKED, "item2": "delegated to serre_derivations"}
 
     return _check("operator_relations", params, convention.label, comparisons())
@@ -700,9 +649,9 @@ def verify_uminus_serre(model: HallModel, i: int, j: int, convention: Convention
     params = _params(model, i=i, j=j, twist="ringel")
 
     def comparisons():
-        s = uminus.serre_element(i, j, model.quiver)
-        val = spec_hall(uminus.evaluate_to_hall(s, model), p, convention)
-        yield ({"value": _render_spec(model, val)}, {}) if val else None
+        value = _accumulate({}, uminus.evaluate_to_hall(uminus.serre_element(i, j, model.quiver), model))
+        sides = _compare(value, {}, p, convention)
+        yield sides and ({"value": _render_spec(model, sides[0])}, {})
         return {}
 
     return _check("uminus_serre", params, convention.label, comparisons())

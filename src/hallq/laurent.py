@@ -189,11 +189,7 @@ class LaurentPoly:
                     num.pop(ne, None)
         return LaurentPoly({e + shift: x for e, x in quot.items()})
 
-    # -- involutions and evaluations ----------------------------------------
-
-    def bar(self) -> "LaurentPoly":
-        """Exponent negation v -> v^{-1}."""
-        return LaurentPoly({-e: x for e, x in self._c.items()})
+    # -- evaluations ---------------------------------------------------------
 
     def monomial(self) -> tuple[Scalar, int]:
         """Return (coeff, exp) when the value is a single monomial, else raise."""
@@ -320,10 +316,6 @@ def gaussian_binomial_q(d: int, m: int) -> LaurentPoly:
         out = gaussian_binomial_q(d - 1, m - 1) + LaurentPoly.v(m) * gaussian_binomial_q(d - 1, m)
     _gauss_cache[key] = out
     return out
-
-
-def bar_involution(f: LaurentPoly) -> LaurentPoly:
-    return f.bar()
 
 
 # -- specialization ring Q[sqrt(q)] ------------------------------------------

@@ -117,6 +117,16 @@ def test_op_dsub_at_a_vertex_outside_the_quiver_exits_2(cache, capsys, vertex):
     assert out == "" and "out of range" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("mul", "1,0:0", "1,0:5"), "class index 5 out of range at dim (1,0)"),
+    (("dsub", "2,1:0", "--vertex", "x"), "unknown vertex 'x': the quiver's vertices are 1, 2"),
+])
+def test_op_names_an_unknown_class_or_vertex_in_one_plain_line(cache, capsys, argv, message):
+    code, out, err = run_cli(capsys, "op", *argv, "--quiver", "a2", "-p", "2")
+    assert code == 2
+    assert out == "" and err == f"error: {message}\n"
+
+
 def test_op_res_and_split(cache, capsys):
     code, out, _ = run_cli(capsys, "op", "res", "1,1:1", "--split", "1,0",
                            "--quiver", "a2", "-p", "2")

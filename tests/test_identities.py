@@ -111,6 +111,38 @@ def test_green_specializes_once_per_pair_and_key(monkeypatch):
     assert keys > 4 and 0 < calls["evaluate"] <= keys
 
 
+_TWO_SIDED = {  # family -> (quiver, a passing check on a fresh model)
+    "serre_generators": ("kronecker", lambda m: verify_serre_generators(m, 0, 1, GEOM)),
+    "serre_derivations": ("a2", lambda m: verify_serre_derivations(m, 0, 1, dv(2, 1), GEOM)),
+    "operator_relations": ("a2", lambda m: verify_operator_relations(m, 0, dv(1, 0), 2, GEOM)),
+    "uminus_serre": ("a2", lambda m: verify_uminus_serre(m, 0, 1, RINGEL)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_TWO_SIDED))
+def test_two_sided_checks_specialize_once_per_compared_key(monkeypatch, family):
+    # every specialization of a passing check is one of `_compare`'s, one per
+    # key of the two formal sides it is handed
+    quiver, check = _TWO_SIDED[family]
+    m = HallModel(builtin_quiver(quiver), 2)
+    calls = Counter()
+    evaluate, compare = identities.evaluate_at_sqrt_q, identities._compare
+
+    def counted_evaluate(*args):
+        calls["evaluate"] += 1
+        return evaluate(*args)
+
+    def counted_compare(left, right, *args):
+        calls["keys"] += len(left.keys() | right.keys())
+        return compare(left, right, *args)
+
+    monkeypatch.setattr(identities, "evaluate_at_sqrt_q", counted_evaluate)
+    monkeypatch.setattr(identities, "_compare", counted_compare)
+    r = check(m)
+    assert r.passed and r.identity == family
+    assert 0 < calls["evaluate"] <= calls["keys"]
+
+
 def _green_strata_by_filter(Q, alpha, beta, alpha_p, beta_p):
     """Every split (a1, a2) of alpha, kept when a1 <= alpha' and alpha' - a1 <= beta."""
     from hallq.quiver import symmetric_form
