@@ -41,7 +41,7 @@ from .laurent import (
     quantum_binomial,
     quantum_factorial,
 )
-from .quiver import DimVector, Quiver, builtin_names, builtin_quiver, stratum_data, symmetric_form
+from .quiver import SPLIT_SLOT, DimVector, Quiver, builtin_names, builtin_quiver, stratum_data, symmetric_form
 
 
 @dataclass(frozen=True)
@@ -347,24 +347,38 @@ def verify_green_compatibility(
 def _rule_cases(model: HallModel, i: int, m: int, alpha: DimVector, beta: DimVector,
                 corrupt: bool = False):
     """The cases of the product rule at (alpha, beta), per side and class pair
-    (A, B): (side, A, B, total, [(t, scalar, term)]), with total =
-    derive(u_A * u_B, i, m) and, per stratum (t, P_t, P'_t) of `stratum_data`,
-    term = derive(u_A, i, t) * derive(u_B, i, m - t) and scalar =
-    f_{m,t} v^{-P}, P being P_t for side "sub" and P'_t for "quot". The rule's
-    right side is the sum of scalar * term. `corrupt` multiplies each scalar
-    by v."""
-    strata = stratum_data(model.quiver, alpha, beta, i, m)[2]
+    (A, B), read from the model's operator values on unit classes:
+    (side, A, B, total, [(t, scalar, a, b)]). total is derive(u_A * u_B, i, m)
+    as a formal side, sum_M c_M derive(u_M, i, m) over u_A * u_B = sum_M c_M
+    u_M; per stratum (t, P_t, P'_t) of `stratum_data`, a = derive(u_A, i, t),
+    b = derive(u_B, i, m - t) and scalar = f_{m,t} v^{-P}, P being P_t for
+    side "sub" and P'_t for "quot". The rule's right side is the sum of
+    scalar * a * b (`_add_rule_term`). `corrupt` multiplies each scalar by v."""
+    strata = [(t, quantum_binomial(m, t), pt, ppt)
+              for t, pt, ppt in stratum_data(model.quiver, alpha, beta, i, m)[2]]
     shift = 1 if corrupt else 0
     for side in ("sub", "quot"):
-        scalars = [(t, quantum_binomial(m, t) * LaurentPoly.v(shift - (pt if side == "sub" else ppt)))
-                   for t, pt, ppt in strata]
+        scalars = [(t, f * LaurentPoly.v(shift - (pt if side == "sub" else ppt)))
+                   for t, f, pt, ppt in strata]
         for A in model.table(alpha).ids():
+            derived_a = [model.unit_derived(A, i, t, side) for t, _ in scalars]
             for B in model.table(beta).ids():
-                total = hall.derivation(side)(model, model.unit_product(A, B), i, m)
-                yield side, A, B, total, [
-                    (t, scalar, hall.geometric_induction(model, model.unit_derived(A, i, t, side),
-                                                         model.unit_derived(B, i, m - t, side)))
-                    for t, scalar in scalars]
+                total: dict = {}
+                for M, c in model.unit_product(A, B).terms:
+                    _accumulate(total, model.unit_derived(M, i, m, side), c)
+                yield side, A, B, total, [(t, scalar, a, model.unit_derived(B, i, m - t, side))
+                                          for (t, scalar), a in zip(scalars, derived_a)]
+
+
+def _add_rule_term(model: HallModel, acc: dict, scalar: LaurentPoly, a: HallElement,
+                   b: HallElement) -> dict:
+    """acc += scalar * a * b, read from the model's unit products: the sum over
+    the classes N of a and L of b of scalar a_N b_L (u_N * u_L); returns acc."""
+    for N, ca in a.terms:
+        base = scalar * ca
+        for L, cb in b.terms:
+            _accumulate(acc, model.unit_product(N, L), base * cb)
+    return acc
 
 
 def verify_derivation_product_rule(
@@ -378,9 +392,9 @@ def verify_derivation_product_rule(
     def comparisons():
         for side, A, B, total, terms in _rule_cases(model, i, m, alpha, beta, corrupt):
             rhs: dict = {}
-            for _, scalar, term in terms:
-                _accumulate(rhs, term, scalar)
-            sides = _compare(_accumulate({}, total), rhs, p, convention)
+            for _, scalar, a, b in terms:
+                _add_rule_term(model, rhs, scalar, a, b)
+            sides = _compare(total, rhs, p, convention)
             yield sides and _failure(model, *sides, {"side": side, "pair": _labels(model, A, B)})
 
     return _check("derivation_product_rule", params, convention.label, comparisons())
@@ -399,6 +413,7 @@ def verify_stratification(
     Q, p = model.quiver, model.p
     params = _params(model, i=i, m=m, alpha=alpha, beta=beta)
     lo, hi, _ = stratum_data(Q, alpha, beta, i, m)
+    nu = alpha + beta
 
     def comparisons():
         for side, A, B, total, terms in _rule_cases(model, i, m, alpha, beta):
@@ -409,16 +424,19 @@ def verify_stratification(
             acc = HallElement.zero(Q, p)
             for t in sorted(strata):
                 acc = acc + strata[t]
-            yield None if acc == total else ({
+            split = model.split(nu, i, m, side)  # the total's grading is its rest slot
+            whole = HallElement._of(Q, p, split and split[SPLIT_SLOT[side]],
+                                    {M: LaurentPoly(d) for M, d in total.items()})
+            yield None if acc == whole else ({
                 "reason": "strata do not telescope to the total",
                 "pair": _labels(model, A, B),
                 "sum": hall.element_to_json(model, acc),
-                "total": hall.element_to_json(model, total),
+                "total": hall.element_to_json(model, whole),
             }, _CHECKED)
-            for t, scalar, term in terms:
+            for t, scalar, a, b in terms:
                 got = strata.get(t)
                 stratum = {} if got is None else _accumulate({}, got)
-                sides = _compare(stratum, _accumulate({}, term, scalar), p, convention)
+                sides = _compare(stratum, _add_rule_term(model, {}, scalar, a, b), p, convention)
                 yield sides and _failure(
                     model, *sides, {"side": side, "t": t, "pair": _labels(model, A, B)},
                     ("stratum", "expected"))
@@ -779,13 +797,10 @@ def verify_green_sweep(model: HallModel, nu: DimVector, convention: Convention,
 
 
 def _rule_pairs(Q: Quiver, i: int, m: int, maxtotal: int) -> list[tuple[DimVector, DimVector]]:
-    mi = Q.unit(i).scale(m)
-    out = []
-    for alpha in _dims_up_to(Q, maxtotal):
-        for beta in _dims_up_to(Q, maxtotal - alpha.total):
-            if mi <= alpha + beta:
-                out.append((alpha, beta))
-    return out
+    Q.unit(i)  # refuses a vertex out of range
+    dims = _dims_up_to(Q, maxtotal)  # its gradings of total <= k are _dims_up_to(Q, k), in order
+    return [(alpha, beta) for alpha in dims for beta in dims
+            if alpha.total + beta.total <= maxtotal and alpha[i] + beta[i] >= m]
 
 
 def verify_rule_sweep(model: HallModel, i: int, m: int, maxtotal: int,

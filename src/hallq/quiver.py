@@ -214,7 +214,9 @@ def stratum_data(
     Returns (lo, hi, strata) with lo = max(0, m - b_i), hi = min(m, a_i) and
     strata = [(t, P_t, P'_t)] for t in lo..hi, where P_t = (a - t*i, (m-t)*i)
     and P'_t = (t*i, b - (m-t)*i) in the symmetric form. An empty range gives
-    an empty list.
+    an empty list. Since (i, i) = 2 (quivers have no loops), the twists are
+    P_t = (m-t)((a, i) - 2t) and P'_t = t((i, b) - 2(m-t)), where (d, i) is
+    2 d_i minus d at the far end of each arrow at i.
     """
     _match_quiver(Q, a, b)
     if not (0 <= i < Q.n):
@@ -223,13 +225,9 @@ def stratum_data(
         raise ValueError("m must be nonnegative")
     lo = max(0, m - b[i])
     hi = min(m, a[i])
-    strata = []
-    ui = Q.unit(i)
-    for t in range(lo, hi + 1):
-        pt = symmetric_form(Q, a - ui.scale(t), ui.scale(m - t))
-        ppt = symmetric_form(Q, ui.scale(t), b - ui.scale(m - t))
-        strata.append((t, pt, ppt))
-    return lo, hi, strata
+    ai, ib = (2 * d[i] - sum(d[t] if s == i else d[s] for s, t in Q.arrows if i in (s, t))
+              for d in (a, b))
+    return lo, hi, [(t, (m - t) * (ai - 2 * t), t * (ib - 2 * (m - t))) for t in range(lo, hi + 1)]
 
 
 # the slot of a (quotient, sub) split that holds the rest of a derivation:

@@ -237,6 +237,61 @@ def test_rule_and_stratification_sweeps_derive_each_unit_class_once(monkeypatch)
     assert calls and max(calls.values()) == 1
 
 
+@pytest.mark.parametrize("name", ["a2", "kronecker"])
+def test_rule_and_stratification_apply_operators_to_unit_classes_only(monkeypatch, name):
+    # both sides are read from operator values on the model's own unit classes:
+    # no product or derivation of a product, and no product of derived elements
+    m = HallModel(builtin_quiver(name), 2)
+    calls, others = Counter(), []
+
+    def wrap(op):
+        original = getattr(hall, op)
+
+        def recording(model, *args):
+            calls[op] += 1
+            others.extend(f for f in args if isinstance(f, hall.HallElement) and _unit(model, f) is None)
+            return original(model, *args)
+
+        monkeypatch.setattr(hall, op, recording)
+
+    for op in ("geometric_induction", "derive_sub", "derive_quot"):
+        wrap(op)
+    for i in range(m.quiver.n):
+        for mm in (1, 2):
+            assert verify_rule_sweep(m, i, mm, 3, GEOM).passed
+            assert verify_stratification_sweep(m, i, mm, 3, GEOM).passed
+    assert min(calls.values()) > 5 and len(calls) == 3
+    assert others == []
+
+
+def _exact(side):
+    """A formal side key -> {exponent: coefficient} as key -> LaurentPoly, zeros dropped."""
+    return {k: c for k, d in side.items() if (c := LaurentPoly(d))}
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "kronecker"])
+def test_rule_sides_from_unit_values_equal_the_operators_on_products(name):
+    # the left side sum_M c_M derive(u_M) is derive(u_A * u_B), and each
+    # right-hand term's expansion over unit products is the product of the
+    # two derived elements
+    m = HallModel(builtin_quiver(name), 2)
+    terms = 0
+    for alpha in identities._dims_up_to(m.quiver, 3):
+        for beta in identities._dims_up_to(m.quiver, 3 - alpha.total):
+            for i in range(m.quiver.n):
+                for mm in (1, 2):
+                    for side, A, B, total, rule in identities._rule_cases(m, i, mm, alpha, beta):
+                        derived = hall.derivation(side)(m, m.unit_product(A, B), i, mm)
+                        assert _exact(total) == derived.coeffs()
+                        for t, scalar, a, b in rule:
+                            assert a == hall.derivation(side)(m, unit_class(m, A), i, t)
+                            assert b == hall.derivation(side)(m, unit_class(m, B), i, mm - t)
+                            want = identities._accumulate({}, hall.geometric_induction(m, a, b), scalar)
+                            assert _exact(identities._add_rule_term(m, {}, scalar, a, b)) == _exact(want)
+                            terms += 1
+    assert terms > 100
+
+
 def test_associativity_multiplies_each_unit_pair_once_per_twist(monkeypatch):
     calls = _count_unit_calls(monkeypatch)
     assert verify_associativity(HallModel(builtin_quiver("a2"), 2), 3).passed

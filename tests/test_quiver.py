@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from hallq.quiver import (
     DimVector,
     Quiver,
+    builtin_names,
     builtin_quiver,
     derivation_split,
     euler_form,
@@ -97,6 +99,31 @@ def test_stratum_data_examples():
     lo, hi, strata = stratum_data(A2, dv(2, 0), dv(0, 1), 0, 2)
     assert (lo, hi) == (2, 2)
     assert len(strata) == 1
+
+
+def _stratum_twists_by_vectors(Q, a, b, i, m):
+    """(t, P_t, P'_t) for t in lo..hi from the symmetric form of the vectors
+    a - t*i, (m-t)*i, t*i and b - (m-t)*i."""
+    ui = Q.unit(i)
+    return [(t, symmetric_form(Q, a - ui.scale(t), ui.scale(m - t)),
+             symmetric_form(Q, ui.scale(t), b - ui.scale(m - t)))
+            for t in range(max(0, m - b[i]), min(m, a[i]) + 1)]
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_stratum_data_closed_form_matches_the_vector_formula(name):
+    Q = builtin_quiver(name)
+    dims = [DimVector(e) for e in itertools.product(range(5), repeat=Q.n) if sum(e) <= 4]
+    nonempty = cases = 0
+    for a, b in itertools.product(dims, repeat=2):
+        for i in range(Q.n):
+            for m in range(4):
+                lo, hi, strata = stratum_data(Q, a, b, i, m)
+                assert (lo, hi) == (max(0, m - b[i]), min(m, a[i]))
+                assert strata == _stratum_twists_by_vectors(Q, a, b, i, m)
+                nonempty += bool(strata)
+                cases += 1
+    assert nonempty > cases // 2
 
 
 def test_stratum_data_empty_range():
