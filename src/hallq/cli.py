@@ -31,10 +31,7 @@ from .quiver import DimVector, Quiver, builtin_names, builtin_quiver
 
 
 def cache_dir() -> Path:
-    env = os.environ.get("HALLQ_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "hallq"
+    return Path(os.environ.get("HALLQ_CACHE_DIR") or Path.home() / ".cache" / "hallq")
 
 
 # version of the cache file layout, part of every file name: a layout change
@@ -146,14 +143,20 @@ def cmd_classify(tables: TableCache, dim: DimVector, fmt: str, out=None) -> int:
 
 
 def _vertex_index(Q: Quiver, arg: str) -> int:
-    """A vertex name of Q, or else a vertex index."""
+    """A vertex name of Q, or else a vertex index, unless that index names a
+    vertex whose own name is another integer: on vertices `1`, `2`, index 0
+    would read as a third name for the first vertex."""
     if arg in Q.vertices:
         return Q.vertex_index(arg)
     try:
-        return int(arg)
+        k = int(arg)
     except ValueError:
         raise ValueError(f"unknown vertex {arg!r}: the quiver's vertices are "
                          f"{', '.join(Q.vertices)}") from None
+    if 0 <= k < Q.n and Q.vertices[k].lstrip("+-").isdecimal():
+        raise ValueError(f"ambiguous vertex {arg!r}: no vertex is named {arg}, and as an index "
+                         f"it would be the vertex named {Q.vertices[k]}")
+    return k
 
 
 def cmd_op(model: HallModel, op: str, operands: list[str], vertex: str | None, m: int,
@@ -208,18 +211,12 @@ def cmd_op(model: HallModel, op: str, operands: list[str], vertex: str | None, m
 def _summary_table(reports) -> str:
     from collections import Counter
 
-    rows = Counter()
-    fails = Counter()
-    for r in reports:
-        rows[r.identity] += 1
-        if r.status == "fail":
-            fails[r.identity] += 1
+    rows = Counter(r.identity for r in reports)
+    fails = Counter(r.identity for r in reports if r.status == "fail")
     width = max(len(k) for k in rows)
     lines = [f"{'identity':<{width}}  checks  failures"]
-    for k in sorted(rows):
-        lines.append(f"{k:<{width}}  {rows[k]:>6}  {fails[k]:>8}")
-    total_fail = sum(fails.values())
-    lines.append(f"{'TOTAL':<{width}}  {sum(rows.values()):>6}  {total_fail:>8}")
+    lines += [f"{k:<{width}}  {rows[k]:>6}  {fails[k]:>8}" for k in sorted(rows)]
+    lines.append(f"{'TOTAL':<{width}}  {sum(rows.values()):>6}  {sum(fails.values()):>8}")
     return "\n".join(lines)
 
 

@@ -117,6 +117,23 @@ def test_op_dsub_at_a_vertex_outside_the_quiver_exits_2(cache, capsys, vertex):
     assert out == "" and "out of range" in err
 
 
+def test_op_refuses_an_index_that_reads_as_another_vertex_name(cache, capsys):
+    # a2's vertices are named 1 and 2: index 0 would be a third name for vertex 1
+    code, out, err = run_cli(capsys, "op", "dsub", "2,1:0", "--vertex", "0", "--quiver", "a2", "-p", "2")
+    assert code == 2
+    assert out == "" and err == ("error: ambiguous vertex '0': no vertex is named 0, and as an "
+                                 "index it would be the vertex named 1\n")
+    # the names keep their meaning, and an index still works where no name is an integer
+    by_name = [run_cli(capsys, "op", "dsub", "2,1:0", "--vertex", v, "--quiver", "a2", "-p", "2")
+               for v in ("1", "2")]
+    assert [code for code, _, _ in by_name] == [0, 0] and by_name[0][1] != by_name[1][1]
+    sink = cache.parent / "sink.quiver"
+    sink.write_text("vertices: x y z\narrow: x -> y\narrow: z -> y\n")
+    runs = [run_cli(capsys, "op", "dsub", "1,1,0:0", "--vertex", v, "--quiver", str(sink), "-p", "2")
+            for v in ("0", "x")]
+    assert runs[0][0] == 0 and runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("argv, message", [
     (("mul", "1,0:0", "1,0:5"), "class index 5 out of range at dim (1,0)"),
     (("dsub", "2,1:0", "--vertex", "x"), "unknown vertex 'x': the quiver's vertices are 1, 2"),

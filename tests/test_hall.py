@@ -581,3 +581,49 @@ def test_pairing_returns_exact_inverse_aut_counts():
                 x = got.coeff(1)
                 assert x == Fraction(1, c.aut_count)
                 assert type(x) is (int if c.aut_count == 1 else Fraction)
+
+
+def _dual_classes(m: HallModel, m_op: HallModel, dim: DimVector) -> dict:
+    """M -> DM: D = Hom(-, F_p) transposes every matrix of M's representative,
+    giving a representation of the opposite quiver at the same grading."""
+    from hallq.ffrep import Rep
+
+    Q, table, table_op = m.quiver, m.table(dim), m_op.table(dim)
+    out = {}
+    for c in table.classes:
+        x = c.representative
+        dual = tuple(tuple(tuple(x.matrices[h][i][j] for i in range(dim[t])) for j in range(dim[s]))
+                     for h, (s, t) in enumerate(Q.arrows))
+        out[c.id] = table_op.iso_class_of(Rep(m_op.quiver, m.p, table_op.dim, dual))
+    return out
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "kronecker"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_filtration_counts_are_dual_over_the_opposite_quiver(name, p):
+    # 0 -> L -> M -> N -> 0 dualizes to 0 -> DN -> DM -> DL -> 0, so
+    # F^M_{N,L}(Q) = F^{DM}_{DL,DN}(Q^op): the slots swap. Without the swap
+    # the counts must disagree somewhere (the negative control).
+    from hallq.identities import _dims_up_to
+    from hallq.quiver import Quiver
+
+    Q = builtin_quiver(name)
+    m = HallModel(Q, p)
+    m_op = HallModel(Quiver(Q.vertices, tuple((t, s) for s, t in Q.arrows)), p)
+    duals: dict = {}
+    for d in _dims_up_to(Q, 4):
+        duals.update(_dual_classes(m, m_op, d))
+    assert len(set(duals.values())) == len(duals)  # D is a bijection on classes
+    counts = unswapped_mismatches = 0
+    for alpha in _dims_up_to(Q, 3):
+        for beta in _dims_up_to(Q, 4 - alpha.total):
+            table, swapped = m.filtration_table(alpha, beta), m_op.filtration_table(beta, alpha)
+            unswapped = m_op.filtration_table(alpha, beta)
+            for N in m.table(alpha).ids():
+                for L in m.table(beta).ids():
+                    got = {duals[M]: c for M, c in table.get((N, L), {}).items()}
+                    assert got == swapped.get((duals[L], duals[N]), {})
+                    counts += len(got)
+                    unswapped_mismatches += got != unswapped.get((duals[N], duals[L]), {})
+    assert counts > 100
+    assert unswapped_mismatches > 0

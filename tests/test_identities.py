@@ -292,11 +292,91 @@ def test_rule_sides_from_unit_values_equal_the_operators_on_products(name):
     assert terms > 100
 
 
-def test_associativity_multiplies_each_unit_pair_once_per_twist(monkeypatch):
-    calls = _count_unit_calls(monkeypatch)
+def test_a_passing_associativity_run_applies_no_hall_operator(monkeypatch):
+    # the check compares integer vectors of the filtration tables; only a
+    # failing triple multiplies, to render its witness: u_A * u_B, that times
+    # u_C, u_B * u_C and u_A times that
+    calls = Counter()
+
+    def count(name):
+        original = getattr(hall, name)
+
+        def counted(model, *args):
+            calls[name] += 1
+            return original(model, *args)
+
+        monkeypatch.setattr(hall, name, counted)
+
+    for name in ("geometric_induction", "ringel_product"):
+        count(name)
     assert verify_associativity(HallModel(builtin_quiver("a2"), 2), 3).passed
-    assert {key[0] for key in calls} == {"geometric_induction", "ringel_product"}
-    assert max(calls.values()) == 1
+    assert not calls
+    r = verify_associativity(HallModel(builtin_quiver("a2"), 2), 3, corrupt=True)
+    assert not r.passed and r.details == {"checked": 1}
+    assert 0 < sum(calls.values()) <= 4
+
+
+def _operator_associativity(m, maxdim, corrupt=False):
+    """The comparison of every (twist, triple) in the check's order by the
+    operators: None where (u_A * u_B) * u_C == u_A * (u_B * u_C) as Hall
+    elements (times v on the left when `corrupt`), else the witness."""
+    out = []
+    for ringel, twist in ((False, "geometric"), (True, "ringel")):
+        prod = hall.ringel_product if ringel else hall.geometric_induction
+        for da in identities._dims_up_to(m.quiver, maxdim):
+            for db in identities._dims_up_to(m.quiver, maxdim - da.total):
+                for dc in identities._dims_up_to(m.quiver, maxdim - da.total - db.total):
+                    for A in m.table(da).ids():
+                        for B in m.table(db).ids():
+                            for C in m.table(dc).ids():
+                                lhs = prod(m, m.unit_product(A, B, ringel), unit_class(m, C))
+                                if corrupt:
+                                    lhs = lhs.scale(LaurentPoly.v(1))
+                                rhs = prod(m, unit_class(m, A), m.unit_product(B, C, ringel))
+                                out.append(None if lhs == rhs else {
+                                    "twist": twist, "triple": identities._labels(m, A, B, C),
+                                    "lhs": hall.element_to_json(m, lhs),
+                                    "rhs": hall.element_to_json(m, rhs)})
+    return out
+
+
+def _sink_and_mixed():
+    from hallq.quiver import Quiver
+
+    return (Quiver(("1", "2", "3"), ((0, 1), (2, 1))),
+            Quiver(("a", "b", "c"), ((0, 1), (0, 1), (1, 2))))
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "kronecker", "sink", "mixed"])
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_associativity_integer_rule_agrees_with_the_operators(monkeypatch, name, corrupt):
+    # every comparison the check would make, the generator run to its end
+    # instead of stopping at a failure, against the products of the operators
+    Q = dict(zip(("sink", "mixed"), _sink_and_mixed())).get(name) or builtin_quiver(name)
+    monkeypatch.setattr(identities, "_check", lambda *args: list(args[3]))
+    got = [c and c[0] for c in verify_associativity(HallModel(Q, 2), 3, corrupt)]
+    want = _operator_associativity(HallModel(Q, 2), 3, corrupt)
+    assert len(got) == len(want) > 100
+    assert got == want
+    assert all(w is not None for w in want) if corrupt else not any(want)
+
+
+def test_associativity_fails_on_a_corrupted_filtration_count():
+    # one count in one table of the model's memo raised by 1: a fresh model
+    # fails, and its witness triple's gradings read that table
+    m = HallModel(builtin_quiver("a2"), 2)
+    a, b = dv(1, 0), dv(0, 1)
+    table = m.filtration_table(a, b)
+    assert table is m.memo[("filt", a.entries, b.entries)]
+    hist = next(iter(table.values()))
+    M = next(iter(hist))
+    hist[M] += 1
+    r = verify_associativity(m, 3)
+    assert not r.passed
+    da, db, dc = (DimVector.from_csv(label.partition(":")[0], 2) for label in r.witness["triple"])
+    read = {(da, db), (da + db, dc), (db, dc), (da, db + dc)}
+    assert (a, b) in read
+    assert verify_associativity(HallModel(builtin_quiver("a2"), 2), 3).passed
 
 
 def _inside_sweep(monkeypatch, name, sweep):
@@ -721,11 +801,9 @@ def test_restriction_coassociativity():
 def test_non_builtin_orientations():
     # arrows into a middle sink and a parallel-pair-plus-path shape exercise
     # the derivation fibers on both sides of a vertex
-    from hallq.quiver import Quiver, symmetric_form
+    from hallq.quiver import symmetric_form
 
-    sink = Quiver(("1", "2", "3"), ((0, 1), (2, 1)))
-    mixed = Quiver(("a", "b", "c"), ((0, 1), (0, 1), (1, 2)))
-    for Q in (sink, mixed):
+    for Q in _sink_and_mixed():
         m = HallModel(Q, 2)
         assert verify_associativity(m, 3).passed
         assert verify_green_sweep(m, dv(1, 1, 1), GEOM).passed
