@@ -20,7 +20,8 @@ x-stable graded subspaces of a point (`stable_subspaces`) and sums the point
 indices of the induced sub and quotient representations while it checks
 stability, so a class is one `class_of_index` lookup. What depends only on
 (quiver, dim, beta, p), the per-vertex subspace lists and codec weights, is
-a `SubspaceFrame`, built once per fiber sweep.
+a `SubspaceFrame`; a `HallModel` keeps one per (dim, beta) for its memo's
+lifetime, and a caller without a model builds one per sweep.
 
 A derivation sweeps nothing of its own: it is the restriction at a split with
 one part m*e_i, so its histograms are reshapes of the extension table there.
@@ -596,33 +597,53 @@ class TableCache:
 
 class SubspaceFrame:
     """The part of `stable_subspaces` that depends on (quiver, dim, beta, p)
-    but not on the point: per vertex, the subspaces of dimension beta_v, and
-    per arrow the digit weights of its sub and quotient blocks.
+    but not on the point: per vertex, the subspaces of dimension beta_v, per
+    arrow the digit weights of its sub and quotient blocks, and the
+    `PointCodec` of the full space at dim, built on first use.
 
-    Each subspace is a tuple (k, basis, pivots, non-pivots, projection), with
-    k its place in the `fpmat.grassmannian` list and the rest as there. A
-    fiber sweep builds one frame and passes it with every point of the fiber,
-    so these lists are built once per sweep.
+    Each subspace is a tuple (k, basis, pivots, non-pivots, projection) of
+    the `fpmat.grassmannian` list. `grassmannian(n, k)` gives that list and
+    `columns(d)` the `weight_columns` at a dimension vector d; by default the
+    frame builds its own. A `HallModel` keeps one frame per (dim, beta), and
+    one list per (n, k) and one set of columns per d for all its frames, in
+    its memo, so these are built once per model until it is released.
     """
 
-    def __init__(self, Q: Quiver, dim: DimVector, beta: DimVector, p: int):
+    __slots__ = ("key", "subspaces", "arrows_at", "_codec")
+
+    def __init__(self, Q: Quiver, dim: DimVector, beta: DimVector, p: int,
+                 grassmannian: Callable[[int, int], list] | None = None,
+                 columns: Callable[[DimVector], tuple] | None = None):
         self.key = (Q, dim, beta, p)
+        self._codec: PointCodec | None = None
         quot = dim - beta
-        grassmannians: dict[tuple[int, int], list] = {}
-        self.subspaces = []
-        for n, k in zip(dim, beta):
-            if (n, k) not in grassmannians:
-                grassmannians[n, k] = [(j, *w) for j, w in enumerate(fpmat.grassmannian(n, k, p))]
-            self.subspaces.append(grassmannians[n, k])
-        # each arrow is checked once the later of its two ends is chosen; its codec weights
-        # at beta and dim - beta go one tuple per column, even with no rows, since
-        # `_arrow_digits` checks each source basis row as it reads its column tuple
-        sub_w, quot_w = PointCodec(Q, beta, p).weights, PointCodec(Q, quot, p).weights
-        self.arrows_at: list[list[tuple]] = [[] for _ in range(Q.n)]
-        for a, (s, t) in enumerate(Q.arrows):
-            sub_cols = tuple(tuple(row[j] for row in sub_w[a]) for j in range(beta[s]))
-            quot_cols = tuple(tuple(row[j] for row in quot_w[a]) for j in range(quot[s]))
-            self.arrows_at[max(s, t)].append((a, s, t, sub_cols, quot_cols))
+        if grassmannian is None:  # one list per distinct (n, k) of this frame
+            own = {nk: fpmat.grassmannian(*nk, p) for nk in set(zip(dim, beta))}
+            grassmannian = lambda n, k: own[n, k]
+        if columns is None:
+            columns = lambda d: weight_columns(Q, d, p)
+        self.subspaces = [grassmannian(n, k) for n, k in zip(dim, beta)]
+        # each arrow is checked once the later of its two ends is chosen, with
+        # its weights at beta and dim - beta
+        sub_c, quot_c = columns(beta), columns(quot)
+        self.arrows_at = tuple(tuple((a, s, t, sub_c[a], quot_c[a]) for a, (s, t) in enumerate(Q.arrows)
+                                     if max(s, t) == v) for v in range(Q.n))
+
+    @property
+    def codec(self) -> PointCodec:
+        """The codec of the full space at dim, for sweeps that decode its points."""
+        if self._codec is None:
+            Q, dim, _, p = self.key
+            self._codec = PointCodec(Q, dim, p)
+        return self._codec
+
+
+def weight_columns(Q: Quiver, d: DimVector, p: int) -> tuple:
+    """Per arrow, the `PointCodec` weights of its block at d, one tuple per
+    column; a column goes in even with no rows, since `_arrow_digits` checks
+    each source basis row as it reads its column tuple."""
+    return tuple(tuple(tuple(row[j] for row in w) for j in range(d[s]))
+                 for (s, _), w in zip(Q.arrows, PointCodec(Q, d, p).weights))
 
 
 @dataclass(frozen=True)
@@ -820,7 +841,8 @@ def derive_quot_histogram(extension: dict) -> dict[tuple[IsoClassId, IsoClassId]
 
 
 def stratified_pair_counts(
-    tables: TableCache, alpha: DimVector, beta: DimVector, i: int, m: int, side: str
+    tables: TableCache, alpha: DimVector, beta: DimVector, i: int, m: int, side: str,
+    frame: SubspaceFrame | None = None,
 ) -> dict[tuple[IsoClassId, IsoClassId], tuple]:
     """Per-stratum fiber counts for the derivation of an induction product,
     for every class pair at once: (A, B) -> (t, N, count, t, N, count, ...),
@@ -843,18 +865,25 @@ def stratified_pair_counts(
     an RREF basis, so k is the number of its pivots in that block: t = m -
     beta_i + k for side "sub" (quotient at m*e_i) and t = m - k for "quot",
     the mirror.
+
+    `frame` must be built for (quiver, alpha + beta, beta, p); without one
+    a fresh frame is built.
     """
-    split = derivation_split(tables.quiver, alpha + beta, i, m, side)
+    Q, p = tables.quiver, tables.p
+    nu = alpha + beta
+    split = derivation_split(Q, nu, i, m, side)
     if split is None:
         return {}
-    Q, p = tables.quiver, tables.p
+    if frame is None:
+        frame = SubspaceFrame(Q, nu, beta, p)
+    elif frame.key != (Q, nu, beta, p):
+        raise ValueError("subspace frame was built for another space")
     slot = SPLIT_SLOT[side]
     a_t, b_t = tables.table(alpha), tables.table(beta)
     # quivers have no loops, so the space at m*e_i is one point
     point = tables.table(split[1 - slot]).classes[0].representative
     rest_t = tables.table(split[slot])
-    frame = SubspaceFrame(Q, alpha + beta, beta, p)
-    codec = PointCodec(Q, alpha + beta, p)
+    codec = frame.codec
     cut = split[0][i]
     # a subspace's stratum depends on its choice at vertex i alone: k counts
     # that choice's pivots in the fixed sub block

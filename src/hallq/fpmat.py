@@ -71,9 +71,10 @@ def rank(rows: Sequence[Sequence[int]], p: int) -> int:
 
 def grassmannian(
     n: int, k: int, p: int
-) -> list[tuple[Matrix, tuple[int, ...], tuple[int, ...], Matrix]]:
-    """All k-dimensional subspaces of F_p^n, each exactly once, as (RREF
-    basis, pivot columns, non-pivot columns, projection).
+) -> list[tuple[int, Matrix, tuple[int, ...], tuple[int, ...], Matrix]]:
+    """All k-dimensional subspaces of F_p^n, each exactly once, as (place in
+    the list, RREF basis, pivot columns, non-pivot columns, projection); the
+    place lets a caller keep per-subspace values in a list.
 
     Order: pivot column sets lexicographically, then the free entries in
     `itertools.product` order, row by row, the last entry fastest.
@@ -85,7 +86,8 @@ def grassmannian(
     out: list = []
     if k < 0 or k > n:
         return out
-    # equal rows share one tuple: a frame holds every subspace of a sweep at once
+    # equal rows share one tuple: a `HallModel` keeps each list, for every
+    # frame of its space, until it is released
     rows_seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     for pivots in combinations(range(n), k):
         free = nonpivot_columns(n, pivots)
@@ -102,7 +104,7 @@ def grassmannian(
                 rows[r][j] = x
                 proj[i][pivots[r]] = -x % p
             basis = tuple(rows_seen.setdefault(r, r) for r in map(tuple, rows))
-            out.append((basis, pivots, free, tuple(rows_seen.setdefault(r, r) for r in map(tuple, proj))))
+            out.append((len(out), basis, pivots, free, tuple(rows_seen.setdefault(r, r) for r in map(tuple, proj))))
     return out
 
 

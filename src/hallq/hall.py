@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import itemgetter
 
-from . import ffrep
+from . import ffrep, fpmat
 from .ffrep import ClassificationTable, IsoClassId, TableCache
 from .laurent import LaurentPoly, Scalar, add_scaled
 from .quiver import SPLIT_SLOT, DimVector, Quiver, derivation_split, euler_form, induction_twist
@@ -126,20 +126,24 @@ class TensorElement(_Terms):
 class HallModel:
     """A space's classification tables plus one memo of everything derived
     from them: the filtration, extension and stratified count tables (each
-    filled for every class pair of its key by one sweep), the unit classes,
-    the operator values on unit classes (Res u_A per (class, split),
-    u_A * u_B per (pair, twist), derive(u_A, i, t) per (class, i, t, side)),
-    and the gradings and splits. `release` empties that memo once a run is
-    done with the space; the model stays usable and rebuilds on demand."""
+    filled for every class pair of its key by one sweep), the subspace
+    frames those sweeps walk (one `ffrep.SubspaceFrame` per (dim, beta), its
+    lists one per (n, k)), the unit classes, the operator values on unit
+    classes (Res u_A per (class, split), u_A * u_B per (pair, twist),
+    derive(u_A, i, t) per (class, i, t, side)), the monomials c v^e those
+    values share, and the gradings and splits. `release` empties that memo
+    once a run is done with the space; the model stays usable and rebuilds
+    on demand."""
 
     def __init__(self, quiver: Quiver, p: int, budget: int = ffrep.DEFAULT_POINT_BUDGET,
                  tables: TableCache | None = None):
         self.quiver = quiver
         self.p = p
         self.tables = tables if tables is not None else TableCache(quiver, p, budget)
-        # Tuple keys start with their kind ("filt", "ext", "strat", "grading",
-        # "split") or with the operator whose value they hold, so kinds that
-        # share a key shape never collide; a unit class is keyed by its id.
+        # Tuple keys start with their kind ("filt", "ext", "strat", "frame",
+        # "grass", "columns", "v", "grading", "split") or with the operator
+        # whose value they hold, so kinds that share a key shape never
+        # collide; a unit class is keyed by its id.
         self.memo: dict = {}
 
     def release(self) -> None:
@@ -155,6 +159,15 @@ class HallModel:
 
     def table(self, dim: DimVector) -> ClassificationTable:
         return self.tables.table(dim)
+
+    def monomial(self, exp: int, coeff: int) -> LaurentPoly:
+        """coeff * v^exp, one value per (exp, coeff): a LaurentPoly is
+        immutable, so the operator values on unit classes share it."""
+        key = ("v", exp, coeff)
+        got = self.memo.get(key)
+        if got is None:
+            got = self.memo[key] = LaurentPoly.v(exp, coeff)
+        return got
 
     def grading(self, alpha: DimVector, beta: DimVector) -> tuple[DimVector, int, int]:
         """(alpha + beta, induction_twist, euler_form) at (alpha, beta)."""
@@ -181,8 +194,8 @@ class HallModel:
 
     def _filtration_sweep(self, alpha: DimVector, beta: DimVector) -> dict:
         got: dict = {}
-        nu = alpha + beta
-        frame = ffrep.SubspaceFrame(self.quiver, nu, beta, self.p)
+        nu = self.grading(alpha, beta)[0]
+        frame = self.frame(nu, beta)
         for M in self.table(nu).ids():
             for (N, L), c in ffrep.filtration_counts(self.tables, M, beta, frame).items():
                 got.setdefault((N, L), {})[M] = c
@@ -201,7 +214,29 @@ class HallModel:
         vertex i, multiplicity m and side of u_A * u_B, A at alpha and B at
         beta: `ffrep.stratified_pair_counts`, one fiber walk for every pair."""
         return self._memo(("strat", alpha.entries, beta.entries, i, m, side),
-                          ffrep.stratified_pair_counts, self.tables, alpha, beta, i, m, side)
+                          self._stratified_sweep, alpha, beta, i, m, side)
+
+    def _stratified_sweep(self, alpha: DimVector, beta: DimVector, i: int, m: int, side: str) -> dict:
+        nu = self.grading(alpha, beta)[0]
+        # a grading without this split walks nothing, so it needs no frame
+        frame = None if self.split(nu, i, m, side) is None else self.frame(nu, beta)
+        return ffrep.stratified_pair_counts(self.tables, alpha, beta, i, m, side, frame)
+
+    # -- subspace frames ------------------------------------------------------
+
+    def frame(self, dim: DimVector, beta: DimVector) -> ffrep.SubspaceFrame:
+        """The `ffrep.SubspaceFrame` of the subspaces of dimension beta at
+        dim, its lists and weights read from `grassmannian` and `weight_columns`."""
+        return self._memo(("frame", dim.entries, beta.entries), ffrep.SubspaceFrame,
+                          self.quiver, dim, beta, self.p, self.grassmannian, self.weight_columns)
+
+    def grassmannian(self, n: int, k: int) -> list:
+        """`fpmat.grassmannian(n, k, p)`, one list per (n, k)."""
+        return self._memo(("grass", n, k), fpmat.grassmannian, n, k, self.p)
+
+    def weight_columns(self, dim: DimVector) -> tuple:
+        """`ffrep.weight_columns` at dim, one per dim."""
+        return self._memo(("columns", dim.entries), ffrep.weight_columns, self.quiver, dim, self.p)
 
     def derive_sub_table(self, alpha: DimVector, i: int, m: int) -> dict:
         """(M, N) -> count for derive_sub at alpha, vertex i, multiplicity m: the extension
@@ -290,7 +325,7 @@ def _induction(model: HallModel, f: HallElement, g: HallElement, ringel: bool) -
             # u_N * u_L: one monomial per class, straight from the histogram
             hist = table.get((N, L), {})
             return HallElement._of(model.quiver, model.p, nu,
-                                   {M: LaurentPoly.v(tw, count) for M, count in hist.items()})
+                                   {M: model.monomial(tw, count) for M, count in hist.items()})
     acc: dict[IsoClassId, dict[int, Scalar]] = {}
     for N, cf in f.terms:
         for L, cg in g.terms:
@@ -328,6 +363,10 @@ def _restriction_coeffs(model: HallModel, f: HallElement, alpha: DimVector, beta
     """(N, L) -> coefficient of u_N (x) u_L in Res f at (alpha, beta), unsorted."""
     tw = -model.grading(alpha, beta)[2]
     table = model.extension_table(alpha, beta)
+    if len(f.terms) == 1 and f.terms[0][1].is_one():
+        # Res u_M: one monomial per pair, straight from the histograms
+        M = f.terms[0][0]
+        return {NL: model.monomial(tw, c) for NL, hist in table.items() if (c := hist.get(M))}
     acc: dict[tuple[IsoClassId, IsoClassId], dict[int, Scalar]] = {}
     for M, cf in f.terms:
         for NL, hist in table.items():
@@ -380,7 +419,7 @@ def _stratified(model: HallModel, A: IsoClassId, B: IsoClassId, i: int, m: int, 
     entries = model.stratified_table(alpha, beta, i, m, side).get((A, B), ())
     per_t: dict[int, dict[IsoClassId, LaurentPoly]] = {}
     for t, N, c in ffrep.stratum_entries(entries):
-        per_t.setdefault(t, {})[N] = LaurentPoly.v(exp, c)
+        per_t.setdefault(t, {})[N] = model.monomial(exp, c)
     return {t: HallElement._of(model.quiver, model.p, split[SPLIT_SLOT[side]], coeffs)
             for t, coeffs in per_t.items()}
 

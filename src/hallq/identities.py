@@ -256,10 +256,12 @@ def verify_associativity(model: HallModel, maxdim: int = 4, corrupt: bool = Fals
                         # the verdicts that pass; the corrupt fixture's v is on the left side
                         left_exp = g_ab[t] + model.grading(g_ab[0], dc)[t] + (1 if corrupt else 0)
                         passing = (1, 2) if left_exp == g_bc[t] + model.grading(da, g_bc[0])[t] else (1,)
-                        t_ab, t_left = model.filtration_table(da, db), model.filtration_table(g_ab[0], dc)
-                        t_bc, t_right = model.filtration_table(db, dc), model.filtration_table(da, g_bc[0])
+                        if not ringel:  # the Ringel pass reads only the stored verdicts
+                            t_ab, t_left = model.filtration_table(da, db), model.filtration_table(g_ab[0], dc)
+                            t_bc, t_right = model.filtration_table(db, dc), model.filtration_table(da, g_bc[0])
                         for A, B in product(model.table(da).ids(), model.table(db).ids()):
-                            hist_ab = t_ab.get((A, B), {}).items()
+                            if not ringel:
+                                hist_ab = t_ab.get((A, B), {}).items()
                             for C in model.table(dc).ids():
                                 if not ringel:  # the verdict appended is the next one `stored` reads
                                     left, right = defaultdict(int), defaultdict(int)
@@ -969,11 +971,12 @@ def _space_units(specs: list[tuple]) -> list[list[tuple]]:
 
 def run_unit(unit: list[tuple], budget: int, pins: dict) -> list[Report]:
     """Run one unit of `_space_units`, then release its space's model: the
-    unit holds every job of that space."""
+    unit holds every job of that space. Polynomiality fills the models of
+    several spaces, so after it every pooled model is released."""
     reports = [r for spec in unit for r in run_spec(spec, budget, pins)]
     _, _, text, p, _ = unit[-1]
-    if text is not None:
-        _pooled_model(text, p, budget).release()
+    for model in _MODEL_POOL.values() if text is None else [_pooled_model(text, p, budget)]:
+        model.release()
     return reports
 
 

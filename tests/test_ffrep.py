@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 import tracemalloc
 from itertools import combinations, product
 
@@ -591,6 +592,60 @@ def test_class_count_is_kostant_partition_function():
             name, dim, p)
 
 
+def closed_points(d, q):
+    """Closed points of P^1 over F_q of degree d: q + 1 for d = 1, else the
+    number of monic irreducible polynomials of degree d, (1/d) sum_{e|d} mu(d/e) q^e."""
+    if d == 1:
+        return q + 1
+    mobius = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1}
+    return sum(mobius[d // e] * q**e for e in range(1, d + 1) if d % e == 0) // d
+
+
+def kronecker_class_count(a, b, q, degree_one=False):
+    """Classes of Kronecker representations at (a, b): multisets of
+    indecomposables summing to (a, b). There is one indecomposable at
+    (n, n + 1) and one at (n + 1, n) for each n >= 0, and at (n, n) one for
+    each closed point of P^1 whose degree divides n. With `degree_one` only
+    the q + 1 rational points are taken, as if every closed point had
+    degree 1 (the negative control)."""
+    types = Counter()
+    for n in range(max(a, b)):
+        types[n, n + 1] += 1
+        types[n + 1, n] += 1
+    for n in range(1, min(a, b) + 1):
+        types[n, n] += q + 1 if degree_one else sum(closed_points(d, q) for d in range(1, n + 1) if n % d == 0)
+    ways = [[int(x == y == 0) for y in range(b + 1)] for x in range(a + 1)]
+    for (da, db), count in types.items():
+        for _ in range(count):  # each type any number of times: an unbounded knapsack
+            for x in range(da, a + 1):
+                for y in range(db, b + 1):
+                    ways[x][y] += ways[x - da][y - db]
+    return ways[a][b]
+
+
+def test_closed_points_and_kronecker_count_examples():
+    assert [closed_points(d, 2) for d in (1, 2, 3, 4)] == [3, 1, 2, 3]
+    assert closed_points(2, 3) == 3
+    assert kronecker_class_count(1, 1, 2) == 1 + 3  # S1 + S2, and one per point of P^1(F_2)
+    assert kronecker_class_count(0, 3, 5) == kronecker_class_count(4, 0, 7) == 1
+
+
+def test_kronecker_class_count_from_closed_points_of_p1():
+    # Kronecker; Ringel, LNM 1099: the indecomposables of the Kronecker
+    # quiver are preprojective, preinjective, or regular at (n, n), one tube
+    # per closed point of P^1, so the classes at (a, b) are counted from them
+    cases = [(dv(a, b), p) for p in (2, 3, 5, 7) for a, b in product(range(6), repeat=2)
+             if a + b and p ** (2 * a * b) <= 3**8]
+    assert len(cases) == 66
+    control_mismatches = 0
+    for dim, p in cases:
+        got = len(classify(KRON, dim, p))
+        assert got == kronecker_class_count(*dim.entries, p), (dim, p)
+        control_mismatches += got != kronecker_class_count(*dim.entries, p, degree_one=True)
+    # every dim with both entries at least 2 has a point of degree 2 to miss
+    assert control_mismatches == 4
+
+
 def test_primitive_roots_cover_exactly_the_supported_primes():
     assert tuple(_PRIMITIVE_ROOT) == fpmat.SUPPORTED_PRIMES
     for p, g in _PRIMITIVE_ROOT.items():
@@ -704,8 +759,9 @@ def _betas(dim):
 def test_grassmannian_matches_subspaces_and_projects():
     for n, k, p in [(0, 0, 2), (1, 0, 3), (1, 1, 3), (3, 1, 2), (3, 2, 3), (4, 2, 2), (2, 3, 2)]:
         got = fpmat.grassmannian(n, k, p)
-        assert [g[0] for g in got] == _subspaces(n, k, p)
-        for basis, pivots, free, proj in got:
+        assert [g[1] for g in got] == _subspaces(n, k, p)
+        assert [g[0] for g in got] == list(range(len(got)))
+        for _, basis, pivots, free, proj in got:
             for v in product(range(p), repeat=n):
                 _, res = _reduce_by_basis(v, basis, pivots, p)
                 assert tuple(res[c] for c in free) == _mat_vec(proj, v, p)
@@ -789,6 +845,8 @@ def test_stable_subspaces_rejects_frame_of_another_space():
                   SubspaceFrame(KRON, dv(2, 1), dv(1, 1), 2)):
         with pytest.raises(ValueError):
             next(stable_subspaces(x, dv(1, 1), frame))
+        with pytest.raises(ValueError):  # the fiber sweep at (1, 0) + (1, 1), one split of it
+            stratified_pair_counts(TableCache(A2, 2), dv(1, 0), dv(1, 1), 0, 1, "sub", frame)
 
 
 def _filtration_counts_reference(tables, M, beta):

@@ -21,6 +21,7 @@ from hallq.hall import (
     unit_class,
     unit_element,
 )
+from hallq.identities import _dims_up_to
 from hallq.laurent import LaurentPoly, gaussian_binomial_q, quantum_binomial
 from hallq.quiver import (
     DimVector,
@@ -189,6 +190,113 @@ def test_a_released_model_rebuilds_what_it_held(name):
     assert not m.memo
     assert read() == held
     assert m.memo
+
+
+def _fill_frames(m: HallModel, total: int) -> set:
+    """Every filtration table and stratified table (both sides, m = 1, 2) of
+    the grading pairs up to `total`; returns the (dim, beta) frame keys."""
+    keys = set()
+    for alpha, beta in itertools.product(_dims_up_to(m.quiver, total), repeat=2):
+        if alpha.total + beta.total > total:
+            continue
+        keys.add(((alpha + beta).entries, beta.entries))
+        m.filtration_table(alpha, beta)
+        for i, mm, side in itertools.product(range(m.quiver.n), (1, 2), ("sub", "quot")):
+            m.stratified_table(alpha, beta, i, mm, side)
+    return keys
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "kronecker"])
+def test_count_tables_share_one_frame_per_grading_and_one_grassmannian_per_size(name, monkeypatch):
+    from hallq import ffrep, fpmat
+
+    frames, lists = [], []
+    frame_init, grassmannian = ffrep.SubspaceFrame.__init__, fpmat.grassmannian
+
+    def counted_frame(self, Q, dim, beta, *rest):
+        frames.append((dim.entries, beta.entries))
+        frame_init(self, Q, dim, beta, *rest)
+
+    def counted_list(n, k, p):
+        lists.append((n, k))
+        return grassmannian(n, k, p)
+
+    monkeypatch.setattr(ffrep.SubspaceFrame, "__init__", counted_frame)
+    monkeypatch.setattr(fpmat, "grassmannian", counted_list)
+    m = HallModel(builtin_quiver(name), 2)
+    keys = _fill_frames(m, 3)
+    # the filtration and stratified sweeps of a grading read one frame
+    assert sorted(frames) == sorted(keys)
+    assert sorted(lists) == sorted({nk for dim, beta in keys for nk in zip(dim, beta)})
+    for dim, beta in keys:
+        frame = m.frame(DimVector(dim), DimVector(beta))
+        assert all(f is m.grassmannian(n, k) for f, n, k in zip(frame.subspaces, dim, beta))
+    assert len(frames) == len(keys)  # the reads above built nothing
+    # and the tables are those of the sweeps that build their own frames
+    alpha, beta = DimVector((1,) * m.quiver.n), DimVector((1,) + (0,) * (m.quiver.n - 1))
+    fresh = HallModel(m.quiver, 2, tables=m.tables)
+    monkeypatch.setattr(fresh, "frame", lambda dim, beta: None)
+    assert fresh.filtration_table(alpha, beta) == m.filtration_table(alpha, beta)
+    assert fresh.stratified_table(alpha, beta, 0, 1, "sub") == m.stratified_table(alpha, beta, 0, 1, "sub")
+
+
+def test_release_empties_frames_grassmannians_and_monomials():
+    m = HallModel(builtin_quiver("a2"), 3)
+    _fill_frames(m, 2)
+    for A, B in itertools.product(m.table(DimVector((1, 0))).ids(), m.table(DimVector((1, 1))).ids()):
+        geometric_induction(m, unit_class(m, A), unit_class(m, B))
+        stratified_derive_sub(m, A, B, 0, 1)
+    kinds = {k[0] for k in m.memo if isinstance(k, tuple) and isinstance(k[0], str)}
+    assert {"frame", "grass", "columns", "v", "filt", "strat"} <= kinds
+    m.release()
+    assert m.memo == {}
+
+
+@pytest.mark.parametrize("name", ["a2", "kronecker"])
+def test_shared_monomials_equal_the_values_built_without_sharing(name, monkeypatch):
+    """Unit products, restrictions, derivations and stratified pieces read
+    their coefficients c v^e from the model's memo; a model that builds every
+    monomial afresh gives equal values, and so do the operators' general
+    paths on 2 u_A."""
+    Q = builtin_quiver(name)
+    shared = HallModel(Q, 2)
+    fresh = HallModel(Q, 2, tables=shared.tables)
+    monkeypatch.setattr(fresh, "monomial", LaurentPoly.v)
+    dims = _dims_up_to(Q, 3)
+
+    def values(m):
+        out = []
+        for alpha, beta in itertools.product(dims, repeat=2):
+            if alpha.total + beta.total > 3:
+                continue
+            for C in m.table(alpha + beta).ids():
+                out.append(geometric_restriction(m, unit_class(m, C), (alpha, beta)))
+            for A, B in itertools.product(m.table(alpha).ids(), m.table(beta).ids()):
+                out.append(geometric_induction(m, unit_class(m, A), unit_class(m, B)))
+                for i in range(Q.n):
+                    out.append(stratified_derive_sub(m, A, B, i, 1))
+                    out.append(stratified_derive_quot(m, A, B, i, 1))
+        for dim, i in itertools.product(dims, range(Q.n)):
+            for A in m.table(dim).ids():
+                out.append(derive_sub(m, unit_class(m, A), i, 1))
+                out.append(derive_quot(m, unit_class(m, A), i, 1))
+        return out
+
+    got = values(shared)
+    assert got == values(fresh)
+    # every coefficient is the model's one monomial of its value
+    elements = [e for v in got for e in (v.values() if isinstance(v, dict) else [v])]
+    coeffs = [c for e in elements for _, c in e.terms]
+    assert len(coeffs) > 2 * len(set(coeffs))
+    assert all(c is shared.monomial(exp, k) for c in coeffs for k, exp in [c.monomial()])
+    for alpha, beta in itertools.product(dims, repeat=2):
+        if alpha.total + beta.total <= 3:
+            for C in shared.table(alpha + beta).ids():
+                twice = unit_class(shared, C).scale(2)
+                assert (geometric_restriction(shared, twice, (alpha, beta))
+                        == geometric_restriction(shared, unit_class(shared, C), (alpha, beta)).scale(2))
+                for i in range(Q.n):
+                    assert derive_sub(shared, twice, i, 1) == derive_sub(shared, unit_class(shared, C), i, 1).scale(2)
 
 
 def test_induction_unit():
@@ -452,8 +560,8 @@ def test_stratified_pieces_walk_once_per_grading(monkeypatch):
     original = ffrep.stratified_pair_counts
 
     def counted(tables, alpha, beta, *rest):
-        # (alpha, beta, i, m, side): the trailing three, whatever comes between
-        walks.append((alpha.entries, beta.entries, *rest[-3:]))
+        # (alpha, beta, i, m, side): the leading three, whatever follows them
+        walks.append((alpha.entries, beta.entries, *rest[:3]))
         return original(tables, alpha, beta, *rest)
 
     monkeypatch.setattr(ffrep, "stratified_pair_counts", counted)
@@ -598,13 +706,8 @@ def _dual_classes(m: HallModel, m_op: HallModel, dim: DimVector) -> dict:
     return out
 
 
-@pytest.mark.parametrize("name", ["a2", "a3", "kronecker"])
-@pytest.mark.parametrize("p", [2, 3])
-def test_filtration_counts_are_dual_over_the_opposite_quiver(name, p):
-    # 0 -> L -> M -> N -> 0 dualizes to 0 -> DN -> DM -> DL -> 0, so
-    # F^M_{N,L}(Q) = F^{DM}_{DL,DN}(Q^op): the slots swap. Without the swap
-    # the counts must disagree somewhere (the negative control).
-    from hallq.identities import _dims_up_to
+def _dual_models(name: str, p: int) -> tuple[HallModel, HallModel, dict]:
+    """Models of Q and of Q^op, and M -> DM for every class of total at most 4."""
     from hallq.quiver import Quiver
 
     Q = builtin_quiver(name)
@@ -614,6 +717,17 @@ def test_filtration_counts_are_dual_over_the_opposite_quiver(name, p):
     for d in _dims_up_to(Q, 4):
         duals.update(_dual_classes(m, m_op, d))
     assert len(set(duals.values())) == len(duals)  # D is a bijection on classes
+    return m, m_op, duals
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "kronecker"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_filtration_counts_are_dual_over_the_opposite_quiver(name, p):
+    # 0 -> L -> M -> N -> 0 dualizes to 0 -> DN -> DM -> DL -> 0, so
+    # F^M_{N,L}(Q) = F^{DM}_{DL,DN}(Q^op): the slots swap. Without the swap
+    # the counts must disagree somewhere (the negative control).
+    m, m_op, duals = _dual_models(name, p)
+    Q = m.quiver
     counts = unswapped_mismatches = 0
     for alpha in _dims_up_to(Q, 3):
         for beta in _dims_up_to(Q, 4 - alpha.total):
@@ -627,3 +741,22 @@ def test_filtration_counts_are_dual_over_the_opposite_quiver(name, p):
                     unswapped_mismatches += got != unswapped.get((duals[N], duals[L]), {})
     assert counts > 100
     assert unswapped_mismatches > 0
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "kronecker"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_derivation_tables_are_dual_over_the_opposite_quiver(name, p):
+    # derive_sub counts 0 -> N -> M -> S -> 0 with S the point at m*e_i; it
+    # dualizes to 0 -> DS -> DM -> DN -> 0, an extension with DS as sub, so
+    # derive_sub_table(Q)[M, N] = derive_quot_table(Q^op)[DM, DN]. The
+    # derive_sub table of Q^op must disagree somewhere (the negative control).
+    m, m_op, duals = _dual_models(name, p)
+    counts = same_side_mismatches = 0
+    for alpha in _dims_up_to(m.quiver, 4):
+        for i, mm in itertools.product(range(m.quiver.n), (1, 2)):
+            got = {(duals[M], duals[N]): c for (M, N), c in m.derive_sub_table(alpha, i, mm).items()}
+            assert got == m_op.derive_quot_table(alpha, i, mm), (alpha, i, mm)
+            counts += len(got)
+            same_side_mismatches += got != m_op.derive_sub_table(alpha, i, mm)
+    assert counts > 40
+    assert same_side_mismatches > 0

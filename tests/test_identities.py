@@ -696,6 +696,23 @@ def test_run_leaves_every_pooled_model_empty(monkeypatch):
     assert [key for key, m in identities._MODEL_POOL.items() if m.memo] == []
 
 
+def test_polynomiality_releases_the_models_it_filled(monkeypatch):
+    # polynomiality fills models at p = 2, 3, 5 and 7; the experiments after
+    # it start with every pooled model empty, so a model at a prime the run
+    # does not cover holds no subspace frames while they run
+    monkeypatch.setattr(identities, "_MODEL_POOL", {})
+    experiments, seen = identities.experiment_reports, []
+
+    def recording(*args):
+        seen.append([key for key, m in identities._MODEL_POOL.items() if m.memo])
+        return experiments(*args)
+
+    monkeypatch.setattr(identities, "experiment_reports", recording)
+    run_suite(SweepConfig(quivers=("a2",), primes=(2,), maxdim=2))
+    assert {p for _, p, _ in identities._MODEL_POOL} == {2, 3, 5, 7}
+    assert seen == [[]]
+
+
 def test_jobs_hand_each_worker_whole_spaces(monkeypatch):
     import concurrent.futures
 
