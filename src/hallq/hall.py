@@ -129,8 +129,8 @@ class HallModel:
     filled for every class pair of its key by one sweep), the subspace
     frames those sweeps walk (one `ffrep.SubspaceFrame` per (dim, beta), its
     lists one per (n, k)), the unit classes, the operator values on unit
-    classes (Res u_A per (class, split), u_A * u_B per (pair, twist),
-    derive(u_A, i, t) per (class, i, t, side)), the monomials c v^e those
+    classes (Res u_A per (class, split), u_A * u_B per pair, derive(u_A,
+    i, t) per (class, i, t, side)), the monomials c v^e those
     values share, and the gradings and splits. `release` empties that memo
     once a run is done with the space; the model stays usable and rebuilds
     on demand."""
@@ -260,9 +260,9 @@ class HallModel:
         key = (geometric_restriction, A, split[0].entries, split[1].entries)
         return self._memo(key, _on_units, self, key[0], (A,), split)
 
-    def unit_product(self, A: IsoClassId, B: IsoClassId, ringel: bool = False) -> HallElement:
-        """u_A * u_B, under the Ringel twist when `ringel`, else the geometric one."""
-        key = (ringel_product if ringel else geometric_induction, A, B)
+    def unit_product(self, A: IsoClassId, B: IsoClassId) -> HallElement:
+        """u_A * u_B under the geometric twist."""
+        key = (geometric_induction, A, B)
         return self._memo(key, _on_units, self, key[0], (A, B))
 
     def unit_derived(self, A: IsoClassId, i: int, t: int, side: str) -> HallElement:
@@ -311,14 +311,14 @@ def unit_element(model: HallModel) -> HallElement:
     return unit_class(model, model.table(model.quiver.zero_dim()).classes[0].id)
 
 
-def _induction(model: HallModel, f: HallElement, g: HallElement, ringel: bool) -> HallElement:
+def geometric_induction(model: HallModel, f: HallElement, g: HallElement) -> HallElement:
+    """u_N * u_L = v^{m_{alpha,beta}} sum_M F^M_{N,L} u_M, extended bilinearly."""
     if f.quiver != g.quiver or f.p != g.p:
         raise ValueError("operands over different contexts")
     if f.is_zero() or g.is_zero():
         return HallElement.zero(model.quiver, model.p)
     table = model.filtration_table(f.dim, g.dim)
-    nu, geometric_tw, ringel_tw = model.grading(f.dim, g.dim)
-    tw = ringel_tw if ringel else geometric_tw
+    nu, tw, _ = model.grading(f.dim, g.dim)
     if len(f.terms) == len(g.terms) == 1:
         (N, cf), (L, cg) = f.terms[0], g.terms[0]
         if cf.is_one() and cg.is_one():
@@ -338,14 +338,14 @@ def _induction(model: HallModel, f: HallElement, g: HallElement, ringel: bool) -
     return HallElement._of(model.quiver, model.p, nu, {M: LaurentPoly(d) for M, d in acc.items()})
 
 
-def geometric_induction(model: HallModel, f: HallElement, g: HallElement) -> HallElement:
-    """u_N * u_L = v^{m_{alpha,beta}} sum_M F^M_{N,L} u_M, extended bilinearly."""
-    return _induction(model, f, g, ringel=False)
-
-
 def ringel_product(model: HallModel, f: HallElement, g: HallElement) -> HallElement:
-    """Classical twist variant: exponent <alpha,beta> instead of m_{alpha,beta}."""
-    return _induction(model, f, g, ringel=True)
+    """Classical twist variant: exponent <alpha,beta> instead of m_{alpha,beta},
+    so the geometric product times v^{<alpha,beta> - m_{alpha,beta}}."""
+    prod = geometric_induction(model, f, g)
+    if prod.is_zero():
+        return prod
+    _, tw, euler = model.grading(f.dim, g.dim)
+    return prod.scale(model.monomial(euler - tw, 1))
 
 
 def geometric_restriction(model: HallModel, f: HallElement, split: tuple[DimVector, DimVector]) -> TensorElement:

@@ -239,9 +239,10 @@ def verify_associativity(model: HallModel, maxdim: int = 4, corrupt: bool = Fals
 
     def witness(A, B, C, ringel, twist_name):
         prod_fn = hall.ringel_product if ringel else hall.geometric_induction
-        lhs = prod_fn(model, model.unit_product(A, B, ringel), hall.unit_class(model, C))
+        u_a, u_b, u_c = (hall.unit_class(model, X) for X in (A, B, C))
+        lhs = prod_fn(model, prod_fn(model, u_a, u_b), u_c)
         lhs = lhs.scale(LaurentPoly.v(1)) if corrupt else lhs
-        rhs = prod_fn(model, hall.unit_class(model, A), model.unit_product(B, C, ringel))
+        rhs = prod_fn(model, u_a, prod_fn(model, u_b, u_c))
         return {"twist": twist_name, "triple": _labels(model, A, B, C),
                 "lhs": hall.element_to_json(model, lhs), "rhs": hall.element_to_json(model, rhs)}, _CHECKED
 
@@ -325,6 +326,22 @@ def _add_green_stratum(
                     add_product(acc.setdefault((N, L), {}), left_base, cl, exp)
 
 
+def _green_sides(model: HallModel, A: IsoClassId, B: IsoClassId,
+                 split: tuple[DimVector, DimVector], strata) -> tuple[dict, dict]:
+    """Both sides of Green's formula at the class pair (A, B) as formal sides
+    (N, L) -> {exponent: coefficient}: the left Res(u_A * u_B) at `split` =
+    sum_M c_M Res u_M over u_A * u_B = sum_M c_M u_M, the right the sum over
+    `strata`, (stratum, exponent) pairs from `_green_strata`, each twisted by
+    v^exponent."""
+    lhs: dict = {}
+    for M, c in model.unit_product(A, B).terms:
+        _accumulate(lhs, model.unit_restriction(M, split), c)
+    rhs: dict = {}
+    for stratum, exp in strata:
+        _add_green_stratum(model, rhs, A, B, stratum, exp)
+    return lhs, rhs
+
+
 def verify_green_compatibility(
     model: HallModel,
     alpha: DimVector,
@@ -346,18 +363,9 @@ def verify_green_compatibility(
         # would only hold memory until the run releases the space
         strata = [(stratum, exp + 1 if corrupt else exp)
                   for stratum, exp in _green_strata(Q, alpha, beta, alpha_p, beta_p)]
-        split = (alpha_p, beta_p)
         for A in model.table(alpha).ids():
             for B in model.table(beta).ids():
-                # left Res(u_A * u_B) = sum_M c_M Res u_M; right the sum over
-                # the strata, each twisted by v^{-(a2, b1)}
-                lhs: dict = {}
-                for M, c in model.unit_product(A, B).terms:
-                    _accumulate(lhs, model.unit_restriction(M, split), c)
-                rhs: dict = {}
-                for stratum, exp in strata:
-                    _add_green_stratum(model, rhs, A, B, stratum, exp)
-                sides = _compare(lhs, rhs, p, convention)
+                sides = _compare(*_green_sides(model, A, B, (alpha_p, beta_p), strata), p, convention)
                 yield sides and _failure(model, *sides, {"pair": _labels(model, A, B)})
 
     return _check("green", params, convention.label, comparisons())

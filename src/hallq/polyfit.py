@@ -13,20 +13,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import hall, identities
+from . import identities
 from .ffrep import DEFAULT_POINT_BUDGET, IsoClassId, stratum_entries
 from .hall import HallModel
-from .identities import (
-    _COUNT,
-    CONVENTION_BY_LABEL,
-    Report,
-    _add_green_stratum,
-    _check,
-    _green_strata,
-    _pooled_model,
-)
+from .identities import _COUNT, CONVENTION_BY_LABEL, Report, _check, _green_sides, _green_strata, _pooled_model
 from .laurent import LaurentPoly
-from .quiver import DimVector, builtin_quiver, euler_form, induction_twist
+from .quiver import DimVector, builtin_quiver
 
 
 # counts are fitted through PRIMES and checked at HOLDOUT; a fit above MAX_DEGREE in q fails
@@ -154,16 +146,6 @@ def verify_count_series(budget: int = DEFAULT_POINT_BUDGET) -> list[Report]:
     ]
 
 
-def _monomial_count(c: LaurentPoly, expected_exp: int):
-    """Counts enter coefficients as count * v^exp; peel the count off."""
-    if not c:
-        return Fraction(0)
-    coeff, e = c.monomial()
-    if e != expected_exp:
-        raise AssertionError(f"unexpected twist exponent {e}, wanted {expected_exp}")
-    return coeff
-
-
 def green_sides_fit(
     qname: str,
     alpha: tuple,
@@ -172,69 +154,44 @@ def green_sides_fit(
     beta_p: tuple,
     budget: int = DEFAULT_POINT_BUDGET,
 ) -> Report:
-    """Fit the raw integer counts of both sides of the compatibility identity
-    and check the fitted polynomials agree after the exact q-power bookkeeping
-    of the twists (v^2 = 1/q direction)."""
+    """Fit both sides of the compatibility identity, as `identities._green_sides`
+    builds them at each of PRIMES, and check that the fits agree: each count c
+    of v^e is fitted per (side, key, e) as sum_k a_k q^k, which is sum_k a_k
+    v^{e-2k} at q = v^{-2}, and the sides are compared as Laurent polynomials
+    in v."""
     params = {"instance": f"green-fit-{qname}", "alpha": list(alpha), "beta": list(beta),
               "alpha_p": list(alpha_p), "beta_p": list(beta_p), "primes": list(PRIMES)}
     a, b = DimVector(alpha), DimVector(beta)
-    ap, bp = DimVector(alpha_p), DimVector(beta_p)
+    split = (DimVector(alpha_p), DimVector(beta_p))
     Q = builtin_quiver(qname)
-    e_lhs = induction_twist(Q, a, b) - euler_form(Q, ap, bp)
-    strata = _green_strata(Q, a, b, ap, bp)
-    # the exponent of every count in a stratum: its Green twist v^{-(a2, b1)}
-    # plus the twists of the restrictions and products
-    exps = []
-    for (a1, a2, b1, b2), green in strata:
-        exps.append(
-            green
-            - euler_form(Q, a1, a2)
-            - euler_form(Q, b1, b2)
-            + induction_twist(Q, a1, b1)
-            + induction_twist(Q, a2, b2)
-        )
+    strata = _green_strata(Q, a, b, *split)
 
     def comparisons():
-        lhs_vals: dict[str, dict[int, Fraction]] = {}
-        rhs_vals: dict[tuple[int, str], dict[int, Fraction]] = {}
-        for p in PRIMES:
-            model = _pooled_model(Q.to_text(), p, budget)
-            for A in model.table(a).ids():
-                for B in model.table(b).ids():
-                    lhs = hall.geometric_restriction(model, model.unit_product(A, B), (ap, bp))
-                    pair = f"{_xlabel(model, A)};{_xlabel(model, B)}"
-                    for (N, L), c in lhs.terms:
-                        key = f"{pair}>{_xlabel(model, N)};{_xlabel(model, L)}"
-                        lhs_vals.setdefault(key, {})[p] = _monomial_count(c, e_lhs)
-                    for si, (stratum, exp) in enumerate(strata):
-                        acc: dict = {}
-                        _add_green_stratum(model, acc, A, B, stratum, exp)
-                        for (N, L), d in acc.items():
-                            c = LaurentPoly(d)
-                            if not c:
-                                continue
-                            key = f"{pair}>{_xlabel(model, N)};{_xlabel(model, L)}"
-                            rhs_vals.setdefault((si, key), {})[p] = _monomial_count(c, exps[si])
-
-        # a count absent at some prime is zero there
-        lhs_fit = {
-            k: lagrange_fit([(p, vals.get(p, Fraction(0))) for p in PRIMES])
-            for k, vals in lhs_vals.items()
-        }
-        rhs_fit: dict[str, LaurentPoly] = {}
-        for (si, key), vals in rhs_vals.items():
-            # q-power from the twist difference; v^2 = 1/q makes it (e_lhs - e_si)/2
-            diff = e_lhs - exps[si]
-            if diff % 2:
-                yield {"reason": "odd twist mismatch between the sides"}, {}
-            fit = lagrange_fit([(p, vals.get(p, Fraction(0))) for p in PRIMES])
-            shifted = LaurentPoly.v(diff // 2) * fit
-            rhs_fit[key] = rhs_fit.get(key, LaurentPoly.zero()) + shifted
+        counts: dict = {}  # (side, key, e) -> {p: count}
+        try:
+            for p in PRIMES:
+                model = _pooled_model(Q.to_text(), p, budget)
+                for A in model.table(a).ids():
+                    for B in model.table(b).ids():
+                        pair = f"{_xlabel(model, A)};{_xlabel(model, B)}"
+                        for side, formal in enumerate(_green_sides(model, A, B, split, strata)):
+                            for (N, L), d in formal.items():
+                                key = f"{pair}>{_xlabel(model, N)};{_xlabel(model, L)}"
+                                for e, c in d.items():
+                                    counts.setdefault((side, key, e), {})[p] = c
+        except SeriesLabelError as err:
+            yield {"reason": str(err)}, {}
+        fits: tuple[dict, dict] = ({}, {})  # per side, key -> the fit in v
+        for (side, key, e), vals in counts.items():
+            # a count absent at some prime is zero there
+            fit = lagrange_fit([(p, vals.get(p, 0)) for p in PRIMES])
+            shifted = LaurentPoly({e - 2 * k: x for k, x in fit.items()})
+            fits[side][key] = fits[side].get(key, LaurentPoly.zero()) + shifted
         zero = LaurentPoly.zero()
-        for k in sorted(set(lhs_fit) | set(rhs_fit)):
+        lhs_fit, rhs_fit = fits
+        for k in sorted(lhs_fit.keys() | rhs_fit.keys()):
             lf, rf = lhs_fit.get(k, zero), rhs_fit.get(k, zero)
-            yield None if lf == rf else (
-                {"key": k, "lhs_fit": lf.render("q"), "rhs_fit": rf.render("q")}, {})
+            yield None if lf == rf else ({"key": k, "lhs_fit": lf.render(), "rhs_fit": rf.render()}, {})
         return {"coefficients": _COUNT}
 
     return _check("polynomiality", params, None, comparisons())

@@ -31,6 +31,7 @@ from hallq.quiver import (
     euler_form,
     induction_twist,
 )
+from hallq.uminus import FreeElement, evaluate_to_hall
 
 V = LaurentPoly.v
 
@@ -114,6 +115,40 @@ def test_ringel_product_a2():
     assert prod.coeffs() == {pp: V(-1), ss: V(-1)}
 
 
+@pytest.mark.parametrize("name,p", [(n, p) for n in ("a2", "a3", "kronecker") for p in (2, 3)])
+def test_ringel_product_is_its_count_table_definition(name, p):
+    # f * g = sum_{N,L} c_N c_L F^M_{N,L} v^{<alpha,beta>} u_M, read here from
+    # the filtration table, on sums with Laurent coefficients and on evaluated words
+    m = model(name, p)
+    Q = m.quiver
+
+    def by_definition(f, g):
+        tw = euler_form(Q, f.dim, g.dim)
+        out = {}
+        for (N, cf), (L, cg) in itertools.product(f.terms, g.terms):
+            for M, count in m.filtration_table(f.dim, g.dim).get((N, L), {}).items():
+                out[M] = out.get(M, LaurentPoly.zero()) + cf * cg * V(tw, count)
+        return {M: c for M, c in out.items() if c}
+
+    coeffs = (LaurentPoly.const(Fraction(1, 3)), V(2) + V(-1, 5), LaurentPoly.const(-3), V(-1))
+    sums = []
+    for d in _dims_up_to(Q, 2)[1:]:
+        ids = m.table(d).ids()
+        sums.append(sum((unit_class(m, C).scale(coeffs[k % 4]) for k, C in enumerate(ids[1:], 1)),
+                        unit_class(m, ids[0]).scale(coeffs[0])))
+    words = [evaluate_to_hall(FreeElement.make(Q, {w: V(1) + 2}), m)
+             for w in itertools.product(range(Q.n), repeat=2)] + [
+             evaluate_to_hall(FreeElement.make(Q, {(i,): V(-2)}), m) for i in range(Q.n)]
+    elements = sums + words
+    assert all(len(f.terms) > 1 or not f.terms[0][1].is_one() for f in elements)
+    for f, g in itertools.product(elements, repeat=2):
+        if f.dim.total + g.dim.total <= 4:
+            assert ringel_product(m, f, g).coeffs() == by_definition(f, g)
+    zero = HallElement.zero(Q, p)
+    for f in elements[:3]:
+        assert ringel_product(m, f, zero).is_zero() and ringel_product(m, zero, f).is_zero()
+
+
 def test_twist_relation_geometric_vs_ringel():
     # geometric = v^{2 sum_h alpha_s beta_t} * ringel on every basis pair
     for name, p in (("a2", 2), ("kronecker", 2)):
@@ -176,7 +211,7 @@ def test_a_released_model_rebuilds_what_it_held(name):
             out["res", alpha, beta] = [m.unit_restriction(C, (alpha, beta))
                                        for C in m.table(alpha + beta).ids()]
             for A, B in itertools.product(m.table(alpha).ids(), m.table(beta).ids()):
-                out["prod", A, B] = m.unit_product(A, B), m.unit_product(A, B, ringel=True)
+                out["prod", A, B] = m.unit_product(A, B), ringel_product(m, unit_class(m, A), unit_class(m, B))
                 for i, side in itertools.product(range(Q.n), strat):
                     out["strat", A, B, i, side] = strat[side](m, A, B, i, 1)
         for dim, i, mm, side in itertools.product(dims, range(Q.n), (1, 2), strat):

@@ -329,10 +329,11 @@ def _operator_associativity(m, maxdim, corrupt=False):
                     for A in m.table(da).ids():
                         for B in m.table(db).ids():
                             for C in m.table(dc).ids():
-                                lhs = prod(m, m.unit_product(A, B, ringel), unit_class(m, C))
+                                u_a, u_b, u_c = (unit_class(m, X) for X in (A, B, C))
+                                lhs = prod(m, prod(m, u_a, u_b), u_c)
                                 if corrupt:
                                     lhs = lhs.scale(LaurentPoly.v(1))
-                                rhs = prod(m, unit_class(m, A), m.unit_product(B, C, ringel))
+                                rhs = prod(m, u_a, prod(m, u_b, u_c))
                                 out.append(None if lhs == rhs else {
                                     "twist": twist, "triple": identities._labels(m, A, B, C),
                                     "lhs": hall.element_to_json(m, lhs),
