@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 from operator import mul
 from typing import Callable, Iterator
 
@@ -43,6 +44,9 @@ from .quiver import SPLIT_SLOT, DimVector, Quiver, derivation_split
 _PRIMITIVE_ROOT = {2: 1, 3: 2, 5: 2, 7: 3, 11: 2}
 
 DEFAULT_POINT_BUDGET = 10**6
+
+# a `PointCodec` row table lists at most this many times p rows
+ROW_TABLE_BOUND = 1024
 
 
 class BudgetExceededError(RuntimeError):
@@ -91,6 +95,13 @@ class PointCodec:
     p; the enumeration order contract. `weights[a][i][j]` is p to the power of
     the digit position of entry (i, j) of arrow a's block, the one source of
     digit places for every sweep over point indices.
+
+    `matrices` reads each row of a block as one digit run: one divmod by
+    p^width, then an index into a row table, which lists every row tuple of
+    that width in digit order. The codec builds each table on first use, once
+    per distinct width, so equal rows of all the points it decodes are one
+    tuple. A table holds at most `ROW_TABLE_BOUND` * p rows; a longer row is
+    read as several runs and joined.
     """
 
     def __init__(self, Q: Quiver, dim: DimVector, p: int):
@@ -105,6 +116,7 @@ class PointCodec:
             weights.append(tuple(tuple(w * p ** (i * cols + j) for j in range(cols)) for i in range(rows)))
             w *= p ** (rows * cols)
         self.weights, self.size = tuple(weights), w
+        self._row_runs: tuple | None = None
 
     def encode(self, matrices: tuple[Matrix, ...]) -> int:
         p = self.p
@@ -117,18 +129,50 @@ class PointCodec:
                     mult *= p
         return idx
 
+    def _runs(self) -> tuple:
+        """Per block (rows, runs), each run a (p^width, row table) pair, with
+        one table per distinct width for all blocks; a block with no rows
+        builds no table."""
+        p = self.p
+        longest = 1
+        while p ** (longest + 1) <= ROW_TABLE_BOUND * p:
+            longest += 1
+        tables: dict[int, tuple[tuple[int, ...], ...]] = {}
+        blocks = []
+        for rows, cols in self.shapes:
+            runs = []
+            if rows:
+                for start in range(0, cols, longest):
+                    width = min(longest, cols - start)
+                    if width not in tables:
+                        tables[width] = tuple(digits[::-1] for digits in product(range(p), repeat=width))
+                    runs.append((p**width, tables[width]))
+            blocks.append((rows, tuple(runs)))
+        self._row_runs = tuple(blocks)
+        return self._row_runs
+
     def matrices(self, idx: int) -> tuple[Matrix, ...]:
         """The arrow matrices of point idx, without building a `Rep`."""
-        p = self.p
+        blocks = self._row_runs
+        if blocks is None:
+            blocks = self._runs()
         mats = []
-        for rows, cols in self.shapes:
+        for rows, runs in blocks:
             m = []
-            for _ in range(rows):
-                row = []
-                for _ in range(cols):
-                    idx, d = divmod(idx, p)
-                    row.append(d)
-                m.append(tuple(row))
+            if len(runs) == 1:
+                # the usual row, one run: the join loop below reads it too,
+                # but costs classify_scan about 3.5 % of run_s (BENCH_24.json)
+                (radix, table), = runs
+                for _ in range(rows):
+                    idx, d = divmod(idx, radix)
+                    m.append(table[d])
+            else:
+                for _ in range(rows):
+                    row = ()
+                    for radix, table in runs:
+                        idx, d = divmod(idx, radix)
+                        row += table[d]
+                    m.append(row)
             mats.append(tuple(m))
         return tuple(mats)
 
@@ -599,23 +643,26 @@ class SubspaceFrame:
     """The part of `stable_subspaces` that depends on (quiver, dim, beta, p)
     but not on the point: per vertex, the subspaces of dimension beta_v, per
     arrow the digit weights of its sub and quotient blocks, and the
-    `PointCodec` of the full space at dim, built on first use.
+    `PointCodec` of the full space at dim.
 
     Each subspace is a tuple (k, basis, pivots, non-pivots, projection) of
     the `fpmat.grassmannian` list. `grassmannian(n, k)` gives that list and
-    `columns(d)` the `weight_columns` at a dimension vector d; by default the
-    frame builds its own. A `HallModel` keeps one frame per (dim, beta), and
-    one list per (n, k) and one set of columns per d for all its frames, in
-    its memo, so these are built once per model until it is released.
+    `columns(d)` the `weight_columns` at a dimension vector d, and `codec` is
+    the codec at dim; by default the frame builds its own, the codec on
+    first use. A `HallModel` keeps one frame per (dim, beta), and one list
+    per (n, k), one set of columns per d and one codec per d for all its
+    frames, in its memo, so these are built once per model until it is
+    released.
     """
 
     __slots__ = ("key", "subspaces", "arrows_at", "_codec")
 
     def __init__(self, Q: Quiver, dim: DimVector, beta: DimVector, p: int,
                  grassmannian: Callable[[int, int], list] | None = None,
-                 columns: Callable[[DimVector], tuple] | None = None):
+                 columns: Callable[[DimVector], tuple] | None = None,
+                 codec: PointCodec | None = None):
         self.key = (Q, dim, beta, p)
-        self._codec: PointCodec | None = None
+        self._codec = codec
         quot = dim - beta
         if grassmannian is None:  # one list per distinct (n, k) of this frame
             own = {nk: fpmat.grassmannian(*nk, p) for nk in set(zip(dim, beta))}

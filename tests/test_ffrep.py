@@ -9,6 +9,7 @@ from hallq import fpmat
 from hallq.ffrep import (
     _PRIMITIVE_ROOT,
     DEFAULT_POINT_BUDGET,
+    ROW_TABLE_BOUND,
     BudgetExceededError,
     ClassificationTable,
     ClassInfo,
@@ -490,6 +491,52 @@ def test_codec_weights_are_the_encodings_of_unit_points():
         assert codec.size == p ** sum(r * c for r, c in codec.shapes)
 
 
+def _reference_matrices(codec, idx):
+    """Point idx decoded one digit at a time from the codec's digit places."""
+    return tuple(tuple(tuple(idx // w % codec.p for w in row) for row in block) for block in codec.weights)
+
+
+def test_codec_decodes_every_point_as_its_digits():
+    cases = list(small_spaces(builtin_names(), cap=625))
+    assert len(cases) > 250
+    # blocks without rows or without columns; the long row of a2 at (12, 1)
+    # is read at p = 2 as two runs
+    assert any(0 in shape for Q, dim, p in cases for shape in PointCodec(Q, dim, p).shapes)
+    cases.append((A2, dv(12, 1), 2))
+    for Q, dim, p in cases:
+        codec = PointCodec(Q, dim, p)
+        for i in range(codec.size):
+            mats = codec.matrices(i)
+            assert mats == _reference_matrices(codec, i), (Q, dim, p, i)
+            assert codec.encode(mats) == i
+        assert list(enumerate_points(Q, dim, p)) == [codec.decode(i) for i in range(codec.size)], (Q, dim, p)
+
+
+def _row_tables(codec):
+    """The row tables a codec has built so far, by width."""
+    return {len(table[0]): table for _, runs in codec._row_runs or () for _, table in runs}
+
+
+def test_codec_row_tables_are_shared_and_bounded():
+    codec = PointCodec(KRON, dv(2, 2), 3)
+    # point 1 and point 3^5 both have the row (0, 0) in their second block,
+    # and the two blocks read one table
+    assert codec.matrices(1)[1][0] is codec.matrices(3**5)[1][1] == (0, 0)
+    assert codec.matrices(0)[0][0] is codec.matrices(0)[1][0]
+    assert list(_row_tables(codec)) == [2]
+    # a row of 12 digits over F_3 is read in runs, and no table has 3^12 rows
+    codec = PointCodec(A2, dv(12, 1), 3)
+    idx = codec.size - 2
+    assert codec.matrices(idx) == _reference_matrices(codec, idx)
+    assert len(_row_tables(codec)) > 1
+    assert all(len(t) <= ROW_TABLE_BOUND * 3 for t in _row_tables(codec).values())
+    # blocks without rows, and rows without digits, build no table
+    for dim in (dv(3, 0), dv(0, 3)):
+        codec = PointCodec(A2, dim, 3)
+        assert codec.matrices(0) == _reference_matrices(codec, 0)
+        assert _row_tables(codec) == {}
+
+
 def test_dimension_vector_of_the_wrong_length_is_refused():
     # (1, 1, 1) on a2 would classify a2 at (1, 1) under an id of length 3
     for dim in (dv(1, 1, 1), dv(1)):
@@ -590,6 +637,28 @@ def test_class_count_is_kostant_partition_function():
         name = next(n for n in DYNKIN_ROOTS if builtin_quiver(n) == Q)
         assert len(classify(Q, dim, p)) == kostant_partition(DYNKIN_ROOTS[name], dim.entries), (
             name, dim, p)
+
+
+D4 = Quiver(("a", "b", "c", "x"), ((0, 3), (1, 3), (2, 3)))
+D4_ROOTS = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+            (1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1),
+            (1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 1),
+            (1, 1, 1, 1), (1, 1, 1, 2)]
+
+
+def test_d4_class_count_is_kostant_partition_function():
+    # Gabriel on D4, whose 12 positive roots include (1,1,1,2). Dropping that
+    # root must change some count (the negative control).
+    cases = [(DimVector(e), p) for p in (2, 3, 5) for e in product(range(4), repeat=4)
+             if any(e) and p ** (e[3] * sum(e[:3])) <= 625]
+    assert len(D4_ROOTS) == 12 and len(cases) == 409
+    without_top = D4_ROOTS[:-1]
+    dropped_mismatches = 0
+    for dim, p in cases:
+        count = len(classify(D4, dim, p))
+        assert count == kostant_partition(D4_ROOTS, dim.entries), (dim, p)
+        dropped_mismatches += count != kostant_partition(without_top, dim.entries)
+    assert dropped_mismatches > 0
 
 
 def closed_points(d, q):
@@ -829,6 +898,13 @@ def test_stable_subspaces_interleaved_generators():
             else:
                 mixed[k].append((gs.bases, gs.sub_index, gs.quot_index))
     assert mixed == alone
+
+
+def test_a_frame_keeps_its_codec_or_builds_one_once():
+    codec = PointCodec(A2, dv(2, 2), 3)
+    assert SubspaceFrame(A2, dv(2, 2), dv(1, 1), 3, codec=codec).codec is codec
+    own = SubspaceFrame(A2, dv(2, 2), dv(1, 1), 3)
+    assert own.codec is own.codec and own.codec.weights == codec.weights
 
 
 def test_stable_subspaces_of_a_quiver_without_vertices():

@@ -266,6 +266,8 @@ def test_count_tables_share_one_frame_per_grading_and_one_grassmannian_per_size(
     for dim, beta in keys:
         frame = m.frame(DimVector(dim), DimVector(beta))
         assert all(f is m.grassmannian(n, k) for f, n, k in zip(frame.subspaces, dim, beta))
+        # the frames at one dim decode through one codec, and so share its row tables
+        assert frame.codec is m.codec(DimVector(dim))
     assert len(frames) == len(keys)  # the reads above built nothing
     # and the tables are those of the sweeps that build their own frames
     alpha, beta = DimVector((1,) * m.quiver.n), DimVector((1,) + (0,) * (m.quiver.n - 1))
@@ -282,7 +284,7 @@ def test_release_empties_frames_grassmannians_and_monomials():
         geometric_induction(m, unit_class(m, A), unit_class(m, B))
         stratified_derive_sub(m, A, B, 0, 1)
     kinds = {k[0] for k in m.memo if isinstance(k, tuple) and isinstance(k[0], str)}
-    assert {"frame", "grass", "columns", "v", "filt", "strat"} <= kinds
+    assert {"frame", "grass", "columns", "codec", "v", "filt", "strat"} <= kinds
     m.release()
     assert m.memo == {}
 
@@ -774,6 +776,28 @@ def test_filtration_counts_are_dual_over_the_opposite_quiver(name, p):
                     assert got == swapped.get((duals[L], duals[N]), {})
                     counts += len(got)
                     unswapped_mismatches += got != unswapped.get((duals[N], duals[L]), {})
+    assert counts > 100
+    assert unswapped_mismatches > 0
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "kronecker"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_extension_tables_are_dual_over_the_opposite_quiver(name, p):
+    # transposing a fiber point [[z, 0], [c, y]] and swapping its two blocks
+    # gives a fiber point over (y^T, z^T), so e^M_{N,L}(Q) = e^{DM}_{DL,DN}(Q^op)
+    # as counts, with no twist. Without the swap the counts must disagree
+    # somewhere (the negative control).
+    m, m_op, duals = _dual_models(name, p)
+    Q = m.quiver
+    counts = unswapped_mismatches = 0
+    for alpha in _dims_up_to(Q, 3):
+        for beta in _dims_up_to(Q, 4 - alpha.total):
+            swapped, unswapped = m_op.extension_table(beta, alpha), m_op.extension_table(alpha, beta)
+            for (N, L), hist in m.extension_table(alpha, beta).items():
+                got = {duals[M]: c for M, c in hist.items()}
+                assert got == swapped[duals[L], duals[N]], (alpha, beta, N, L)
+                counts += len(got)
+                unswapped_mismatches += got != unswapped[duals[N], duals[L]]
     assert counts > 100
     assert unswapped_mismatches > 0
 
