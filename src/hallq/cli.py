@@ -62,15 +62,15 @@ def cached_table_cache(Q: Quiver, p: int, budget: int, use_cache: bool) -> Table
         return TableCache(Q, p, budget)
 
     def loader(dim: DimVector) -> ClassificationTable | None:
-        """A missing or unreadable cache file, or one that holds the table of
-        another space, is a miss; the table is then classified afresh and the
-        saver overwrites the file."""
+        """A missing or unreadable cache file, one nested too deeply to parse,
+        or one that holds the table of another space, is a miss; the table is
+        then classified afresh and the saver overwrites the file."""
         path = _cache_path(Q, dim, p)
         if not path.exists():
             return None
         try:
             table = ClassificationTable.from_json(json.loads(path.read_text()))
-        except (ValueError, KeyError, OSError):
+        except (ValueError, KeyError, OSError, RecursionError):
             return None
         if table.quiver != Q or table.dim != dim or table.p != p:
             return None

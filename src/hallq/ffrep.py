@@ -19,9 +19,9 @@ class pair of the split at once. That one walks the
 x-stable graded subspaces of a point (`stable_subspaces`) and sums the point
 indices of the induced sub and quotient representations while it checks
 stability, so a class is one `class_of_index` lookup. What depends only on
-(quiver, dim, beta, p), the per-vertex subspace lists and codec weights, is
+(quiver, dim, beta, p), the per-vertex subspace lists and codec columns, is
 a `SubspaceFrame`; a `HallModel` keeps one per (dim, beta) for its memo's
-lifetime, and a caller without a model builds one per sweep.
+lifetime, and `stable_subspaces` builds one for a caller without a model.
 
 A derivation sweeps nothing of its own: it is the restriction at a split with
 one part m*e_i, so its histograms are reshapes of the extension table there.
@@ -102,6 +102,10 @@ class PointCodec:
     per distinct width, so equal rows of all the points it decodes are one
     tuple. A table holds at most `ROW_TABLE_BOUND` * p rows; a longer row is
     read as several runs and joined.
+
+    `columns` is `weights` by column: per arrow, one tuple of the weights of
+    each column of its block, a column even with no rows. It too is built on
+    first use.
     """
 
     def __init__(self, Q: Quiver, dim: DimVector, p: int):
@@ -117,6 +121,7 @@ class PointCodec:
             w *= p ** (rows * cols)
         self.weights, self.size = tuple(weights), w
         self._row_runs: tuple | None = None
+        self._columns: tuple | None = None
 
     def encode(self, matrices: tuple[Matrix, ...]) -> int:
         p = self.p
@@ -178,6 +183,13 @@ class PointCodec:
 
     def decode(self, idx: int) -> Rep:
         return Rep(self.quiver, self.p, self.dim, self.matrices(idx))
+
+    @property
+    def columns(self) -> tuple:
+        if self._columns is None:
+            self._columns = tuple(tuple(tuple(row[j] for row in w) for j in range(cols))
+                                  for (_, cols), w in zip(self.shapes, self.weights))
+        return self._columns
 
 
 def enumerate_points(
@@ -281,27 +293,19 @@ class ClassInfo:
 
 
 class ClassificationTable:
-    """G_V-orbit decomposition of E_V(F_p) for one (quiver, dim, p)."""
+    """G_V-orbit decomposition of E_V(F_p) for one (quiver, dim, p), with the
+    `PointCodec` it was classified with."""
 
-    def __init__(
-        self,
-        Q: Quiver,
-        dim: DimVector,
-        p: int,
-        classes: list[ClassInfo],
-        class_of_point: list[int],
-    ):
-        self.quiver = Q
-        self.dim = dim
-        self.p = p
+    def __init__(self, codec: PointCodec, classes: list[ClassInfo], class_of_point: list[int]):
+        self.codec = codec
+        self.quiver, self.dim, self.p = codec.quiver, codec.dim, codec.p
         self.classes = classes
         self._class_of_point = class_of_point
-        self._codec = PointCodec(Q, dim, p)
         self._index = {c.id: k for k, c in enumerate(classes)}
         total = sum(c.orbit_size for c in classes)
-        if total != self._codec.size:
+        if total != codec.size:
             raise AssertionError("orbit equation violated: sum of orbit sizes != p^dim E_V")
-        g = group_order(Q, dim, p)
+        g = group_order(self.quiver, self.dim, self.p)
         for c in classes:
             if c.orbit_size * c.aut_count != g:
                 raise AssertionError("orbit-stabilizer violated for a class")
@@ -331,7 +335,7 @@ class ClassificationTable:
     def iso_class_of(self, x: Rep) -> IsoClassId:
         if x.quiver != self.quiver or x.p != self.p or x.dim != self.dim:
             raise ValueError("representation does not match table context")
-        return self.class_of_index(self._codec.encode(x.matrices))
+        return self.class_of_index(self.codec.encode(x.matrices))
 
     def to_json(self) -> dict:
         return {
@@ -400,7 +404,7 @@ class ClassificationTable:
         class_of_point = list(data["class_of_point"])
         _check_class_of_point(class_of_point, classes, codec)
         try:
-            return ClassificationTable(Q, dim, p, classes, class_of_point)
+            return ClassificationTable(codec, classes, class_of_point)
         except AssertionError as e:
             raise ValueError(str(e)) from None
 
@@ -460,7 +464,10 @@ def _check_class_of_point(class_of_point: list, classes: list[ClassInfo], codec:
     size = codec.size
     if len(class_of_point) != size:
         raise ValueError(f"class_of_point has {len(class_of_point)} entries, expected {size}")
-    counts = Counter(class_of_point)
+    try:
+        counts = Counter(class_of_point)
+    except TypeError:  # a JSON list or object entry
+        raise ValueError("class_of_point holds an unhashable entry") from None
     bad = [k for k in counts if type(k) is not int or not 0 <= k < len(classes)]
     if bad:
         raise ValueError(f"class_of_point holds invalid class indices {bad[:5]!r}")
@@ -599,7 +606,7 @@ def classify(
         class_of_orbit[o] = ci
 
     class_of_point = [class_of_orbit[o] for o in orbit_of]
-    return ClassificationTable(Q, dim, p, classes, class_of_point)
+    return ClassificationTable(codec, classes, class_of_point)
 
 
 def iso_class_of(table: ClassificationTable, x: Rep) -> IsoClassId:
@@ -642,55 +649,31 @@ class TableCache:
 class SubspaceFrame:
     """The part of `stable_subspaces` that depends on (quiver, dim, beta, p)
     but not on the point: per vertex, the subspaces of dimension beta_v, per
-    arrow the digit weights of its sub and quotient blocks, and the
-    `PointCodec` of the full space at dim.
+    arrow the `PointCodec.columns` of its sub and quotient blocks, and the
+    codec of the full space at dim.
 
     Each subspace is a tuple (k, basis, pivots, non-pivots, projection) of
     the `fpmat.grassmannian` list. `grassmannian(n, k)` gives that list and
-    `columns(d)` the `weight_columns` at a dimension vector d, and `codec` is
-    the codec at dim; by default the frame builds its own, the codec on
-    first use. A `HallModel` keeps one frame per (dim, beta), and one list
-    per (n, k), one set of columns per d and one codec per d for all its
+    `codec(d)` the codec at a dimension vector d, whose quiver and prime are
+    the frame's; both are called only here. A `HallModel` keeps one frame per
+    (dim, beta), and one list per (n, k) and one codec per d for all its
     frames, in its memo, so these are built once per model until it is
-    released.
+    released; `stable_subspaces` builds a frame for a caller without one.
     """
 
-    __slots__ = ("key", "subspaces", "arrows_at", "_codec")
+    __slots__ = ("key", "subspaces", "arrows_at", "codec")
 
-    def __init__(self, Q: Quiver, dim: DimVector, beta: DimVector, p: int,
-                 grassmannian: Callable[[int, int], list] | None = None,
-                 columns: Callable[[DimVector], tuple] | None = None,
-                 codec: PointCodec | None = None):
-        self.key = (Q, dim, beta, p)
-        self._codec = codec
-        quot = dim - beta
-        if grassmannian is None:  # one list per distinct (n, k) of this frame
-            own = {nk: fpmat.grassmannian(*nk, p) for nk in set(zip(dim, beta))}
-            grassmannian = lambda n, k: own[n, k]
-        if columns is None:
-            columns = lambda d: weight_columns(Q, d, p)
+    def __init__(self, dim: DimVector, beta: DimVector, grassmannian: Callable[[int, int], list],
+                 codec: Callable[[DimVector], PointCodec]):
+        self.codec = codec(dim)
+        Q = self.codec.quiver
+        self.key = (Q, dim, beta, self.codec.p)
         self.subspaces = [grassmannian(n, k) for n, k in zip(dim, beta)]
         # each arrow is checked once the later of its two ends is chosen, with
         # its weights at beta and dim - beta
-        sub_c, quot_c = columns(beta), columns(quot)
+        sub_c, quot_c = codec(beta).columns, codec(dim - beta).columns
         self.arrows_at = tuple(tuple((a, s, t, sub_c[a], quot_c[a]) for a, (s, t) in enumerate(Q.arrows)
                                      if max(s, t) == v) for v in range(Q.n))
-
-    @property
-    def codec(self) -> PointCodec:
-        """The codec of the full space at dim, for sweeps that decode its points."""
-        if self._codec is None:
-            Q, dim, _, p = self.key
-            self._codec = PointCodec(Q, dim, p)
-        return self._codec
-
-
-def weight_columns(Q: Quiver, d: DimVector, p: int) -> tuple:
-    """Per arrow, the `PointCodec` weights of its block at d, one tuple per
-    column; a column goes in even with no rows, since `_arrow_digits` checks
-    each source basis row as it reads its column tuple."""
-    return tuple(tuple(tuple(row[j] for row in w) for j in range(d[s]))
-                 for (s, _), w in zip(Q.arrows, PointCodec(Q, d, p).weights))
 
 
 @dataclass(frozen=True)
@@ -726,9 +709,11 @@ def stable_subspaces(
     """
     if not beta <= x.dim:
         return
+    Q, p = x.quiver, x.p
     if frame is None:
-        frame = SubspaceFrame(x.quiver, x.dim, beta, x.p)
-    elif frame.key != (x.quiver, x.dim, beta, x.p):
+        frame = SubspaceFrame(x.dim, beta, lambda n, k: fpmat.grassmannian(n, k, p),
+                              lambda d: PointCodec(Q, d, p))
+    elif frame.key != (Q, x.dim, beta, p):
         raise ValueError("subspace frame was built for another space")
     for picks, si, qi in _stable_walk(x.matrices, frame):
         yield GradedSubspace(tuple(u[1] for u in picks), si, qi)
@@ -809,11 +794,11 @@ def _arrow_digits(
 
 
 def filtration_counts(
-    tables: TableCache, M: IsoClassId, beta: DimVector, frame: SubspaceFrame | None = None
+    tables: TableCache, M: IsoClassId, beta: DimVector, frame: SubspaceFrame
 ) -> dict[tuple[IsoClassId, IsoClassId], int]:
     """For the representative of M, count stable subspaces of dimension beta
-    bucketed by (quotient class, sub class). A caller counting several classes
-    of one dimension vector may pass one `SubspaceFrame` for all of them."""
+    bucketed by (quotient class, sub class), walking `frame`, the
+    `SubspaceFrame` at (M.dim, beta)."""
     dim = DimVector(M.dim)
     big = tables.table(dim)
     x = big.info(M).representative
@@ -867,7 +852,7 @@ def extension_histogram(
     z = tables.table(alpha).info(N).representative
     y = tables.table(beta).info(L).representative
     big = tables.table(alpha + beta)
-    counts = Counter(map(big._class_of_point.__getitem__, _fiber_points(big._codec, z, y)))
+    counts = Counter(map(big._class_of_point.__getitem__, _fiber_points(big.codec, z, y)))
     return {big.classes[k].id: c for k, c in counts.items()}
 
 
@@ -889,7 +874,7 @@ def derive_quot_histogram(extension: dict) -> dict[tuple[IsoClassId, IsoClassId]
 
 def stratified_pair_counts(
     tables: TableCache, alpha: DimVector, beta: DimVector, i: int, m: int, side: str,
-    frame: SubspaceFrame | None = None,
+    frame: SubspaceFrame,
 ) -> dict[tuple[IsoClassId, IsoClassId], tuple]:
     """Per-stratum fiber counts for the derivation of an induction product,
     for every class pair at once: (A, B) -> (t, N, count, t, N, count, ...),
@@ -913,17 +898,14 @@ def stratified_pair_counts(
     beta_i + k for side "sub" (quotient at m*e_i) and t = m - k for "quot",
     the mirror.
 
-    `frame` must be built for (quiver, alpha + beta, beta, p); without one
-    a fresh frame is built.
+    `frame` must be built for (quiver, alpha + beta, beta, p).
     """
     Q, p = tables.quiver, tables.p
     nu = alpha + beta
     split = derivation_split(Q, nu, i, m, side)
     if split is None:
         return {}
-    if frame is None:
-        frame = SubspaceFrame(Q, nu, beta, p)
-    elif frame.key != (Q, nu, beta, p):
+    if frame.key != (Q, nu, beta, p):
         raise ValueError("subspace frame was built for another space")
     slot = SPLIT_SLOT[side]
     a_t, b_t = tables.table(alpha), tables.table(beta)

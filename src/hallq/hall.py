@@ -128,12 +128,12 @@ class HallModel:
     from them: the filtration, extension and stratified count tables (each
     filled for every class pair of its key by one sweep), the subspace
     frames those sweeps walk (one `ffrep.SubspaceFrame` per (dim, beta), its
-    lists one per (n, k), its codec one per dim), the unit classes, the
-    operator values on unit classes (Res u_A per (class, split), u_A * u_B
-    per pair, derive(u_A, i, t) per (class, i, t, side)), the monomials
-    c v^e those values share, and the gradings and splits. `release`
-    empties that memo once a run is done with the space; the model stays
-    usable and rebuilds on demand."""
+    lists one per (n, k), its codecs with their columns one per dim), the
+    unit classes, the operator values on unit classes (Res u_A per (class,
+    split), u_A * u_B per pair, derive(u_A, i, t) per (class, i, t, side)),
+    the monomials c v^e those values share, and the gradings and splits.
+    `release` empties that memo once a run is done with the space; the model
+    stays usable and rebuilds on demand."""
 
     def __init__(self, quiver: Quiver, p: int, budget: int = ffrep.DEFAULT_POINT_BUDGET,
                  tables: TableCache | None = None):
@@ -141,9 +141,9 @@ class HallModel:
         self.p = p
         self.tables = tables if tables is not None else TableCache(quiver, p, budget)
         # Tuple keys start with their kind ("filt", "ext", "strat", "frame",
-        # "grass", "columns", "codec", "v", "grading", "split") or with the
-        # operator whose value they hold, so kinds that share a key shape
-        # never collide; a unit class is keyed by its id.
+        # "grass", "codec", "v", "grading", "split") or with the operator
+        # whose value they hold, so kinds that share a key shape never
+        # collide; a unit class is keyed by its id.
         self.memo: dict = {}
 
     def release(self) -> None:
@@ -219,31 +219,26 @@ class HallModel:
     def _stratified_sweep(self, alpha: DimVector, beta: DimVector, i: int, m: int, side: str) -> dict:
         nu = self.grading(alpha, beta)[0]
         # a grading without this split walks nothing, so it needs no frame
-        frame = None if self.split(nu, i, m, side) is None else self.frame(nu, beta)
-        return ffrep.stratified_pair_counts(self.tables, alpha, beta, i, m, side, frame)
+        if self.split(nu, i, m, side) is None:
+            return {}
+        return ffrep.stratified_pair_counts(self.tables, alpha, beta, i, m, side, self.frame(nu, beta))
 
     # -- subspace frames ------------------------------------------------------
 
     def frame(self, dim: DimVector, beta: DimVector) -> ffrep.SubspaceFrame:
         """The `ffrep.SubspaceFrame` of the subspaces of dimension beta at
-        dim, its lists, weights and codec read from `grassmannian`,
-        `weight_columns` and `codec`."""
+        dim, its lists and codecs read from `grassmannian` and `codec`."""
         return self._memo(("frame", dim.entries, beta.entries), ffrep.SubspaceFrame,
-                          self.quiver, dim, beta, self.p, self.grassmannian, self.weight_columns,
-                          self.codec(dim))
+                          dim, beta, self.grassmannian, self.codec)
 
     def codec(self, dim: DimVector) -> ffrep.PointCodec:
-        """`ffrep.PointCodec` at dim, one per dim, so the frames at dim
-        share it and its row tables."""
+        """`ffrep.PointCodec` at dim, one per dim, so the frames that read it
+        share its row tables and columns."""
         return self._memo(("codec", dim.entries), ffrep.PointCodec, self.quiver, dim, self.p)
 
     def grassmannian(self, n: int, k: int) -> list:
         """`fpmat.grassmannian(n, k, p)`, one list per (n, k)."""
         return self._memo(("grass", n, k), fpmat.grassmannian, n, k, self.p)
-
-    def weight_columns(self, dim: DimVector) -> tuple:
-        """`ffrep.weight_columns` at dim, one per dim."""
-        return self._memo(("columns", dim.entries), ffrep.weight_columns, self.quiver, dim, self.p)
 
     def derive_sub_table(self, alpha: DimVector, i: int, m: int) -> dict:
         """(M, N) -> count for derive_sub at alpha, vertex i, multiplicity m: the extension

@@ -66,7 +66,7 @@ def test_criterion_01_orbit_bookkeeping():
             for dim in sweep_dims(name):
                 t = m.table(dim)
                 g = group_order(m.quiver, dim, p)
-                assert sum(c.orbit_size for c in t.classes) == t._codec.size
+                assert sum(c.orbit_size for c in t.classes) == t.codec.size
                 for c in t.classes:
                     assert c.orbit_size * c.aut_count == g
                 checked += len(t.classes)

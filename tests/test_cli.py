@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from hallq.cli import main
-from hallq.ffrep import ClassificationTable, TableCache, classify
+from hallq.cli import cached_table_cache, main
+from hallq.ffrep import DEFAULT_POINT_BUDGET, ClassificationTable, TableCache, classify
 from hallq.identities import SweepConfig
 from hallq.quiver import DimVector, builtin_quiver
 
@@ -323,6 +323,8 @@ BAD_TABLE_JSON = {
     "classes_as_int": lambda d: d.update(classes=5),
     "class_entry_as_string": lambda d: d.update(classes=["x"]),
     "class_of_point_as_int": lambda d: d.update(class_of_point=7),
+    "class_of_point_entry_as_list": lambda d: d["class_of_point"].__setitem__(0, [0]),
+    "class_of_point_entry_as_object": lambda d: d["class_of_point"].__setitem__(0, {}),
 }
 
 
@@ -369,6 +371,35 @@ def test_bad_cache_file_is_a_miss_and_is_overwritten(cache, capsys, corrupt):
     code, again, _ = run_cli(capsys, *args)
     assert code == 0
     assert again == fresh
+    assert path.read_text() == good
+
+
+def _first_point_as(entry):
+    def corrupt(text):
+        data = json.loads(text)
+        data["class_of_point"][0] = entry
+        return json.dumps(data, sort_keys=True)
+
+    return corrupt
+
+
+# cache texts that the loader once let escape as TypeError or RecursionError
+CRASHING_CACHE_TEXT = {
+    "class_of_point_entry_as_list": _first_point_as([0]),
+    "class_of_point_entry_as_object": _first_point_as({}),
+    "deeply_nested": lambda text: "[" * 200_000,
+}
+
+
+@pytest.mark.parametrize("corrupt", CRASHING_CACHE_TEXT.values(), ids=CRASHING_CACHE_TEXT.keys())
+def test_a_cache_file_that_crashed_the_loader_is_a_miss_and_is_overwritten(cache, corrupt):
+    Q, dim = builtin_quiver("a2"), DimVector((2, 1))
+    fresh = cached_table_cache(Q, 3, DEFAULT_POINT_BUDGET, True).table(dim)
+    [path] = cache.glob("*.json")
+    good = path.read_text()
+    path.write_text(corrupt(good))
+    table = cached_table_cache(Q, 3, DEFAULT_POINT_BUDGET, True).table(dim)
+    assert table.to_json() == fresh.to_json()
     assert path.read_text() == good
 
 

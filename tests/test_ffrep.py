@@ -6,6 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from hallq import fpmat
+from hallq.hall import HallModel
 from hallq.ffrep import (
     _PRIMITIVE_ROOT,
     DEFAULT_POINT_BUDGET,
@@ -47,6 +48,12 @@ def dv(*e):
 def a2_rep(x01, p):
     """A2 representation of dim (1,1) with arrow matrix (x01)."""
     return Rep(A2, p, dv(1, 1), (((x01,),),))
+
+
+def model_filtration_counts(tables, M, beta):
+    """`filtration_counts` of M over the frame that a `HallModel` on these tables walks."""
+    frame = HallModel(tables.quiver, tables.p, tables=tables).frame(DimVector(M.dim), beta)
+    return filtration_counts(tables, M, beta, frame)
 
 
 # brute-force oracle: |GL_2(F_2)| by direct enumeration
@@ -214,10 +221,10 @@ def test_filtration_numbers_a2():
         s1 = tables.table(dv(1, 0)).classes[0].id
         s2 = tables.table(dv(0, 1)).classes[0].id
         ss, pp = s_classes(tables, p)
-        assert filtration_counts(tables, pp, dv(0, 1)).get((s1, s2), 0) == 1
-        assert filtration_counts(tables, pp, dv(1, 0)).get((s2, s1), 0) == 0
-        assert filtration_counts(tables, ss, dv(0, 1)).get((s1, s2), 0) == 1
-        assert filtration_counts(tables, ss, dv(1, 0)).get((s2, s1), 0) == 1
+        assert model_filtration_counts(tables, pp, dv(0, 1)).get((s1, s2), 0) == 1
+        assert model_filtration_counts(tables, pp, dv(1, 0)).get((s2, s1), 0) == 0
+        assert model_filtration_counts(tables, ss, dv(0, 1)).get((s1, s2), 0) == 1
+        assert model_filtration_counts(tables, ss, dv(1, 0)).get((s2, s1), 0) == 1
 
 
 def test_filtration_single_vertex_matches_gaussian():
@@ -225,7 +232,7 @@ def test_filtration_single_vertex_matches_gaussian():
         tables = TableCache(SINGLE, p)
         s = tables.table(dv(1)).classes[0].id
         s2 = tables.table(dv(2)).classes[0].id
-        assert filtration_counts(tables, s2, dv(1)).get((s, s), 0) == gaussian_binomial_q(2, 1).eval_rational(p)
+        assert model_filtration_counts(tables, s2, dv(1)).get((s, s), 0) == gaussian_binomial_q(2, 1).eval_rational(p)
 
 
 def test_extension_counts_a2():
@@ -271,7 +278,7 @@ def test_filtration_extension_conversion():
                 on = tables.table(alpha).info(N).orbit_size
                 ol = tables.table(beta).info(L).orbit_size
                 for M in big.ids():
-                    f = filtration_counts(tables, M, beta).get((N, L), 0)
+                    f = model_filtration_counts(tables, M, beta).get((N, L), 0)
                     e = hist.get(M, 0)
                     assert big.info(M).orbit_size * f == n_w * e * on * ol
 
@@ -357,7 +364,7 @@ def test_filtration_representative_independence():
             if (tables.table(dv(1, 0)).class_of_index(gs.quot_index) == s1
                     and tables.table(dv(0, 1)).class_of_index(gs.sub_index) == s2):
                 count += 1
-        assert count == filtration_counts(tables, pp, dv(0, 1)).get((s1, s2), 0)
+        assert count == model_filtration_counts(tables, pp, dv(0, 1)).get((s1, s2), 0)
 
 
 def test_extension_count_representative_independence():
@@ -456,7 +463,7 @@ def _classify_union_find(Q, dim, p):
         classes.append(ClassInfo(IsoClassId(dim.entries, fp, k), rep, len(pts), g_order // len(pts)))
         for idx in pts:
             class_of_point[idx] = ci
-    return ClassificationTable(Q, dim, p, classes, class_of_point)
+    return ClassificationTable(codec, classes, class_of_point)
 
 
 def small_spaces(names, cap):
@@ -489,6 +496,24 @@ def test_codec_weights_are_the_encodings_of_unit_points():
                     assert weight == codec.encode(zero), (Q, dim, p, a, i, j)
                     zero[a][i][j] = 0
         assert codec.size == p ** sum(r * c for r, c in codec.shapes)
+
+
+def test_codec_columns_are_its_weights_by_column():
+    cases = list(small_spaces(builtin_names(), cap=625))
+    # blocks without rows keep their columns; blocks without columns have none
+    assert any(r == 0 < c for Q, dim, p in cases for r, c in PointCodec(Q, dim, p).shapes)
+    assert any(c == 0 < r for Q, dim, p in cases for r, c in PointCodec(Q, dim, p).shapes)
+    for Q, dim, p in cases:
+        codec = PointCodec(Q, dim, p)
+        want = []
+        for (rows, cols), w in zip(codec.shapes, codec.weights):
+            block = [[] for _ in range(cols)]
+            for i in range(rows):
+                for j in range(cols):
+                    block[j].append(w[i][j])
+            want.append(tuple(tuple(column) for column in block))
+        assert codec.columns == tuple(want), (Q, dim, p)
+        assert codec.columns is codec.columns
 
 
 def _reference_matrices(codec, idx):
@@ -876,7 +901,7 @@ def test_stable_subspaces_interleaved_generators():
     # generators on different spaces, and on two points sharing one frame,
     # consumed in turns give what each gives alone
     p = 3
-    frame = SubspaceFrame(A2, dv(2, 2), dv(1, 1), p)
+    frame = HallModel(A2, p).frame(dv(2, 2), dv(1, 1))
     points = list(enumerate_points(A2, dv(2, 2), p))
     runs = [
         (points[5], dv(1, 1), frame),
@@ -900,11 +925,31 @@ def test_stable_subspaces_interleaved_generators():
     assert mixed == alone
 
 
-def test_a_frame_keeps_its_codec_or_builds_one_once():
-    codec = PointCodec(A2, dv(2, 2), 3)
-    assert SubspaceFrame(A2, dv(2, 2), dv(1, 1), 3, codec=codec).codec is codec
-    own = SubspaceFrame(A2, dv(2, 2), dv(1, 1), 3)
-    assert own.codec is own.codec and own.codec.weights == codec.weights
+def test_a_frame_reads_its_space_and_columns_from_its_codecs():
+    codecs = {}
+
+    def codec(d):
+        return codecs.setdefault(d.entries, PointCodec(KRON, d, 3))
+
+    frame = SubspaceFrame(dv(2, 1), dv(1, 1), lambda n, k: fpmat.grassmannian(n, k, 3), codec)
+    assert frame.key == (KRON, dv(2, 1), dv(1, 1), 3)
+    assert frame.codec is codecs[2, 1] and sorted(codecs) == [(1, 0), (1, 1), (2, 1)]
+    # both arrows end at vertex 1, so both are checked once it is chosen
+    assert frame.arrows_at[0] == ()
+    for a, (_, _, _, sub_w, quot_w) in enumerate(frame.arrows_at[1]):
+        assert sub_w is codecs[1, 1].columns[a] and quot_w is codecs[1, 0].columns[a]
+
+
+def test_stable_subspaces_without_a_frame_walk_as_with_a_model_frame():
+    a3 = builtin_quiver("a3")
+    for Q, dim, p in [(A2, dv(2, 2), 3), (KRON, dv(2, 1), 2), (a3, dv(1, 2, 1), 2)]:
+        m = HallModel(Q, p)
+        for beta in _betas(dim):
+            frame = m.frame(dim, beta)
+            for x in list(enumerate_points(Q, dim, p))[::5]:
+                alone = [(gs.bases, gs.sub_index, gs.quot_index) for gs in stable_subspaces(x, beta)]
+                framed = [(gs.bases, gs.sub_index, gs.quot_index) for gs in stable_subspaces(x, beta, frame)]
+                assert alone == framed, (Q, dim, beta, p, x)
 
 
 def test_stable_subspaces_of_a_quiver_without_vertices():
@@ -917,8 +962,8 @@ def test_stable_subspaces_of_a_quiver_without_vertices():
 
 def test_stable_subspaces_rejects_frame_of_another_space():
     x = zero_rep(A2, dv(2, 1), 2)
-    for frame in (SubspaceFrame(A2, dv(2, 1), dv(1, 0), 2), SubspaceFrame(A2, dv(2, 1), dv(1, 1), 3),
-                  SubspaceFrame(KRON, dv(2, 1), dv(1, 1), 2)):
+    for frame in (HallModel(A2, 2).frame(dv(2, 1), dv(1, 0)), HallModel(A2, 3).frame(dv(2, 1), dv(1, 1)),
+                  HallModel(KRON, 2).frame(dv(2, 1), dv(1, 1))):
         with pytest.raises(ValueError):
             next(stable_subspaces(x, dv(1, 1), frame))
         with pytest.raises(ValueError):  # the fiber sweep at (1, 0) + (1, 1), one split of it
@@ -969,9 +1014,11 @@ def test_filtration_and_stratified_counts_match_reference_kernel():
     a3 = builtin_quiver("a3")
     for Q, nu, p in [(A2, dv(2, 2), 2), (A2, dv(2, 1), 3), (KRON, dv(1, 2), 2), (a3, dv(1, 2, 1), 2)]:
         tables = TableCache(Q, p)
+        model = HallModel(Q, p, tables=tables)
         for beta in _betas(nu):
+            frame = model.frame(nu, beta)
             for M in tables.table(nu).ids():
-                assert filtration_counts(tables, M, beta) == _filtration_counts_reference(tables, M, beta)
+                assert filtration_counts(tables, M, beta, frame) == _filtration_counts_reference(tables, M, beta)
         checked = 0
         for beta in _betas(nu):
             alpha = nu - beta
@@ -979,7 +1026,7 @@ def test_filtration_and_stratified_counts_match_reference_kernel():
                 continue
             for i in range(Q.n):
                 for m, side in product((1, 2), ("sub", "quot")):
-                    pairs = stratified_pair_counts(tables, alpha, beta, i, m, side)
+                    pairs = stratified_pair_counts(tables, alpha, beta, i, m, side, model.frame(nu, beta))
                     for A in tables.table(alpha).ids():
                         for B in tables.table(beta).ids():
                             ref = _stratified_pair_counts_reference(tables, alpha, beta, A, B, i, m, side)
@@ -1043,7 +1090,7 @@ def test_fiber_points_and_histogram_match_assembled_reference():
                     z = tables.table(alpha).info(N).representative
                     y = tables.table(beta).info(L).representative
                     reps = [_assemble(Q, p, z, y, c) for c in _iter_corners(Q, alpha, beta, p)]
-                    assert _fiber_points(big._codec, z, y) == [big._codec.encode(x.matrices) for x in reps]
+                    assert _fiber_points(big.codec, z, y) == [big.codec.encode(x.matrices) for x in reps]
                     want = {}
                     for x in reps:
                         M = big.iso_class_of(x)

@@ -248,9 +248,9 @@ def test_count_tables_share_one_frame_per_grading_and_one_grassmannian_per_size(
     frames, lists = [], []
     frame_init, grassmannian = ffrep.SubspaceFrame.__init__, fpmat.grassmannian
 
-    def counted_frame(self, Q, dim, beta, *rest):
+    def counted_frame(self, dim, beta, *rest):
         frames.append((dim.entries, beta.entries))
-        frame_init(self, Q, dim, beta, *rest)
+        frame_init(self, dim, beta, *rest)
 
     def counted_list(n, k, p):
         lists.append((n, k))
@@ -268,11 +268,16 @@ def test_count_tables_share_one_frame_per_grading_and_one_grassmannian_per_size(
         assert all(f is m.grassmannian(n, k) for f, n, k in zip(frame.subspaces, dim, beta))
         # the frames at one dim decode through one codec, and so share its row tables
         assert frame.codec is m.codec(DimVector(dim))
+        # and all frames read the columns of the one codec per sub or quotient dim
+        sub_c, quot_c = m.codec(DimVector(beta)).columns, m.codec(DimVector(dim) - DimVector(beta)).columns
+        for a, _, _, sub_w, quot_w in itertools.chain(*frame.arrows_at):
+            assert sub_w is sub_c[a] and quot_w is quot_c[a]
     assert len(frames) == len(keys)  # the reads above built nothing
-    # and the tables are those of the sweeps that build their own frames
+    # and the tables are those of frames that share nothing
     alpha, beta = DimVector((1,) * m.quiver.n), DimVector((1,) + (0,) * (m.quiver.n - 1))
     fresh = HallModel(m.quiver, 2, tables=m.tables)
-    monkeypatch.setattr(fresh, "frame", lambda dim, beta: None)
+    monkeypatch.setattr(fresh, "frame", lambda dim, beta: ffrep.SubspaceFrame(
+        dim, beta, lambda n, k: grassmannian(n, k, 2), lambda d: ffrep.PointCodec(m.quiver, d, 2)))
     assert fresh.filtration_table(alpha, beta) == m.filtration_table(alpha, beta)
     assert fresh.stratified_table(alpha, beta, 0, 1, "sub") == m.stratified_table(alpha, beta, 0, 1, "sub")
 
@@ -284,7 +289,7 @@ def test_release_empties_frames_grassmannians_and_monomials():
         geometric_induction(m, unit_class(m, A), unit_class(m, B))
         stratified_derive_sub(m, A, B, 0, 1)
     kinds = {k[0] for k in m.memo if isinstance(k, tuple) and isinstance(k[0], str)}
-    assert {"frame", "grass", "columns", "codec", "v", "filt", "strat"} <= kinds
+    assert {"frame", "grass", "codec", "v", "filt", "strat"} <= kinds
     m.release()
     assert m.memo == {}
 
