@@ -3,24 +3,27 @@ plus the raw counting primitives (orbits, homs, submodules, extensions) that
 the algebra layer is built on.
 
 A representation is a point of E_V(F_p), one matrix per arrow, and each
-point has an index in 0..p^D-1; `PointCodec.weights` is the one source of
-digit places. Isomorphism classes are G_V-orbits, computed exactly by a
-breadth-first sweep over all point indices: each generator of GL_n is a
-window of one or two coordinates, acting on an index through digit tables
-over the window's rows or columns of an arrow block, so no point is decoded
-into matrices except the class representatives. All counts are exact integers.
+point has an index in 0..p^D-1. The sweeps read digit places from
+`PointCodec.weights`; `encode` and the codec's row tables spell out the same
+layout in faster loops of their own. Isomorphism classes are G_V-orbits,
+computed exactly by a breadth-first sweep over all point indices: each
+generator of GL_n is a window of one or two coordinates, acting on an index
+through digit tables over the window's rows or columns of an arrow block, so
+no point is decoded into matrices except the class representatives. All
+counts are exact integers.
 
 Every count is one of two sweeps over point indices. A restriction fiber
 (`_fiber_points`), over a fixed quotient point z and sub point y, is a base
 index made of the digits of z and y plus one digit offset per corner entry;
 the extension histograms read each fiber point's class from `class_of_point`,
 and the stratified counts pass its matrices to the second sweep, for every
-class pair of the split at once. That one walks the
-x-stable graded subspaces of a point (`stable_subspaces`) and sums the point
-indices of the induced sub and quotient representations while it checks
-stability, so a class is one `class_of_index` lookup. What depends only on
-(quiver, dim, beta, p), the per-vertex subspace lists and codec columns, is
-a `SubspaceFrame`; a `HallModel` keeps one per (dim, beta) for its memo's
+class pair of the split at once. That one walks the x-stable graded
+subspaces of a point (`stable_subspaces`) and sums the point indices of the
+induced sub and quotient representations while it checks stability, so a
+class is one `class_of_point` read. Every sweep counts class indices and
+makes the `IsoClassId`s of each key once, when it returns. What depends only
+on (quiver, dim, beta, p), the per-vertex subspace lists and codec columns,
+is a `SubspaceFrame`; a `HallModel` keeps one per (dim, beta) for its memo's
 lifetime, and `stable_subspaces` builds one for a caller without a model.
 
 A derivation sweeps nothing of its own: it is the restriction at a split with
@@ -93,8 +96,8 @@ class PointCodec:
 
     Digit order: arrows in quiver order, entries row-major, little-endian base
     p; the enumeration order contract. `weights[a][i][j]` is p to the power of
-    the digit position of entry (i, j) of arrow a's block, the one source of
-    digit places for every sweep over point indices.
+    the digit position of entry (i, j) of arrow a's block; the sweeps over
+    point indices read their digit places from it.
 
     `matrices` reads each row of a block as one digit run: one divmod by
     p^width, then an index into a row table, which lists every row tuple of
@@ -124,6 +127,7 @@ class PointCodec:
         self._columns: tuple | None = None
 
     def encode(self, matrices: tuple[Matrix, ...]) -> int:
+        # a sum over `weights` measured 2.2x slower (kronecker (2,3), p = 3)
         p = self.p
         idx = 0
         mult = 1
@@ -676,28 +680,17 @@ class SubspaceFrame:
                                      if max(s, t) == v) for v in range(Q.n))
 
 
-@dataclass(frozen=True)
-class GradedSubspace:
-    """An x-stable I-graded subspace W with the point indices of the induced
-    sub and quotient representations.
-
-    `bases` holds one RREF row basis per vertex. The sub matrix of an arrow
-    is written in the basis rows of W; the quotient coordinates are the
-    non-pivot standard vectors in increasing order. `sub_index` and
-    `quot_index` are the `PointCodec` indices of those points at beta and at
-    dim - beta, so a class is `ClassificationTable.class_of_index(index)`.
-    """
-
-    bases: tuple[Matrix, ...]
-    sub_index: int
-    quot_index: int
-
-
 def stable_subspaces(
     x: Rep, beta: DimVector, frame: SubspaceFrame | None = None
-) -> Iterator[GradedSubspace]:
-    """All x-stable graded subspaces of dimension vector beta, each once, in
-    the order of the product of the per-vertex `fpmat.grassmannian` lists.
+) -> Iterator[tuple[tuple[Matrix, ...], int, int]]:
+    """All x-stable graded subspaces W of dimension vector beta, each once, in
+    the order of the product of the per-vertex `fpmat.grassmannian` lists, as
+    (bases, sub index, quotient index).
+
+    `bases` holds one RREF row basis of W per vertex. The sub matrix of an
+    arrow is written in the basis rows of W; the quotient coordinates are the
+    non-pivot standard vectors in increasing order. The indices are the
+    `PointCodec` indices of those points at beta and at dim - beta.
 
     Vertices are chosen depth first in vertex order, and each arrow is
     checked as soon as both of its ends are chosen, so an unstable prefix is
@@ -716,7 +709,7 @@ def stable_subspaces(
     elif frame.key != (Q, x.dim, beta, p):
         raise ValueError("subspace frame was built for another space")
     for picks, si, qi in _stable_walk(x.matrices, frame):
-        yield GradedSubspace(tuple(u[1] for u in picks), si, qi)
+        yield tuple(u[1] for u in picks), si, qi
 
 
 def _stable_walk(mats: tuple[Matrix, ...], frame: SubspaceFrame) -> Iterator[tuple[list, int, int]]:
@@ -798,17 +791,14 @@ def filtration_counts(
 ) -> dict[tuple[IsoClassId, IsoClassId], int]:
     """For the representative of M, count stable subspaces of dimension beta
     bucketed by (quotient class, sub class), walking `frame`, the
-    `SubspaceFrame` at (M.dim, beta)."""
+    `SubspaceFrame` at (M.dim, beta). Keys appear in the order the walk first
+    meets them."""
     dim = DimVector(M.dim)
-    big = tables.table(dim)
-    x = big.info(M).representative
-    sub_t = tables.table(beta)
-    quot_t = tables.table(dim - beta)
-    out: dict[tuple[IsoClassId, IsoClassId], int] = {}
-    for gs in stable_subspaces(x, beta, frame):
-        key = (quot_t.class_of_index(gs.quot_index), sub_t.class_of_index(gs.sub_index))
-        out[key] = out.get(key, 0) + 1
-    return out
+    x = tables.table(dim).info(M).representative
+    sub_t, quot_t = tables.table(beta), tables.table(dim - beta)
+    sub_of, quot_of = sub_t._class_of_point, quot_t._class_of_point
+    counts = Counter((quot_of[qi], sub_of[si]) for _, si, qi in stable_subspaces(x, beta, frame))
+    return {(quot_t.classes[q].id, sub_t.classes[s].id): c for (q, s), c in counts.items()}
 
 
 # -- extension counting (restriction fibers) ------------------------------------

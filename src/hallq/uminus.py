@@ -74,19 +74,6 @@ class FreeElement(_Terms):
         )
 
 
-def multiply(x: FreeElement, y: FreeElement) -> FreeElement:
-    """Bilinear concatenation product."""
-    if x.quiver != y.quiver:
-        raise ValueError("elements over different quivers")
-    out: dict[Word, LaurentPoly] = {}
-    for w1, c1 in x.terms:
-        for w2, c2 in y.terms:
-            w = w1 + w2
-            c = c1 * c2
-            out[w] = out.get(w, LaurentPoly.zero()) + c
-    return FreeElement.make(x.quiver, out)
-
-
 def derivation_left(x: FreeElement, i: int) -> FreeElement:
     """The unique linear map with seed F_j -> delta_{ij} and Leibniz rule
     d(xy) = d(x) y + v^{(deg x, i)} x d(y)."""

@@ -33,6 +33,7 @@ from hallq.ffrep import (
     zero_rep,
     Rep,
 )
+from hallq.identities import SweepConfig, _dims_up_to
 from hallq.laurent import gaussian_binomial_q
 from hallq.quiver import DimVector, Quiver, builtin_names, builtin_quiver
 
@@ -195,9 +196,10 @@ def test_stable_subspaces_examples():
     pp = a2_rep(1, 2)
     ss = a2_rep(0, 2)
     got = list(stable_subspaces(pp, dv(0, 1)))
-    assert len(got) == 1
-    assert PointCodec(A2, dv(0, 1), 2).decode(got[0].sub_index).dim == dv(0, 1)
-    assert PointCodec(A2, dv(1, 0), 2).decode(got[0].quot_index).dim == dv(1, 0)
+    assert len(got) == 1 and type(got[0]) is tuple
+    _, sub_index, quot_index = got[0]
+    assert PointCodec(A2, dv(0, 1), 2).decode(sub_index).dim == dv(0, 1)
+    assert PointCodec(A2, dv(1, 0), 2).decode(quot_index).dim == dv(1, 0)
     assert list(stable_subspaces(pp, dv(1, 0))) == []
     assert len(list(stable_subspaces(ss, dv(1, 0)))) == 1
 
@@ -261,26 +263,39 @@ def test_extension_total_is_fiber_size():
 
 
 def test_filtration_extension_conversion():
-    # |O_M| F^M_{N,L} = (number of graded subspaces of dim beta) e^M_{N,L} |O_N| |O_L|
-    cases = [(A2, dv(1, 0), dv(0, 1), 2), (A2, dv(1, 0), dv(0, 1), 3),
-             (A2, dv(1, 1), dv(1, 0), 2), (SINGLE, dv(1), dv(1), 3),
-             (KRON, dv(1, 0), dv(0, 1), 2)]
-    for Q, alpha, beta, p in cases:
-        tables = TableCache(Q, p)
-        nu = alpha + beta
-        big = tables.table(nu)
-        n_w = 1
-        for v in range(Q.n):
-            n_w *= int(gaussian_binomial_q(nu[v], beta[v]).eval_rational(p))
-        for N in tables.table(alpha).ids():
-            for L in tables.table(beta).ids():
-                hist = extension_histogram(tables, N, L)
-                on = tables.table(alpha).info(N).orbit_size
-                ol = tables.table(beta).info(L).orbit_size
-                for M in big.ids():
-                    f = model_filtration_counts(tables, M, beta).get((N, L), 0)
-                    e = hist.get(M, 0)
-                    assert big.info(M).orbit_size * f == n_w * e * on * ol
+    # Riedtmann: |O_M| F^M_{N,L} = n_W e^M_{N,L} |O_N| |O_L|, with n_W the
+    # number of graded subspaces of dimension beta at alpha + beta. F comes from
+    # the stable-subspace walk and e from the restriction fibers, so each sweep
+    # checks the other, on every (alpha, beta) of the default verify region.
+    config = SweepConfig()
+    tables = 0
+    for name, p in product(config.quivers, config.primes):
+        Q = builtin_quiver(name)
+        model = HallModel(Q, p)
+        maxdim = config.single_maxdim if Q.n == 1 else config.maxdim
+
+        def orbit(X):
+            return model.table(DimVector(X.dim)).info(X).orbit_size
+
+        for alpha in _dims_up_to(Q, maxdim):
+            for beta in _dims_up_to(Q, maxdim - alpha.total):
+                n_w = 1
+                for n, k in zip(alpha + beta, beta):
+                    n_w *= int(gaussian_binomial_q(n, k).eval_rational(p))
+                want = {}
+                for (N, L), hist in model.extension_table(alpha, beta).items():
+                    scale = n_w * orbit(N) * orbit(L)
+                    want[N, L] = {}
+                    for M, e in hist.items():
+                        f, r = divmod(scale * e, orbit(M))
+                        assert r == 0, (name, p, alpha, beta, N, L, M)
+                        want[N, L][M] = f
+                assert model.filtration_table(alpha, beta) == want, (name, p, alpha, beta)
+                tables += 1
+    # every (alpha, beta) of total at most maxdim, C(maxdim + 2n, 2n) per quiver
+    # with n vertices: 21 on single, 70 on each of the three two-vertex quivers
+    # and 210 on a3, at each of the two primes
+    assert tables == 882
 
 
 def test_extension_representative_independence():
@@ -360,9 +375,9 @@ def test_filtration_representative_independence():
     s2 = tables.table(dv(0, 1)).classes[0].id
     for x in (rep, other):
         count = 0
-        for gs in stable_subspaces(x, dv(0, 1)):
-            if (tables.table(dv(1, 0)).class_of_index(gs.quot_index) == s1
-                    and tables.table(dv(0, 1)).class_of_index(gs.sub_index) == s2):
+        for _, sub_index, quot_index in stable_subspaces(x, dv(0, 1)):
+            if (tables.table(dv(1, 0)).class_of_index(quot_index) == s1
+                    and tables.table(dv(0, 1)).class_of_index(sub_index) == s2):
                 count += 1
         assert count == model_filtration_counts(tables, pp, dv(0, 1)).get((s1, s2), 0)
 
@@ -873,8 +888,8 @@ def test_stable_subspaces_match_reference_kernel():
         for beta in _betas(dim):
             sub_t, quot_t = tables.table(beta), tables.table(dim - beta)
             for x in enumerate_points(Q, dim, p):
-                got = [(gs.bases, quot_t.class_of_index(gs.quot_index),
-                        sub_t.class_of_index(gs.sub_index)) for gs in stable_subspaces(x, beta)]
+                got = [(bases, quot_t.class_of_index(qi), sub_t.class_of_index(si))
+                       for bases, si, qi in stable_subspaces(x, beta)]
                 want = [(bases, quot_t.iso_class_of(quot), sub_t.iso_class_of(sub))
                         for bases, sub, quot in _stable_subspaces_reference(x, beta)]
                 assert got == want, (Q, dim, beta, p, x)
@@ -889,12 +904,12 @@ def test_graded_subspace_reps_encode_to_indices():
         for x in list(enumerate_points(Q, dim, p))[::7]:
             want = list(_stable_subspaces_reference(x, beta))
             got = list(stable_subspaces(x, beta))
-            assert [gs.bases for gs in got] == [w[0] for w in want]
+            assert [bases for bases, _, _ in got] == [w[0] for w in want]
             sub_codec, quot_codec = PointCodec(Q, beta, p), PointCodec(Q, dim - beta, p)
-            for gs, (_, sub, quot) in zip(got, want):
-                assert sub_codec.decode(gs.sub_index) == sub and quot_codec.decode(gs.quot_index) == quot
-                assert sub_codec.encode(sub.matrices) == gs.sub_index
-                assert quot_codec.encode(quot.matrices) == gs.quot_index
+            for (_, si, qi), (_, sub, quot) in zip(got, want):
+                assert sub_codec.decode(si) == sub and quot_codec.decode(qi) == quot
+                assert sub_codec.encode(sub.matrices) == si
+                assert quot_codec.encode(quot.matrices) == qi
 
 
 def test_stable_subspaces_interleaved_generators():
@@ -910,7 +925,7 @@ def test_stable_subspaces_interleaved_generators():
         (Rep(KRON, p, dv(2, 1), (((1, 0),), ((0, 1),))), dv(1, 1), None),
         (points[0], dv(1, 0), None),
     ]
-    alone = [[(gs.bases, gs.sub_index, gs.quot_index) for gs in stable_subspaces(*r)] for r in runs]
+    alone = [list(stable_subspaces(*r)) for r in runs]
     assert all(alone) and alone[1] == alone[2]
     gens = [stable_subspaces(*r) for r in runs]
     mixed = [[] for _ in runs]
@@ -921,7 +936,7 @@ def test_stable_subspaces_interleaved_generators():
             if gs is None:
                 live.remove(k)
             else:
-                mixed[k].append((gs.bases, gs.sub_index, gs.quot_index))
+                mixed[k].append(gs)
     assert mixed == alone
 
 
@@ -947,8 +962,8 @@ def test_stable_subspaces_without_a_frame_walk_as_with_a_model_frame():
         for beta in _betas(dim):
             frame = m.frame(dim, beta)
             for x in list(enumerate_points(Q, dim, p))[::5]:
-                alone = [(gs.bases, gs.sub_index, gs.quot_index) for gs in stable_subspaces(x, beta)]
-                framed = [(gs.bases, gs.sub_index, gs.quot_index) for gs in stable_subspaces(x, beta, frame)]
+                alone = list(stable_subspaces(x, beta))
+                framed = list(stable_subspaces(x, beta, frame))
                 assert alone == framed, (Q, dim, beta, p, x)
 
 
@@ -956,7 +971,7 @@ def test_stable_subspaces_of_a_quiver_without_vertices():
     Q = Quiver((), ())
     x = zero_rep(Q, dv(), 2)
     decode = PointCodec(Q, dv(), 2).decode
-    got = [(gs.bases, decode(gs.sub_index), decode(gs.quot_index)) for gs in stable_subspaces(x, dv())]
+    got = [(bases, decode(si), decode(qi)) for bases, si, qi in stable_subspaces(x, dv())]
     assert got == list(_stable_subspaces_reference(x, dv())) == [((), x, x)]
 
 
@@ -1010,7 +1025,10 @@ def _stratified_pair_counts_reference(tables, alpha, beta, A, B, i, m, side):
     return strata
 
 
-def test_filtration_and_stratified_counts_match_reference_kernel():
+def test_filtration_and_stratified_counts_match_reference_kernel(monkeypatch):
+    def unread(table, point_index):
+        raise AssertionError("filtration_counts reads classes from class_of_point")
+
     a3 = builtin_quiver("a3")
     for Q, nu, p in [(A2, dv(2, 2), 2), (A2, dv(2, 1), 3), (KRON, dv(1, 2), 2), (a3, dv(1, 2, 1), 2)]:
         tables = TableCache(Q, p)
@@ -1018,7 +1036,12 @@ def test_filtration_and_stratified_counts_match_reference_kernel():
         for beta in _betas(nu):
             frame = model.frame(nu, beta)
             for M in tables.table(nu).ids():
-                assert filtration_counts(tables, M, beta, frame) == _filtration_counts_reference(tables, M, beta)
+                want = _filtration_counts_reference(tables, M, beta)
+                with monkeypatch.context() as patched:
+                    patched.setattr(ClassificationTable, "class_of_index", unread)
+                    got = filtration_counts(tables, M, beta, frame)
+                # the same counts, keyed in the order the walk first meets them
+                assert list(got.items()) == list(want.items())
         checked = 0
         for beta in _betas(nu):
             alpha = nu - beta

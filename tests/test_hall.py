@@ -80,8 +80,8 @@ def derive_w_counts(tables, M, i, m, side):
     x = tables.table(alpha).info(M).representative
     rest_t = tables.table(alpha - mi)
     out = {}
-    for gs in stable_subspaces(x, alpha - mi if side == "sub" else mi):
-        n = rest_t.class_of_index(gs.sub_index if side == "sub" else gs.quot_index)
+    for _, si, qi in stable_subspaces(x, alpha - mi if side == "sub" else mi):
+        n = rest_t.class_of_index(si if side == "sub" else qi)
         out[n] = out.get(n, 0) + 1
     return out
 

@@ -12,10 +12,11 @@ from hallq.uminus import (
     derivation_right,
     evaluate_to_hall,
     iterated_derivation,
-    multiply,
     serre_element,
     word_degree,
 )
+
+from free_algebra import multiply
 
 V = LaurentPoly.v
 A2 = builtin_quiver("a2")
