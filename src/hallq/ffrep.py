@@ -7,10 +7,10 @@ point has an index in 0..p^D-1. The sweeps read digit places from
 `PointCodec.weights`; `encode` and the codec's row tables spell out the same
 layout in faster loops of their own. Isomorphism classes are G_V-orbits,
 computed exactly by a breadth-first sweep over all point indices: each
-generator of GL_n is a window of one or two coordinates, acting on an index
-through digit tables over the window's rows or columns of an arrow block, so
-no point is decoded into matrices except the class representatives. All
-counts are exact integers.
+generator of GL_n acts on an index through digit-delta tables, three whole
+matrices at a vertex whose arrow blocks are small and windows of one or two
+coordinates elsewhere (`_generator_moves`), so no point is decoded into
+matrices except the class representatives. All counts are exact integers.
 
 Every count is one of two sweeps over point indices. A restriction fiber
 (`_fiber_points`), over a fixed quotient point z and sub point y, is a base
@@ -36,7 +36,7 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from operator import mul
+from operator import getitem, mul
 from typing import Callable, Iterator
 
 from . import fpmat
@@ -506,17 +506,74 @@ def _gl_generators(n: int, p: int) -> list[tuple[int, Matrix, Matrix]]:
     return gens
 
 
-def _window_table(block: Matrix, rows: int, cols: int, p: int, left: bool) -> list[int]:
-    """Digit-delta table of one move: entry k is encode(image) - k, where k is
-    a run of `rows` rows of `cols` digits (row-major, little-endian) and the
-    image is block * rows (left) or rows * block (right)."""
-    width = rows * cols
-    table = []
-    for k in range(p**width):
-        digits = [k // p**i % p for i in range(width)]
-        m = tuple(tuple(digits[r * cols:(r + 1) * cols]) for r in range(rows))
-        img = fpmat.mat_mul(block, m, p) if left else fpmat.mat_mul(m, block, p)
-        table.append(sum(x * p**i for i, x in enumerate(x for row in img for x in row)) - k)
+def _gl_whole_generators(n: int, p: int) -> list[tuple[int, Matrix, Matrix]]:
+    """Three whole-matrix generators of GL_n(F_p), as windows (0, g, g^-1) of
+    width n: diag(r, 1, ..., 1) with the primitive root r (none at p = 2,
+    where r = 1), t = I + E_01, and the signed n-cycle c, with c e_i = e_{i+1}
+    for i < n - 1 and c e_{n-1} = (-1)^(n-1) e_0, of determinant 1, whose
+    inverse is its transpose (t and c only for n >= 2).
+
+    They generate GL_n(F_p). Conjugating t by powers of c gives I +- E_{k,k+1}
+    for every k mod n, and for distinct i, j, k the commutator of I + E_ij
+    and I + E_jk is I + E_ik, so every elementary matrix I + E_ij lies in
+    <t, c>, which is therefore SL_n(Z). Reduction mod p maps SL_n(Z) onto
+    SL_n(F_p), and the diagonal, of determinant r, adds the rest of GL_n(F_p).
+    """
+    def elementary(i: int, j: int, x: int) -> Matrix:  # I + x E_ij
+        return tuple(tuple(int(a == b) + x * ((a, b) == (i, j)) for b in range(n)) for a in range(n))
+
+    gens: list[tuple[int, Matrix, Matrix]] = []
+    r = _PRIMITIVE_ROOT[p]
+    if n and r != 1:
+        gens.append((0, elementary(0, 0, r - 1), elementary(0, 0, pow(r, -1, p) - 1)))
+    if n >= 2:
+        sign = 1 if n % 2 else p - 1
+        cycle = tuple(tuple(sign if (i, j) == (0, n - 1) else int(i == j + 1) for j in range(n))
+                      for i in range(n))
+        gens.append((0, elementary(0, 1, 1), elementary(0, 1, p - 1)))
+        gens.append((0, cycle, tuple(zip(*cycle))))
+    return gens
+
+
+def _whole_blocks(codec: PointCodec, v: int) -> bool:
+    """Whether vertex v acts through whole-block tables: each arrow block at v
+    has a table of at most `ROW_TABLE_BOUND` * p entries, and of at most an
+    eighth as many as the space has points, so the tables cost little beside
+    the sweep. Otherwise v keeps the windows of `_gl_generators`."""
+    p = codec.p
+    for (s, t), (rows, cols) in zip(codec.quiver.arrows, codec.shapes):
+        if v in (s, t) and rows * cols:
+            entries = p ** (rows * cols)
+            if entries > ROW_TABLE_BOUND * p or 8 * entries > codec.size:
+                return False
+    return True
+
+
+def _window_table(block: Matrix, rows: int, cols: int, p: int, left: bool, mult: int) -> list[int]:
+    """Digit-delta table of one move: entry k is (encode(image) - k) * mult,
+    where k is a run of `rows` rows of `cols` digits (row-major,
+    little-endian) and the image is block * rows (left) or rows * block (right).
+
+    A left move maps each column of the run on its own, a right move each
+    row, and these parts hold disjoint digits, so an entry is the sum of its
+    parts' deltas. One pass over the parts' values fills the table, reading
+    each part's index and delta from lists of p^length entries."""
+    n, count = (rows, cols) if left else (cols, rows)
+    step, stride = (cols, 1) if left else (1, cols)  # digit places within a part, between parts
+    factor = tuple(zip(*block)) if left else block  # a part e maps to e * factor
+    places = [p ** (i * step) for i in range(n)]
+    place, delta = [], []
+    for digits in product(range(p), repeat=n):
+        e = digits[::-1]
+        place.append(sum(map(mul, e, places)))
+        image = fpmat.mat_mul((e,), factor, p)[0]
+        delta.append(sum((y - x) * w for y, x, w in zip(image, e, places)))
+    scales = [p ** (j * stride) for j in range(count)]
+    part_places = [[x * c for x in place] for c in scales]
+    part_deltas = [[d * c * mult for d in delta] for c in scales]
+    table = [0] * p ** (rows * cols)
+    for parts in product(range(p**n), repeat=count):
+        table[sum(map(getitem, part_places, parts))] = sum(map(getitem, part_deltas, parts))
     return table
 
 
@@ -525,28 +582,33 @@ def _generator_moves(codec: PointCodec) -> list[list[tuple[int, int, list[int]]]
 
     A move reads the run x // mult % mod of the point index x and adds
     shifted[run], the run's digit delta times mult; the generator sends x to
-    x plus the sum of its moves, all read from x. For a window lo..lo+w-1,
-    g.x_h mixes rows lo..lo+w-1 of x_h, the run at `codec.weights[a][lo][0]`,
-    and x_h g^-1 mixes w entries of each row r, the run at
-    `codec.weights[a][r][lo]`, so no table spans a whole arrow block.
+    x plus the sum of its moves, all read from x. A vertex v that passes
+    `_whole_blocks` takes the three generators of `_gl_whole_generators`,
+    each applied through one table per arrow block: g.x_h when v is the
+    block's target, x_h g^-1 when it is its source, both read at the block's
+    lowest place. Any other vertex takes the windows of `_gl_generators`: for
+    a window lo..lo+w-1, g.x_h mixes rows lo..lo+w-1 of x_h, the run at
+    `codec.weights[a][lo][0]`, and x_h g^-1 mixes w entries of each row r,
+    the run at `codec.weights[a][r][lo]`, so no table spans a whole block.
     """
     Q, dim, p = codec.quiver, codec.dim, codec.p
-    deltas: dict[tuple, list[int]] = {}
 
     def move(block: Matrix, rows: int, cols: int, left: bool, mult: int) -> tuple:
-        key = (block, rows, cols, left)
-        if key not in deltas:
-            deltas[key] = _window_table(block, rows, cols, p, left)
-        return mult, p ** (rows * cols), [d * mult for d in deltas[key]]
+        return mult, p ** (rows * cols), _window_table(block, rows, cols, p, left, mult)
 
     out = []
     for v in range(Q.n):
-        for lo, block, inverse in _gl_generators(dim[v], p):
+        whole = _whole_blocks(codec, v)
+        for lo, block, inverse in (_gl_whole_generators if whole else _gl_generators)(dim[v], p):
             w = len(block)
             moves = []
-            for (s, t), (_, cols), weights in zip(Q.arrows, codec.shapes, codec.weights):
-                if cols and t == v:
+            for (s, t), (rows, cols), weights in zip(Q.arrows, codec.shapes, codec.weights):
+                if not rows * cols:
+                    continue
+                if t == v:
                     moves.append(move(block, w, cols, True, weights[lo][0]))
+                elif s == v and whole:
+                    moves.append(move(inverse, rows, w, False, weights[0][0]))
                 elif s == v:
                     moves.extend(move(inverse, 1, w, False, row[lo]) for row in weights)
             if moves:

@@ -1,11 +1,13 @@
+import ast
 import json
 from collections import Counter
+from pathlib import Path
 import tracemalloc
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
-from hallq import fpmat
+from hallq import ffrep, fpmat
 from hallq.hall import HallModel
 from hallq.ffrep import (
     _PRIMITIVE_ROOT,
@@ -19,7 +21,10 @@ from hallq.ffrep import (
     SubspaceFrame,
     TableCache,
     _fiber_points,
+    _generator_moves,
+    _gl_whole_generators,
     _intertwiner_system,
+    _whole_blocks,
     classify,
     enumerate_points,
     extension_histogram,
@@ -614,11 +619,125 @@ def test_rep_refuses_rows_of_unequal_length():
     assert table.iso_class_of(rep) == table.iso_class_of(Rep(A2, 2, dv(2, 2), (((0, 1), (0, 1)),)))
 
 
+def _paths(codec):
+    """Per vertex with an arrow block, whether it applies whole-matrix
+    generators (True) or windows (False)."""
+    Q = codec.quiver
+    return {_whole_blocks(codec, v) for v in range(Q.n)
+            if any(v in arrow and rows * cols for arrow, (rows, cols) in zip(Q.arrows, codec.shapes))}
+
+
 def test_classify_matches_union_find_sweep():
     cases = list(small_spaces(builtin_names(), cap=625))
     assert len(cases) > 250
+    # the sweep runs whole-block moves as well as windows
+    assert (KRON, dv(1, 2), 5) in cases and _paths(PointCodec(KRON, dv(1, 2), 5)) == {True}
+    assert any(_paths(PointCodec(*case)) == {False} for case in cases)
     for Q, dim, p in cases:
         assert table_shape(classify(Q, dim, p)) == table_shape(_classify_union_find(Q, dim, p)), (Q, dim, p)
+
+
+def _gl_closure(gens, n, p):
+    """The elements of GL_n(F_p) reached from the identity by left
+    multiplication with the matrices gens."""
+    seen = {tuple(tuple(int(i == j) for j in range(n)) for i in range(n))}
+    queue = list(seen)
+    for x in queue:
+        for g in gens:
+            y = fpmat.mat_mul(g, x, p)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen
+
+
+def _det(m, p):
+    """Leibniz determinant of a small square matrix mod p."""
+    n = len(m)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        term = (-1) ** inversions
+        for i in range(n):
+            term *= m[i][perm[i]]
+        total += term
+    return total % p
+
+
+@pytest.mark.parametrize("n, p", [(2, p) for p in fpmat.SUPPORTED_PRIMES] + [(3, 2), (3, 3), (4, 2)])
+def test_whole_matrix_generators_generate_gl(n, p):
+    gens = _gl_whole_generators(n, p)
+    for lo, g, ginv in gens:
+        assert lo == 0 and len(g) == n
+        assert fpmat.mat_mul(g, ginv, p) == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    # the transvection and the cycle lie in SL_n, the diagonal has determinant a primitive root
+    assert [_det(g, p) for _, g, _ in gens] == [_PRIMITIVE_ROOT[p]] * (p != 2) + [1, 1]
+    order = group_order(SINGLE, dv(n), p)
+    assert len(_gl_closure([g for _, g, _ in gens], n, p)) == order
+    # negative control: without the cycle the diagonal and the transvection
+    # stay inside the upper triangular matrices
+    assert len(_gl_closure([g for _, g, _ in gens[:-1]], n, p)) < order
+
+
+def _window_table_reference(block, rows, cols, p, left):
+    """The former move-table builder, kept as the reference: decode each run,
+    multiply with fpmat.mat_mul and re-encode."""
+    width = rows * cols
+    table = []
+    for k in range(p**width):
+        digits = [k // p**i % p for i in range(width)]
+        m = tuple(tuple(digits[r * cols:(r + 1) * cols]) for r in range(rows))
+        img = fpmat.mat_mul(block, m, p) if left else fpmat.mat_mul(m, block, p)
+        table.append(sum(x * p**i for i, x in enumerate(x for row in img for x in row)) - k)
+    return table
+
+
+def _classify_cases():
+    """The spaces of the classify_scan benchmark workload, read from its source."""
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py").read_text()
+    value = next(node.value for node in ast.parse(source).body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["CLASSIFY_CASES"])
+    return [(builtin_quiver(name), DimVector(dim), p) for name, dim, p in ast.literal_eval(value)]
+
+
+def test_move_tables_match_the_mat_mul_reference(monkeypatch):
+    built = []
+    window_table = ffrep._window_table
+
+    def recording(block, rows, cols, p, left, mult):
+        table = window_table(block, rows, cols, p, left, mult)
+        built.append((block, rows, cols, p, left, mult, table))
+        return table
+
+    monkeypatch.setattr(ffrep, "_window_table", recording)
+    cases = list(small_spaces(builtin_names(), cap=625)) + _classify_cases()
+    cases += [(A2, dv(2, 2), 5), (KRON, dv(2, 3), 3), (A2, dv(12, 1), 2)]
+    kinds = set()
+    for Q, dim, p in cases:
+        codec = PointCodec(Q, dim, p)
+        built.clear()
+        moves = _generator_moves(codec)
+        assert all(len(shifted) == mod <= ROW_TABLE_BOUND * p for gen in moves for _, mod, shifted in gen)
+        paths = _paths(codec)
+        for block, rows, cols, q, left, mult, table in built:
+            reference = _window_table_reference(block, rows, cols, q, left)
+            assert table == [d * mult for d in reference], (Q, dim, p, block, left)
+            if len(paths) == 1:
+                kinds.add((*paths, left))
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_whole_block_path_choice():
+    # every vertex of the six classify_scan spaces applies whole-matrix generators
+    cases = _classify_cases()
+    assert len(cases) == 6
+    for Q, dim, p in cases:
+        codec = PointCodec(Q, dim, p)
+        assert all(_whole_blocks(codec, v) for v in range(Q.n)), (Q, dim, p)
+        assert sum(len(gen) for gen in _generator_moves(codec)) <= 12
+    # a2's single block is the whole space, so its table would list every point
+    codec = PointCodec(A2, dv(2, 2), 5)
+    assert not any(_whole_blocks(codec, v) for v in range(2))
 
 
 def test_classify_decodes_once_per_class(monkeypatch):
